@@ -45,6 +45,16 @@ def _resolve_budget(args) -> int | None:
     return int(env) if env else None
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _cmd_table(args) -> int:
     table = build_table(args.colors, args.max_n, args.flavor)
     if args.format == "csv":
@@ -209,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--stat", choices=sorted(_STATS), required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--format", choices=("text", "json"), default="text")
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=_jobs, default=1)
     c.add_argument("--budget", type=int, default=None)
     c.set_defaults(func=_cmd_count)
 
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=("all",) + SUITES, default="all")
     v.add_argument("--colors-max", type=int, required=True)
     v.add_argument("--n-max", type=int, required=True)
-    v.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    v.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     v.add_argument("--budget", type=int, default=None)
     v.set_defaults(func=_cmd_verify)
     return parser

@@ -299,29 +299,27 @@ def _word_tokens(text: str) -> Iterator[tuple[str, int]]:
 
 def parse_one_line(text: str, ell: int, n: int | None = None) -> ColoredPermutation:
     """Parse a one-line word; ``n`` defaults to the number of tokens."""
-    symbols = [_parse_token(tok, ell, pos) for tok, pos in _word_tokens(text)]
+    letters = [(_parse_token(tok, ell, pos), pos) for tok, pos in _word_tokens(text)]
     if n is None:
-        n = len(symbols)
-    elif n != len(symbols):
-        raise ParseError(f"expected {n} tokens, found {len(symbols)}", len(text))
-    return _from_symbols(symbols, ell, n, text)
-
-
-def _from_symbols(
-    symbols: Sequence[ColoredSymbol], ell: int, n: int, text: str
-) -> ColoredPermutation:
-    sigma = [0] * n
+        n = len(letters)
+    elif n != len(letters):
+        raise ParseError(f"expected {n} tokens, found {len(letters)}", len(text))
+    _check_values(letters, n)
     colors = [0] * n
-    seen = [False] * n
-    for i, sym in enumerate(symbols):
-        if not 1 <= sym.value <= n:
-            raise ParseError(f"value {sym.value} not in [1, {n}]", text.find(str(sym.value)))
-        if seen[sym.value - 1]:
-            raise ParseError(f"value {sym.value} repeated", text.rfind(str(sym.value)))
-        seen[sym.value - 1] = True
-        sigma[i] = sym.value
+    for sym, _ in letters:
         colors[sym.value - 1] = sym.color
-    return ColoredPermutation(ell, tuple(sigma), tuple(colors))
+    return ColoredPermutation(ell, tuple(sym.value for sym, _ in letters), tuple(colors))
+
+
+def _check_values(letters: Sequence[tuple[ColoredSymbol, int]], n: int) -> None:
+    """Every value in ``[1, n]`` and none repeated; errors point at the token."""
+    seen = [False] * n
+    for sym, pos in letters:
+        if not 1 <= sym.value <= n:
+            raise ParseError(f"value {sym.value} not in [1, {n}]", pos)
+        if seen[sym.value - 1]:
+            raise ParseError(f"value {sym.value} repeated", pos)
+        seen[sym.value - 1] = True
 
 
 def format_one_line(p: ColoredPermutation) -> str:
@@ -346,17 +344,19 @@ def parse_cycles(text: str, ell: int, n: int | None = None) -> ColoredPermutatio
     if not pieces and stripped:
         raise ParseError("expected '(' to open a cycle", 0)
     cycles = []
-    count = 0
+    letters = []
     for body, offset in pieces:
-        letters = [
-            _parse_token(tok, ell, offset + rel) for tok, rel in _word_tokens(body)
+        cycle = [
+            (_parse_token(tok, ell, offset + rel), offset + rel)
+            for tok, rel in _word_tokens(body)
         ]
-        if not letters:
+        if not cycle:
             raise ParseError("empty cycle", offset)
-        cycles.append(letters)
-        count += len(letters)
+        letters.extend(cycle)
+        cycles.append([sym for sym, _ in cycle])
     if n is None:
-        n = count
+        n = len(letters)
+    _check_values(letters, n)
     try:
         return ColoredPermutation.from_cycles(cycles, ell, n)
     except ValueError as exc:

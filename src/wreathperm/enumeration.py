@@ -13,8 +13,12 @@ larger budget is passed explicitly.
 from __future__ import annotations
 
 import math
+import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice, product, repeat, starmap
 from typing import Iterator
 
 from .core import ColoredPermutation, rotate_right
@@ -24,11 +28,8 @@ from .statistics import (
     LINEAR,
     SKEW_LINEAR,
     circular_successions,
-    is_increasing_fixed,
-    is_isolated_fixed,
     linear_successions,
     skew_linear_successions,
-    succession_set,
 )
 from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
 
@@ -56,8 +57,13 @@ def _check_budget(ell: int, n: int, budget: int | None) -> int:
     limit = DEFAULT_BUDGET if budget is None else budget
     size = group_size(ell, n)
     if size > limit:
+        fits = 0
+        while group_size(ell, fits + 1) <= limit:
+            fits += 1
+        hint = f"the largest n that fits with ell={ell} is {fits}"
         raise BudgetError(
-            f"group of size {size} exceeds the budget of {limit} elements"
+            f"group of size {size} exceeds the budget of {limit} elements; "
+            + (hint if limit >= 1 else "no n fits")
         )
     return size
 
@@ -72,23 +78,14 @@ def _unrank_sigma(n: int, rank: int) -> list[int]:
     return out
 
 
-def _unrank_colors(ell: int, n: int, rank: int) -> list[int]:
-    digits = [0] * n
-    for j in range(n - 1, -1, -1):
-        digits[j] = rank % ell
-        rank //= ell
-    return digits
-
-
 def element_at(ell: int, n: int, index: int) -> ColoredPermutation:
     """The ``index``-th element (0-based) in enumeration order."""
     size = group_size(ell, n)
     if not 0 <= index < size:
         raise IndexError(f"index {index} out of range for group of size {size}")
-    radix = ell**n
-    sigma = _unrank_sigma(n, index // radix)
-    colors = _unrank_colors(ell, n, index % radix)
-    return ColoredPermutation(ell, tuple(sigma), tuple(colors))
+    rank, offset = divmod(index, ell**n)
+    colors = tuple(offset // ell**j % ell for j in reversed(range(n)))
+    return ColoredPermutation(ell, tuple(_unrank_sigma(n, rank)), colors)
 
 
 def _next_sigma(sigma: list[int]) -> bool:
@@ -110,21 +107,23 @@ def _next_sigma(sigma: list[int]) -> bool:
 def _iter_raw(
     ell: int, n: int, start: int, stop: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield ``(sigma, colors)`` for the contiguous index range [start, stop)."""
+    """Yield ``(sigma, colors)`` for the contiguous index range [start, stop).
+
+    Elements with the same underlying permutation share one ``sigma`` tuple.
+    """
     if stop <= start:
         return
     radix = ell**n
-    sigma = _unrank_sigma(n, start // radix)
-    colors = _unrank_colors(ell, n, start % radix)
-    for _ in range(stop - start):
-        yield tuple(sigma), tuple(colors)
-        j = n - 1
-        while j >= 0 and colors[j] == ell - 1:
-            colors[j] = 0
-            j -= 1
-        if j >= 0:
-            colors[j] += 1
-        elif not _next_sigma(sigma):
+    rank, offset = divmod(start, radix)
+    sigma = _unrank_sigma(n, rank)
+    left = stop - start
+    while True:
+        take = min(radix - offset, left)
+        colors = islice(product(range(ell), repeat=n), offset, offset + take)
+        yield from zip(repeat(tuple(sigma), take), colors)
+        left -= take
+        offset = 0
+        if not left or not _next_sigma(sigma):
             return
 
 
@@ -175,83 +174,136 @@ class CountDistribution:
             raise ValueError("distribution does not cover the whole group")
 
 
-def _stat_count(p: ColoredPermutation, k: int, kind: str) -> int:
-    return len(succession_set(p, k, kind))
+# Kernels read one raw element ``(sigma, colors)`` in a single pass and return
+# a hashable key; a partition is folded into a Counter of keys, and each public
+# function expands the merged keys into its histogram.  Succession keys hold
+# one code ``k * (n + 1) + v`` per k-succession with value ``v``, so a single
+# key serves every k at once.  ``statistics.py`` is the readable spec of each.
 
 
-def _dist_task(args) -> list[int]:
-    ell, n, k, kind, start, stop = args
-    counts = [0] * (n + 1)
-    for sigma, colors in _iter_raw(ell, n, start, stop):
-        p = ColoredPermutation(ell, sigma, colors)
-        counts[_stat_count(p, k, kind)] += 1
-    return counts
+def _circular_key(sigma, colors) -> tuple[int, ...]:
+    """An uncolored value ``v`` at position ``i`` with ``v >= i`` is a
+    ``(v - i)``-circular succession."""
+    w = len(sigma) + 1
+    return tuple(
+        [(v - i) * w + v for i, v in enumerate(sigma, 1) if v >= i and not colors[v - 1]]
+    )
 
 
-def _dist_matrix_task(args) -> list[int]:
-    ell, n, kind, start, stop = args
-    width = n + 1
-    flat = [0] * (width * width)
-    for sigma, colors in _iter_raw(ell, n, start, stop):
-        p = ColoredPermutation(ell, sigma, colors)
-        lo = 0 if kind == CIRCULAR else 1
-        for k in range(lo, n + 1):
-            flat[k * width + _stat_count(p, k, kind)] += 1
-    return flat
+def _linear_key(sigma, colors) -> tuple[int, ...]:
+    """An adjacent equal-colored pair ``a, b`` with ``b > a`` is a
+    ``(b - a)``-linear succession."""
+    w = len(sigma) + 1
+    return tuple(
+        [
+            (b - a) * w + b
+            for a, b in zip(sigma, sigma[1:])
+            if b > a and colors[a - 1] == colors[b - 1]
+        ]
+    )
 
 
-def _bounded_task(args) -> list[int]:
-    ell, n, start, stop = args
-    width = n + 1
-    flat = [0] * (width * width)  # [k][max value of the k-succession set]
-    for sigma, colors in _iter_raw(ell, n, start, stop):
-        p = ColoredPermutation(ell, sigma, colors)
-        for k in range(n + 1):
-            vals = circular_successions(p, k).values
-            flat[k * width + (max(vals) if vals else 0)] += 1
-    return flat
+def _skew_linear_key(sigma, colors) -> tuple[int, ...]:
+    """Linear successions, plus the first value ``v`` as a ``v``-succession
+    when it is uncolored."""
+    key = _linear_key(sigma, colors)
+    if sigma and not colors[sigma[0] - 1]:
+        v = sigma[0]
+        key += (v * (len(sigma) + 1) + v,)
+    return key
 
 
-def _family_task(args) -> list[int]:
-    ell, n, family, start, stop = args
-    pred = is_increasing_fixed if family == "increasing" else is_isolated_fixed
-    counts = [0] * (n + 1)
-    for sigma, colors in _iter_raw(ell, n, start, stop):
-        p = ColoredPermutation(ell, sigma, colors)
-        for m in range(n + 1):
-            if pred(p, m):
-                counts[m] += 1
-    return counts
+def _max_fixed_point(sigma, colors) -> int:
+    fixed = [v for i, v in enumerate(sigma, 1) if v == i and not colors[v - 1]]
+    return max(fixed, default=0)
 
 
-_TASKS = {
-    "dist": _dist_task,
-    "dist_matrix": _dist_matrix_task,
-    "bounded": _bounded_task,
-    "family": _family_task,
+def _increasing_key(sigma, colors) -> tuple[int, int]:
+    """The ``m`` making an element m-increasing-fixed form the interval
+    ``[max fixed point, h]``, ``h`` the length of its uncolored increasing prefix."""
+    prev = h = 0
+    for v in sigma:
+        if v < prev or colors[v - 1]:
+            break
+        prev = v
+        h += 1
+    return _max_fixed_point(sigma, colors), h
+
+
+def _isolated_key(sigma, colors) -> tuple[int, int]:
+    """The ``m`` making an element m-isolated-fixed form the interval
+    ``[max fixed point, h]``, ``h`` the number of leading uncolored values capped
+    below the smallest second-smallest value of any cycle."""
+    h = 0
+    while h < len(sigma) and not colors[h]:
+        h += 1
+    seen = bytearray(len(sigma) + 1)
+    for v in range(1, h + 1):
+        if seen[v]:  # v shares a cycle with a smaller value
+            h = v - 1
+            break
+        u = sigma[v - 1]
+        while u != v:
+            seen[u] = 1
+            u = sigma[u - 1]
+    return _max_fixed_point(sigma, colors), h
+
+
+_SUCCESSION_KEYS = {
+    CIRCULAR: _circular_key,
+    LINEAR: _linear_key,
+    SKEW_LINEAR: _skew_linear_key,
 }
+_FAMILY_KEYS = {"increasing": _increasing_key, "isolated": _isolated_key}
 
 
-def _run_task(args) -> list[int]:
-    name, rest = args
-    return _TASKS[name](rest)
+def _tally(kernel, elements, start) -> Counter:
+    """Count the elements of one partition by ``kernel(sigma, colors)``."""
+    return Counter(starmap(kernel, elements))
 
 
-def _map_reduce(name: str, ell: int, n: int, extra: tuple, jobs: int,
-                budget: int | None) -> list[int]:
+def _first_failure(check, elements, start) -> dict | None:
+    """The counterexample of the lowest-index element that ``check`` rejects."""
+    for index, found in enumerate(starmap(check, elements), start):
+        if found is not None:
+            return {"index": index, **found}
+    return None
+
+
+def _pool_size(jobs: int, cpus: int, partitions: int) -> int:
+    """Workers for one map-reduce: no more than requested, than CPUs, or than
+    the partitions the work can be cut into."""
+    return max(1, min(jobs, cpus, partitions))
+
+
+def _run_task(args):
+    """Fold a kernel over the raw elements of one contiguous index range."""
+    fold, ell, n, kernel, start, stop = args
+    return fold(kernel, _iter_raw(ell, n, start, stop), start)
+
+
+def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int | None) -> list:
+    """Partition the whole group, fold ``kernel`` over each partition (in a
+    process pool when it pays), and return the results in index order."""
     size = _check_budget(ell, n, budget)
-    if jobs <= 1 or size < _PARALLEL_THRESHOLD:
-        return _run_task((name, (ell, n, *extra, 0, size)))
+    workers = _pool_size(jobs, os.cpu_count() or 1, size)
+    if workers == 1 or size < _PARALLEL_THRESHOLD:
+        return [_run_task((fold, ell, n, kernel, 0, size))]
     tasks = [
-        (name, (ell, n, *extra, start, stop))
-        for start, stop in partition_bounds(size, jobs)
+        (fold, ell, n, kernel, start, stop)
+        for start, stop in partition_bounds(size, workers)
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        vectors = list(pool.map(_run_task, tasks))
-    merged = vectors[0]
-    for vec in vectors[1:]:
-        merged = [a + b for a, b in zip(merged, vec)]
-    return merged
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_task, tasks))
+
+
+def _count_keys(kernel, ell, n, jobs, budget) -> Counter:
+    return sum(_map_reduce(_tally, ell, n, kernel, jobs, budget), Counter())
+
+
+def _find_failure(check, ell, n, jobs, budget) -> dict | None:
+    parts = _map_reduce(_first_failure, ell, n, check, jobs, budget)
+    return next((found for found in parts if found is not None), None)
 
 
 def distribution(
@@ -264,14 +316,17 @@ def distribution(
     budget: int | None = None,
 ) -> CountDistribution:
     """Exact distribution of one succession statistic over the whole group."""
-    if kind not in (CIRCULAR, LINEAR, SKEW_LINEAR):
+    if kind not in _SUCCESSION_KEYS:
         raise ValueError(f"unknown statistic kind {kind!r}")
     if kind == CIRCULAR and k < 0:
         raise ValueError(f"circular statistic needs k >= 0, got {k}")
     if kind != CIRCULAR and k < 1:
         raise ValueError(f"{kind} statistic needs k >= 1, got {k}")
-    counts = _map_reduce("dist", ell, n, (k, kind), jobs, budget)
-    return CountDistribution(ell, n, k, kind, tuple(counts))
+    if k > n:  # no k-successions at all
+        counts = (_check_budget(ell, n, budget),) + (0,) * n
+    else:
+        counts = distribution_matrix(ell, n, kind, jobs=jobs, budget=budget)[k]
+    return CountDistribution(ell, n, k, kind, counts)
 
 
 def distribution_matrix(
@@ -281,9 +336,20 @@ def distribution_matrix(
 
     Row ``k = 0`` of a linear/skew matrix is all zeros (undefined there).
     """
-    flat = _map_reduce("dist_matrix", ell, n, (kind,), jobs, budget)
+    if kind not in _SUCCESSION_KEYS:
+        raise ValueError(f"unknown statistic kind {kind!r}")
     width = n + 1
-    return [tuple(flat[k * width : (k + 1) * width]) for k in range(width)]
+    matrix = [[0] * width for _ in range(width)]
+    keys = _count_keys(_SUCCESSION_KEYS[kind], ell, n, jobs, budget)
+    for key, count in keys.items():
+        per_k = [0] * width
+        for code in key:
+            per_k[code // width] += 1
+        for k, m in enumerate(per_k):
+            matrix[k][m] += count
+    if kind != CIRCULAR:
+        matrix[0] = [0] * width
+    return [tuple(row) for row in matrix]
 
 
 def bounded_matrix(
@@ -291,18 +357,30 @@ def bounded_matrix(
 ) -> list[tuple[int, ...]]:
     """``matrix[k][v]``: elements whose largest k-circular succession is ``v``
     (``v = 0`` meaning none)."""
-    flat = _map_reduce("bounded", ell, n, (), jobs, budget)
     width = n + 1
-    return [tuple(flat[k * width : (k + 1) * width]) for k in range(width)]
+    matrix = [[0] * width for _ in range(width)]
+    for key, count in _count_keys(_circular_key, ell, n, jobs, budget).items():
+        largest = [0] * width
+        for code in key:
+            k, v = divmod(code, width)
+            largest[k] = max(largest[k], v)
+        for k, v in enumerate(largest):
+            matrix[k][v] += count
+    return [tuple(row) for row in matrix]
 
 
 def family_counts(
     ell: int, n: int, family: str, *, jobs: int = 1, budget: int | None = None
 ) -> tuple[int, ...]:
     """Counts of m-increasing-fixed or m-isolated-fixed elements per ``m``."""
-    if family not in ("increasing", "isolated"):
+    if family not in _FAMILY_KEYS:
         raise ValueError(f"unknown family {family!r}")
-    return tuple(_map_reduce("family", ell, n, (family,), jobs, budget))
+    counts = [0] * (n + 1)
+    keys = _count_keys(_FAMILY_KEYS[family], ell, n, jobs, budget)
+    for (low, high), count in keys.items():
+        for m in range(low, high + 1):
+            counts[m] += count
+    return tuple(counts)
 
 
 # -- verification suites -----------------------------------------------------------
@@ -401,34 +479,40 @@ def _suite_family(family):
     return run
 
 
+def _e22_check(ell, sigma, colors) -> dict | None:
+    p = ColoredPermutation(ell, sigma, colors)
+    for k in range(1, p.n + 1):
+        expected = set(linear_successions(p, k).values)
+        if p.sigma[0] == k and p.colors[k - 1] == 0:
+            expected.add(k)
+        if set(skew_linear_successions(p, k).values) != expected:
+            return {"perm": str(p), "k": k}
+    return None
+
+
 def _suite_e22(ell, n, jobs, budget):
     """Skew linear sets equal linear sets, possibly plus the boundary value k."""
-    _check_budget(ell, n, budget)
-    for index, p in enumerate(enumerate_group(ell, n, budget=budget)):
-        for k in range(1, n + 1):
-            expected = set(linear_successions(p, k).values)
-            if p.sigma and p.sigma[0] == k and p.colors[k - 1] == 0:
-                expected.add(k)
-            if set(skew_linear_successions(p, k).values) != expected:
-                return {"index": index, "perm": str(p), "k": k}
+    return _find_failure(partial(_e22_check, ell), ell, n, jobs, budget)
+
+
+def _e43_check(ell, sigma, colors) -> dict | None:
+    if not sigma:
+        return None
+    p = ColoredPermutation(ell, sigma, colors)
+    rot = rotate_right(p)
+    last = p.image(p.n)
+    for k in range(p.n + 1):
+        expected = set(circular_successions(rot, k).values)
+        if last.value == k + 1 and last.color == 0:
+            expected.discard(k + 1)
+        if set(circular_successions(p, k + 1).values) != expected:
+            return {"perm": str(p), "k": k}
     return None
 
 
 def _suite_e43(ell, n, jobs, budget):
     """Shifting k by one matches rotating the word right, up to the value k+1."""
-    _check_budget(ell, n, budget)
-    if n == 0:
-        return None
-    for index, p in enumerate(enumerate_group(ell, n, budget=budget)):
-        rot = rotate_right(p)
-        for k in range(n + 1):
-            expected = set(circular_successions(rot, k).values)
-            last = p.image(n)
-            if last.value == k + 1 and last.color == 0:
-                expected.discard(k + 1)
-            if set(circular_successions(p, k + 1).values) != expected:
-                return {"index": index, "perm": str(p), "k": k}
-    return None
+    return _find_failure(partial(_e43_check, ell), ell, n, jobs, budget)
 
 
 _ENUM_SUITES = {

@@ -95,6 +95,21 @@ class TestCount:
         assert code == 0
 
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--colors", "2", "--n", "2", "--stat", "circ", "--k", "0"],
+            ["verify", "--suite", "t2", "--colors-max", "1", "--n-max", "2"],
+        ],
+    )
+    def test_jobs_below_one_usage_error(self, capsys, args, jobs):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 class TestBijection:
     def test_phi_fixture(self, capsys):
         code, out = run_cli(

@@ -208,6 +208,20 @@ class TestText:
         with pytest.raises(ParseError):
             parse_one_line(text, ell)
 
+    @pytest.mark.parametrize(
+        "parse,text,n,offset",
+        [
+            (parse_one_line, "1^3 3", 2, 4),  # not the "3" of the exponent at 2
+            (parse_cycles, "(1^3 3)", 2, 5),
+            (parse_one_line, "2 1 2", None, 4),  # the repeat, not the first copy
+            (parse_cycles, "(2 1)(2)", None, 6),
+        ],
+    )
+    def test_parse_error_offset_points_at_token(self, parse, text, n, offset):
+        with pytest.raises(ParseError) as exc:
+            parse(text, 4, n)
+        assert exc.value.position == offset
+
     def test_parse_length_mismatch(self):
         with pytest.raises(ParseError):
             parse_one_line("1 2", 2, 3)

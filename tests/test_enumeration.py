@@ -1,10 +1,13 @@
 import math
+import os
 
 import pytest
 
 from wreathperm import (
     BudgetError,
     CheckResult,
+    SuccessionSet,
+    bounded_matrix,
     build_table,
     circular_successions,
     distribution,
@@ -12,12 +15,18 @@ from wreathperm import (
     element_at,
     enumerate_group,
     enumerate_range,
+    family_counts,
     group_size,
+    is_increasing_fixed,
+    is_isolated_fixed,
     linear_successions,
     partition_bounds,
     report_json,
+    rotate_left,
+    skew_linear_successions,
     verify_suite,
 )
+from wreathperm import enumeration
 
 from conftest import group
 
@@ -66,6 +75,98 @@ class TestStream:
         assert sum(1 for _ in enumerate_group(2, 4, budget=1000)) == 384
         with pytest.raises(BudgetError):
             distribution(5, 12, 0, "circular")
+
+
+    def test_budget_error_names_largest_fitting_n(self):
+        with pytest.raises(BudgetError, match="largest n that fits with ell=2 is 4"):
+            distribution(2, 6, 0, "circular", budget=1000)
+        with pytest.raises(BudgetError, match="largest n that fits with ell=1 is 6"):
+            list(enumerate_group(1, 7, budget=5039))
+        with pytest.raises(BudgetError, match="no n fits"):
+            distribution(2, 1, 0, "circular", budget=0)
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,partitions,workers",
+        [
+            (1, 8, 100, 1),
+            (3, 2, 100, 2),
+            (8, 16, 5, 5),
+            (100_000, 2, 46_080, 2),
+            (0, 4, 10, 1),
+        ],
+    )
+    def test_pool_size(self, jobs, cpus, partitions, workers):
+        assert enumeration._pool_size(jobs, cpus, partitions) == workers
+
+
+def _spec_histograms(ell, n):
+    """Every counting histogram, built by calling the spec in ``statistics``
+    on each element."""
+    width = n + 1
+    matrices = {kind: [[0] * width for _ in range(width)]
+                for kind in ("circular", "linear", "skewLinear")}
+    bounded = [[0] * width for _ in range(width)]
+    families = {"increasing": [0] * width, "isolated": [0] * width}
+    for p in group(ell, n):
+        for k in range(width):
+            circ = circular_successions(p, k).values
+            matrices["circular"][k][len(circ)] += 1
+            bounded[k][max(circ, default=0)] += 1
+            if k:
+                matrices["linear"][k][len(linear_successions(p, k))] += 1
+                matrices["skewLinear"][k][len(skew_linear_successions(p, k))] += 1
+        for m in range(width):
+            families["increasing"][m] += is_increasing_fixed(p, m)
+            families["isolated"][m] += is_isolated_fixed(p, m)
+    return matrices, bounded, families
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("n", range(6))
+def test_kernels_match_spec(ell, n):
+    matrices, bounded, families = _spec_histograms(ell, n)
+    for kind, matrix in matrices.items():
+        assert distribution_matrix(ell, n, kind) == [tuple(row) for row in matrix]
+    assert bounded_matrix(ell, n) == [tuple(row) for row in bounded]
+    for family, counts in families.items():
+        assert family_counts(ell, n, family) == tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "suite,stat,first_k,bad_indices",
+    [
+        ("e22", "skew_linear_successions", 1, (100, 300)),  # one per partition
+        ("e22", "skew_linear_successions", 1, (300,)),  # second partition only
+        ("e43", "circular_successions", 0, (100, 300)),
+        ("e43", "circular_successions", 0, (300,)),
+    ],
+)
+def test_counterexample_independent_of_jobs(
+    monkeypatch, suite, stat, first_k, bad_indices
+):
+    """A statistic broken on chosen elements of the 2-color group on 4 letters
+    (384 elements, split in two partitions) is reported at its smallest
+    failing index whatever the number of workers."""
+    bad = {element_at(2, 4, i) for i in bad_indices}
+    real = getattr(enumeration, stat)
+
+    def broken(p, k):
+        found = real(p, k)
+        if p not in bad:
+            return found
+        return SuccessionSet(found.kind, k, found.values | {0})
+
+    monkeypatch.setattr(enumeration, stat, broken)
+    monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # e43 also sees a broken set when the rotated word is a bad element
+    failing = bad | {rotate_left(q) for q in bad} if suite == "e43" else bad
+    index = min(i for i, p in enumerate(group(2, 4)) if p in failing)
+    expected = {"index": index, "perm": str(element_at(2, 4, index)), "k": first_k}
+    reports = [verify_suite(suite, 2, 4, jobs=jobs) for jobs in (1, 2)]
+    assert reports[0] == reports[1]
+    failed = [r for r in reports[0] if not r.passed]
+    assert [(r.ell, r.n, r.counterexample) for r in failed] == [(2, 4, expected)]
 
 
 class TestDistribution:
