@@ -36,7 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ColoredPermutation, ColoredSymbol, DomainError, sigma_cycles
+from .core import (
+    ColoredPermutation,
+    ColoredSymbol,
+    DomainError,
+    canonical_cycles,
+    sigma_cycles,
+)
 from .statistics import (
     circular_successions,
     fixed_points,
@@ -56,6 +62,16 @@ def _from_word(symbols: Sequence[ColoredSymbol], ell: int) -> ColoredPermutation
         sigma[i] = sym.value
         colors[sym.value - 1] = sym.color
     return ColoredPermutation(ell, tuple(sigma), tuple(colors))
+
+
+def _shift_values(
+    word: Iterable[ColoredSymbol], t: int, step: int
+) -> list[ColoredSymbol]:
+    """Move every value ``>= t`` by ``step``, keeping its color."""
+    return [
+        sym if sym.value < t else ColoredSymbol(sym.value + step, sym.color)
+        for sym in word
+    ]
 
 
 class _Surgeon:
@@ -156,11 +172,7 @@ def remove_max_succession(
     removed = word.pop(m - k)
     if removed != ColoredSymbol(m + 1, 0):
         raise DomainError(f"position {m + 1 - k} does not hold the value {m + 1}")
-    out = [
-        sym if sym.value < m + 1 else ColoredSymbol(sym.value - 1, sym.color)
-        for sym in word
-    ]
-    return _from_word(out, p.ell)
+    return _from_word(_shift_values(word, m + 1, -1), p.ell)
 
 
 def insert_max_succession(
@@ -177,24 +189,12 @@ def insert_max_succession(
         raise DomainError(f"need m <= n, got m={m}, n={p.n}")
     if any(v > m for v in circular_successions(p, k).values):
         raise DomainError(f"all {k}-circular successions must lie in [{m}]")
-    word = [
-        sym if sym.value <= m else ColoredSymbol(sym.value + 1, sym.color)
-        for sym in p.one_line()
-    ]
+    word = _shift_values(p.one_line(), m + 1, 1)
     word.insert(m - k, ColoredSymbol(m + 1, 0))
     return _from_word(word, p.ell)
 
 
 # -- cycles-to-word maps --------------------------------------------------------
-
-
-def _foata_segments(sigma: Sequence[int]) -> list[list[int]]:
-    segments = []
-    for cyc in sigma_cycles(sigma):
-        t = cyc.index(max(cyc))
-        segments.append(cyc[t + 1 :] + cyc[: t + 1])
-    segments.sort(key=lambda seg: -seg[-1])
-    return segments
 
 
 def _check_permutation(word: Sequence[int]) -> None:
@@ -209,7 +209,7 @@ def foata(sigma: Sequence[int]) -> tuple[int, ...]:
     erase the parentheses.  Swaps k-circular with k-linear successions.
     """
     _check_permutation(sigma)
-    return tuple(v for seg in _foata_segments(sigma) for v in seg)
+    return tuple(v for seg in canonical_cycles(sigma) for v in seg)
 
 
 def foata_inverse(word: Sequence[int]) -> tuple[int, ...]:
@@ -243,7 +243,7 @@ def colored_foata(p: ColoredPermutation) -> ColoredPermutation:
     n = p.n
     colors = [0] * n
     word = []
-    for seg in _foata_segments(p.sigma):
+    for seg in canonical_cycles(p.sigma):
         prev = None
         for x in seg:
             if prev is None:
@@ -260,7 +260,7 @@ def colored_foata_inverse(p2: ColoredPermutation) -> ColoredPermutation:
     sigma = foata_inverse(p2.sigma)
     n = p2.n
     colors = [0] * n
-    for seg in _foata_segments(sigma):
+    for seg in canonical_cycles(sigma):
         prev = None
         for x in seg:
             if prev is None:
@@ -295,10 +295,7 @@ def succession_decompose(p: ColoredPermutation, k: int) -> SuccessionDecompositi
     for i in reversed(positions):
         removed = word.pop(i - 1)
         assert removed == ColoredSymbol(i + k, 0)
-        word = [
-            sym if sym.value < i + k else ColoredSymbol(sym.value - 1, sym.color)
-            for sym in word
-        ]
+        word = _shift_values(word, i + k, -1)
     return SuccessionDecomposition(positions, _from_word(word, p.ell))
 
 
@@ -316,10 +313,7 @@ def succession_compose(
         raise DomainError("the core must have no k-circular succession")
     word = list(reduced.one_line())
     for i in pos:
-        word = [
-            sym if sym.value < i + k else ColoredSymbol(sym.value + 1, sym.color)
-            for sym in word
-        ]
+        word = _shift_values(word, i + k, 1)
         word.insert(i - 1, ColoredSymbol(i + k, 0))
     return _from_word(word, reduced.ell)
 

@@ -105,84 +105,72 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _parse_input(text: str, ell: int, n: int | None) -> tuple[ColoredPermutation, bool]:
-    text = text.strip()
-    if text.startswith("("):
-        return parse_cycles(text, ell, n), True
-    return parse_one_line(text, ell, n), False
+def _uncolored(word_map):
+    """Lift a map on plain words to uncolored elements."""
+
+    def lifted(p: ColoredPermutation) -> ColoredPermutation:
+        if any(p.colors):
+            raise DomainError("the plain cycles-to-word map needs an uncolored input")
+        return ColoredPermutation(p.ell, word_map(p.sigma), p.colors)
+
+    return lifted
 
 
-def _format_output(p: ColoredPermutation, as_cycles: bool) -> str:
-    return format_cycles(p) if as_cycles else format_one_line(p)
+# name -> (forward, inverse).  A direction is (function, argument names, names
+# of the extras it returns before the element); ``p`` is the input element and
+# every other argument is the flag of that name.
+_P = ("p",)
+_BIJECTIONS = {
+    "delta": ((rotate_right, _P, ()), (rotate_left, _P, ())),
+    "foata": ((_uncolored(bij.foata), _P, ()), (_uncolored(bij.foata_inverse), _P, ())),
+    "phi": ((bij.colored_foata, _P, ()), (bij.colored_foata_inverse, _P, ())),
+    "rho": (
+        (bij.remove_max_succession, ("p", "m", "k"), ()),
+        (bij.insert_max_succession, ("p", "m", "k"), ()),
+    ),
+    "isolated-to-increasing": (
+        (bij.isolated_to_increasing, ("p", "m"), ()),
+        (bij.increasing_to_isolated, ("p", "m"), ()),
+    ),
+    "representative": ((bij.class_representative, ("p", "m"), ()), None),
+    "vartheta": (
+        (bij.isolate_forward, ("p", "m", "n"), ("eps", "alpha")),
+        (bij.isolate_inverse, ("eps", "alpha", "p", "m"), ()),
+    ),
+    "tau": (
+        (bij.derangement_insert, ("eps", "k", "p"), ()),
+        (bij.derangement_remove, _P, ("eps", "k")),
+    ),
+    "drec3": (
+        (bij.isolated_insert, ("eps", "alpha", "p", "m"), ()),
+        (bij.isolated_remove, ("p", "m", "n"), ("eps", "alpha")),
+    ),
+}
 
 
 def _cmd_bijection(args) -> int:
-    ell = args.colors
-    p, as_cycles = _parse_input(args.input, ell, args.n if args.name not in
-                                ("vartheta", "drec3") else None)
-
-    def need(flag, value):
-        if value is None:
-            raise DomainError(f"--{flag} is required for --name {args.name}")
-        return value
-
-    name, inverse = args.name, args.inverse
-    extra: dict = {}
-    if name == "delta":
-        out = rotate_left(p) if inverse else rotate_right(p)
-    elif name == "foata":
-        if any(p.colors):
-            raise DomainError("the plain cycles-to-word map needs an uncolored input")
-        word = bij.foata_inverse(p.sigma) if inverse else bij.foata(p.sigma)
-        out = ColoredPermutation(ell, word, (0,) * p.n)
-    elif name == "phi":
-        out = bij.colored_foata_inverse(p) if inverse else bij.colored_foata(p)
-    elif name == "rho":
-        m, k = need("m", args.m), need("k", args.k)
-        out = (
-            bij.insert_max_succession(p, m, k)
-            if inverse
-            else bij.remove_max_succession(p, m, k)
-        )
-    elif name == "isolated-to-increasing":
-        m = need("m", args.m)
-        out = (
-            bij.increasing_to_isolated(p, m)
-            if inverse
-            else bij.isolated_to_increasing(p, m)
-        )
-    elif name == "representative":
-        if inverse:
-            raise DomainError("the class representative map has no inverse")
-        out = bij.class_representative(p, need("m", args.m))
-    elif name == "vartheta":
-        m = need("m", args.m)
-        if inverse:
-            out = bij.isolate_inverse(need("eps", args.eps), need("alpha", args.alpha), p, m)
-        else:
-            eps, alpha, out = bij.isolate_forward(p, m, need("n", args.n))
-            extra = {"eps": eps, "alpha": alpha}
-    elif name == "tau":
-        if inverse:
-            eps, k, out = bij.derangement_remove(p)
-            extra = {"eps": eps, "k": k}
-        else:
-            out = bij.derangement_insert(need("eps", args.eps), need("k", args.k), p)
-    elif name == "drec3":
-        m = need("m", args.m)
-        if inverse:
-            eps, alpha, out = bij.isolated_remove(p, m, need("n", args.n))
-            extra = {"eps": eps, "alpha": alpha}
-        else:
-            out = bij.isolated_insert(need("eps", args.eps), need("alpha", args.alpha), p, m)
-    else:
-        raise DomainError(f"unknown bijection name {args.name!r}")
-
-    rendered = _format_output(out, as_cycles)
-    if extra:
-        print(json.dumps({**extra, "perm": rendered}))
-    else:
-        print(rendered)
+    forward, inverse = _BIJECTIONS[args.name]
+    # A map that takes --n reads the input at its own size.
+    takes_n = any("n" in way[1] for way in (forward, inverse) if way)
+    text = args.input.strip()
+    as_cycles = text.startswith("(")
+    parse = parse_cycles if as_cycles else parse_one_line
+    p = parse(text, args.colors, None if takes_n else args.n)
+    if args.inverse and inverse is None:
+        what = forward[0].__name__.replace("_", " ")
+        raise DomainError(f"the {what} map has no inverse")
+    func, names, extras = inverse if args.inverse else forward
+    values = {**vars(args), "p": p}
+    missing = [f"--{name}" for name in names if values[name] is None]
+    if missing:
+        way = " --inverse" if args.inverse else ""
+        raise ValueError(f"--name {args.name}{way} requires {', '.join(missing)}")
+    result = func(*(values[name] for name in names))
+    *found, out = result if extras else (result,)
+    rendered = format_cycles(out) if as_cycles else format_one_line(out)
+    if extras:
+        rendered = json.dumps({**dict(zip(extras, found)), "perm": rendered})
+    print(rendered)
     return 0
 
 
@@ -224,21 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_count)
 
     b = sub.add_parser("bijection", help="apply a named bijection to one element")
-    b.add_argument(
-        "--name",
-        required=True,
-        choices=(
-            "delta",
-            "foata",
-            "phi",
-            "rho",
-            "isolated-to-increasing",
-            "representative",
-            "vartheta",
-            "tau",
-            "drec3",
-        ),
-    )
+    b.add_argument("--name", required=True, choices=tuple(_BIJECTIONS))
     b.add_argument("--colors", type=int, default=1)
     b.add_argument("--n", type=int, default=None)
     b.add_argument("--m", type=int, default=None)

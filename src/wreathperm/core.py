@@ -71,11 +71,6 @@ class ColoredSymbol:
         return f"{self.value}^{self.color}" if self.color else str(self.value)
 
 
-def shift_symbol(sym: ColoredSymbol, k: int, n: int) -> ColoredSymbol:
-    """Functional form of :meth:`ColoredSymbol.shifted`."""
-    return sym.shifted(k, n)
-
-
 @dataclass(frozen=True, slots=True)
 class ColoredPermutation:
     """Element of the colored permutation group on ``[1..n]`` with ``ell`` colors.
@@ -184,14 +179,10 @@ class ColoredPermutation:
         color of its own value; the image of a value is the next letter in
         its cycle (value and that letter's color).
         """
-        raw = sigma_cycles(self.sigma)
-        out = []
-        for cyc in raw:
-            t = cyc.index(max(cyc))
-            arranged = cyc[t + 1 :] + cyc[: t + 1]
-            out.append(tuple(ColoredSymbol(v, self.colors[v - 1]) for v in arranged))
-        out.sort(key=lambda c: -c[-1].value)
-        return tuple(out)
+        return tuple(
+            tuple(ColoredSymbol(v, self.colors[v - 1]) for v in cyc)
+            for cyc in canonical_cycles(self.sigma)
+        )
 
     @classmethod
     def from_cycles(
@@ -249,6 +240,17 @@ def sigma_cycles(sigma: Sequence[int]) -> list[list[int]]:
             v = sigma[v - 1]
         cycles.append(cyc)
     return cycles
+
+
+def canonical_cycles(sigma: Sequence[int]) -> list[list[int]]:
+    """Cycles of ``sigma``, each rotated so its maximum comes last, listed in
+    decreasing order of their maxima."""
+    out = []
+    for cyc in sigma_cycles(sigma):
+        t = cyc.index(max(cyc))
+        out.append(cyc[t + 1 :] + cyc[: t + 1])
+    out.sort(key=lambda cyc: -cyc[-1])
+    return out
 
 
 # -- word rotations ---------------------------------------------------------
@@ -356,6 +358,8 @@ def parse_cycles(text: str, ell: int, n: int | None = None) -> ColoredPermutatio
         cycles.append([sym for sym, _ in cycle])
     if n is None:
         n = len(letters)
+    elif n != len(letters):
+        raise ParseError(f"expected {n} tokens, found {len(letters)}", len(text))
     _check_values(letters, n)
     try:
         return ColoredPermutation.from_cycles(cycles, ell, n)

@@ -404,46 +404,27 @@ def _suite_t2(ell, n, jobs, budget):
     return None
 
 
-def _three_term_rhs(cur, prev, k, m):
-    rhs = cur[k][m] + prev[k][m]
-    if m >= 1:
-        rhs -= prev[k][m - 1]
-    return rhs
+def _suite_three_term(kind):
+    """``kind`` counts obey the circular three-term relation
+    lhs[n+1][k+1][m] = c[n+1][k][m] + c[n][k][m] - c[n][k][m-1]."""
 
+    def run(ell, n, jobs, budget):
+        lhs = distribution_matrix(ell, n + 1, kind, jobs=jobs, budget=budget)
+        cur = (
+            lhs
+            if kind == CIRCULAR
+            else distribution_matrix(ell, n + 1, CIRCULAR, jobs=jobs, budget=budget)
+        )
+        prev = distribution_matrix(ell, n, CIRCULAR, jobs=jobs, budget=budget)
+        prev = [row + (0,) for row in prev]  # pad m = n+1 with zero
+        for k in range(n + 1):
+            for m in range(n + 2):
+                rhs = cur[k][m] + prev[k][m] - (prev[k][m - 1] if m else 0)
+                if lhs[k + 1][m] != rhs:
+                    return {"k": k, "m": m, "lhs": str(lhs[k + 1][m]), "rhs": str(rhs)}
+        return None
 
-def _suite_t3(ell, n, jobs, budget):
-    """Circular counts: c[n+1][k+1][m] = c[n+1][k][m] + c[n][k][m] - c[n][k][m-1]."""
-    cur = distribution_matrix(ell, n + 1, CIRCULAR, jobs=jobs, budget=budget)
-    prev = distribution_matrix(ell, n, CIRCULAR, jobs=jobs, budget=budget)
-    prev = [row + (0,) for row in prev]  # pad m = n+1 with zero
-    for k in range(n + 1):
-        for m in range(n + 2):
-            if cur[k + 1][m] != _three_term_rhs(cur, prev, k, m):
-                return {
-                    "k": k,
-                    "m": m,
-                    "lhs": str(cur[k + 1][m]),
-                    "rhs": str(_three_term_rhs(cur, prev, k, m)),
-                }
-    return None
-
-
-def _suite_c7(ell, n, jobs, budget):
-    """Linear counts obey the same three-term relation as circular ones."""
-    lin = distribution_matrix(ell, n + 1, LINEAR, jobs=jobs, budget=budget)
-    cur = distribution_matrix(ell, n + 1, CIRCULAR, jobs=jobs, budget=budget)
-    prev = distribution_matrix(ell, n, CIRCULAR, jobs=jobs, budget=budget)
-    prev = [row + (0,) for row in prev]
-    for k in range(n + 1):
-        for m in range(n + 2):
-            if lin[k + 1][m] != _three_term_rhs(cur, prev, k, m):
-                return {
-                    "k": k,
-                    "m": m,
-                    "lhs": str(lin[k + 1][m]),
-                    "rhs": str(_three_term_rhs(cur, prev, k, m)),
-                }
-    return None
+    return run
 
 
 def _suite_l45(ell, n, jobs, budget):
@@ -515,15 +496,17 @@ def _suite_e43(ell, n, jobs, budget):
     return _find_failure(partial(_e43_check, ell), ell, n, jobs, budget)
 
 
+# name -> (check, first n, how far below max_n the last n stops).  The
+# three-term suites compare sizes n and n+1, so they run for 1 <= n <= max_n - 1.
 _ENUM_SUITES = {
-    "t2": (_suite_t2, 0),
-    "t3": (_suite_t3, 1),  # needs group size n+1: run for n <= max_n - 1
-    "c7": (_suite_c7, 1),
-    "l45": (_suite_l45, 0),
-    "t9": (_suite_family("increasing"), 0),
-    "t11": (_suite_family("isolated"), 0),
-    "e22": (_suite_e22, 0),
-    "e43": (_suite_e43, 0),
+    "t2": (_suite_t2, 0, 0),
+    "t3": (_suite_three_term(CIRCULAR), 1, 1),
+    "c7": (_suite_three_term(LINEAR), 1, 1),
+    "l45": (_suite_l45, 0, 0),
+    "t9": (_suite_family("increasing"), 0, 0),
+    "t11": (_suite_family("isolated"), 0, 0),
+    "e22": (_suite_e22, 0, 0),
+    "e43": (_suite_e43, 0, 0),
 }
 
 
@@ -550,11 +533,9 @@ def verify_suite(
             for ell in range(1, max_ell + 1):
                 results.extend(check_recurrences(ell, max(2, max_n)))
             continue
-        run, shrink = _ENUM_SUITES[name]
+        run, first, shrink = _ENUM_SUITES[name]
         for ell in range(1, max_ell + 1):
-            for n in range(0, max_n + 1 - shrink):
-                if name in ("t3", "c7") and n == 0:
-                    continue
+            for n in range(first, max_n + 1 - shrink):
                 ce = run(ell, n, jobs, budget)
                 results.append(
                     CheckResult(

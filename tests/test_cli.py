@@ -110,7 +110,74 @@ class TestCount:
         assert "--jobs" in capsys.readouterr().err
 
 
+# One in-domain input for every map and direction, with the exact stdout.
+FROZEN_BIJECTIONS = [
+    (["delta", "--colors", "2", "--input", "2^1 3 1"], "1 2^1 3"),
+    (["delta", "--colors", "2", "--inverse", "--input", "(1^1 3 2)"], "(3)(2)(1^1)"),
+    (["foata", "--input", "(1 3)(2 4)"], "(3 1 2 4)"),
+    (["foata", "--inverse", "--input", "2 4 1 3"], "3 4 1 2"),
+    (
+        ["phi", "--colors", "4", "--n", "9", "--input", "3^1 4 9^1 8^1 7 5^1 6 2^2 1^2"],
+        "1^2 3^3 9 2^2 4^2 8^3 6 5^1 7^1",
+    ),
+    (
+        ["phi", "--colors", "4", "--inverse", "--input", "1^2 3^3 9 2^2 4^2 8^3 6 5^1 7^1"],
+        "3^1 4 9^1 8^1 7 5^1 6 2^2 1^2",
+    ),
+    (["rho", "--colors", "2", "--m", "2", "--k", "1", "--input", "1^1 3 2 4^1"], "1^1 2 3^1"),
+    (
+        ["rho", "--colors", "2", "--m", "2", "--k", "1", "--inverse", "--input", "1^1 2 3^1"],
+        "1^1 3 2 4^1",
+    ),
+    (
+        ["isolated-to-increasing", "--colors", "2", "--m", "2", "--input", "3 4^1 1 2"],
+        "3 4 1 2^1",
+    ),
+    (
+        ["isolated-to-increasing", "--colors", "2", "--m", "2", "--inverse",
+         "--input", "3 4 1 2^1"],
+        "3 4^1 1 2",
+    ),
+    (["representative", "--colors", "2", "--m", "2", "--input", "(1 3^1)(2 4)"], "(2 4)(1 3^1)"),
+    (
+        ["vartheta", "--colors", "3", "--m", "6", "--n", "9",
+         "--input", "(1)(2 9^1 6^1 8^2)(3)(4)(5)(7^1)"],
+        '{"eps": 1, "alpha": 2, "perm": "(2 9^1)(6 8^2)(7^1)(5)(4)(3)(1)"}',
+    ),
+    (
+        ["vartheta", "--colors", "3", "--m", "6", "--eps", "1", "--alpha", "2", "--inverse",
+         "--input", "(2 9^1)(6 8^2)(7^1)(5)(4)(3)(1)"],
+        "(6^1 8^2 2 9^1)(7^1)(5)(4)(3)(1)",
+    ),
+    (["tau", "--colors", "2", "--eps", "1", "--k", "3", "--input", "(1 2)"], "(3^1)(1 2)"),
+    (
+        ["tau", "--colors", "2", "--inverse", "--input", "2 3 1^1"],
+        '{"eps": 0, "k": 2, "perm": "2 1^1"}',
+    ),
+    (
+        ["drec3", "--colors", "2", "--eps", "1", "--alpha", "2", "--m", "1",
+         "--input", "1 2^1 3^1"],
+        "1 4^1 3^1 2^1",
+    ),
+    (
+        ["drec3", "--colors", "2", "--m", "1", "--n", "4", "--inverse",
+         "--input", "1 4^1 3^1 2^1"],
+        '{"eps": 1, "alpha": 2, "perm": "1 2^1 3^1"}',
+    ),
+]
+
+
 class TestBijection:
+    @pytest.mark.parametrize(
+        "args,expected",
+        FROZEN_BIJECTIONS,
+        ids=[a[0] + ("-inverse" if "--inverse" in a else "") for a, _ in FROZEN_BIJECTIONS],
+    )
+    def test_frozen_output(self, capsys, args, expected):
+        code, out = run_cli(capsys, "bijection", "--name", *args)
+        assert code == 0
+        assert out == expected + "\n"
+
     def test_phi_fixture(self, capsys):
         code, out = run_cli(
             capsys, "bijection", "--name", "phi", "--colors", "4", "--n", "9",
@@ -170,6 +237,26 @@ class TestBijection:
         with pytest.raises(SystemExit) as err:
             cli.main(["bijection", "--input", "1 2"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["rho", "--input", "1"], "--name rho requires --m, --k"),
+            (["rho", "--k", "0", "--input", "1"], "--name rho requires --m"),
+            (
+                ["vartheta", "--inverse", "--input", "1"],
+                "--name vartheta --inverse requires --eps, --alpha, --m",
+            ),
+            (
+                ["drec3", "--m", "1", "--inverse", "--input", "1"],
+                "--name drec3 --inverse requires --n",
+            ),
+        ],
+    )
+    def test_missing_flag_usage_error(self, capsys, args, message):
+        code = cli.main(["bijection", "--name", *args])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestVerify:

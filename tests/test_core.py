@@ -13,7 +13,6 @@ from wreathperm import (
     parse_one_line,
     rotate_left,
     rotate_right,
-    shift_symbol,
 )
 
 from conftest import colored_perms, group
@@ -49,16 +48,16 @@ class TestSymbol:
             assert a < c  # transitivity along the sorted chain
 
     def test_shift_examples(self):
-        assert shift_symbol(ColoredSymbol(4, 2), 1, 11) == ColoredSymbol(5, 2)
+        assert ColoredSymbol(4, 2).shifted(1, 11) == ColoredSymbol(5, 2)
         s = ColoredSymbol(7, 1)
-        assert shift_symbol(s, 0, 9) == s
-        assert shift_symbol(ColoredSymbol(3, 1), -2, 9) == ColoredSymbol(1, 1)
+        assert s.shifted(0, 9) == s
+        assert ColoredSymbol(3, 1).shifted(-2, 9) == ColoredSymbol(1, 1)
 
     def test_shift_out_of_range(self):
         with pytest.raises(ValueError):
-            shift_symbol(ColoredSymbol(9, 0), 1, 9)
+            ColoredSymbol(9, 0).shifted(1, 9)
         with pytest.raises(ValueError):
-            shift_symbol(ColoredSymbol(2, 1), -3, 9)
+            ColoredSymbol(2, 1).shifted(-3, 9)
 
 
 class TestGroupStructure:
@@ -237,6 +236,16 @@ class TestText:
             parse_cycles("(1)(1)", 2)
         with pytest.raises(ParseError):
             parse_cycles("(1)", 2, 2)  # missing value 2
+
+    @pytest.mark.parametrize(
+        "parse,text", [(parse_one_line, "1"), (parse_cycles, "(1)")]
+    )
+    def test_size_checked_against_token_count_first(self, parse, text):
+        # a huge n must fail on the token count, not allocate n slots first
+        with pytest.raises(ParseError) as exc:
+            parse(text, 2, 10**6)
+        expected = f"expected 1000000 tokens, found 1 (at offset {len(text)})"
+        assert str(exc.value) == expected
 
 
 class TestRotations:
