@@ -34,7 +34,7 @@ difference tables of :mod:`wreathperm.tables`, sets as in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     ColoredPermutation,
@@ -64,14 +64,19 @@ def _from_word(symbols: Sequence[ColoredSymbol], ell: int) -> ColoredPermutation
     return ColoredPermutation(ell, tuple(sigma), tuple(colors))
 
 
-def _shift_values(
-    word: Iterable[ColoredSymbol], t: int, step: int
-) -> list[ColoredSymbol]:
-    """Move every value ``>= t`` by ``step``, keeping its color."""
-    return [
-        sym if sym.value < t else ColoredSymbol(sym.value + step, sym.color)
-        for sym in word
-    ]
+def _with_letter(p: ColoredPermutation, i: int, v: int) -> ColoredPermutation:
+    """Put the uncolored value ``v`` at position ``i``; values ``>= v`` move up."""
+    sigma = [x + (x >= v) for x in p.sigma]
+    sigma.insert(i - 1, v)
+    colors = p.colors[: v - 1] + (0,) + p.colors[v - 1 :]
+    return ColoredPermutation(p.ell, tuple(sigma), colors)
+
+
+def _without_letter(p: ColoredPermutation, i: int) -> ColoredPermutation:
+    """Delete position ``i``; values larger than the deleted one move down."""
+    v = p.sigma[i - 1]
+    sigma = tuple(x - (x > v) for x in p.sigma[: i - 1] + p.sigma[i:])
+    return ColoredPermutation(p.ell, sigma, p.colors[: v - 1] + p.colors[v:])
 
 
 class _Surgeon:
@@ -98,9 +103,6 @@ class _Surgeon:
             x = self.succ[x]
         return out
 
-    def cycle_len(self, v: int) -> int:
-        return len(self.cycle_values(v))
-
     def delete_letter(self, x: int) -> None:
         s = self.succ.pop(x)
         p = self.pred.pop(x)
@@ -119,16 +121,6 @@ class _Surgeon:
 
     def insert_before(self, b: int, x: int, color: int) -> None:
         self.insert_after(self.pred[b], x, color)
-
-    def insert_chain_before(self, b: int, letters: Iterable[tuple[int, int]]) -> None:
-        prev = self.pred[b]
-        for v, c in letters:
-            self.succ[prev] = v
-            self.pred[v] = prev
-            self.color[v] = c
-            prev = v
-        self.succ[prev] = b
-        self.pred[b] = prev
 
     def new_cycle(self, letters: Sequence[tuple[int, int]]) -> None:
         vals = [v for v, _ in letters]
@@ -168,11 +160,7 @@ def remove_max_succession(
         raise DomainError(
             f"largest {k}-circular succession must be exactly {m + 1}"
         )
-    word = list(p.one_line())
-    removed = word.pop(m - k)
-    if removed != ColoredSymbol(m + 1, 0):
-        raise DomainError(f"position {m + 1 - k} does not hold the value {m + 1}")
-    return _from_word(_shift_values(word, m + 1, -1), p.ell)
+    return _without_letter(p, m + 1 - k)
 
 
 def insert_max_succession(
@@ -189,9 +177,7 @@ def insert_max_succession(
         raise DomainError(f"need m <= n, got m={m}, n={p.n}")
     if any(v > m for v in circular_successions(p, k).values):
         raise DomainError(f"all {k}-circular successions must lie in [{m}]")
-    word = _shift_values(p.one_line(), m + 1, 1)
-    word.insert(m - k, ColoredSymbol(m + 1, 0))
-    return _from_word(word, p.ell)
+    return _with_letter(p, m + 1 - k, m + 1)
 
 
 # -- cycles-to-word maps --------------------------------------------------------
@@ -240,17 +226,11 @@ def colored_foata(p: ColoredPermutation) -> ColoredPermutation:
     of the colors seen so far.  Transports k-circular to k-linear successions
     for every ``k >= 1`` simultaneously.
     """
-    n = p.n
-    colors = [0] * n
+    colors = list(p.colors)
     word = []
     for seg in canonical_cycles(p.sigma):
-        prev = None
-        for x in seg:
-            if prev is None:
-                colors[x - 1] = p.colors[x - 1]
-            else:
-                colors[x - 1] = (colors[prev - 1] + p.colors[x - 1]) % p.ell
-            prev = x
+        for a, b in zip(seg, seg[1:]):
+            colors[b - 1] = (colors[a - 1] + colors[b - 1]) % p.ell
         word.extend(seg)
     return ColoredPermutation(p.ell, tuple(word), tuple(colors))
 
@@ -258,16 +238,10 @@ def colored_foata(p: ColoredPermutation) -> ColoredPermutation:
 def colored_foata_inverse(p2: ColoredPermutation) -> ColoredPermutation:
     """Invert :func:`colored_foata`: word back to cycles, color products undone."""
     sigma = foata_inverse(p2.sigma)
-    n = p2.n
-    colors = [0] * n
+    colors = list(p2.colors)
     for seg in canonical_cycles(sigma):
-        prev = None
-        for x in seg:
-            if prev is None:
-                colors[x - 1] = p2.colors[x - 1]
-            else:
-                colors[x - 1] = (p2.colors[x - 1] - p2.colors[prev - 1]) % p2.ell
-            prev = x
+        for a, b in zip(seg, seg[1:]):
+            colors[b - 1] = (p2.colors[b - 1] - p2.colors[a - 1]) % p2.ell
     return ColoredPermutation(p2.ell, sigma, tuple(colors))
 
 
@@ -291,12 +265,10 @@ def succession_decompose(p: ColoredPermutation, k: int) -> SuccessionDecompositi
         for i, v in enumerate(p.sigma, start=1)
         if v == i + k and p.colors[v - 1] == 0
     )
-    word = list(p.one_line())
+    reduced = p
     for i in reversed(positions):
-        removed = word.pop(i - 1)
-        assert removed == ColoredSymbol(i + k, 0)
-        word = _shift_values(word, i + k, -1)
-    return SuccessionDecomposition(positions, _from_word(word, p.ell))
+        reduced = _without_letter(reduced, i)
+    return SuccessionDecomposition(positions, reduced)
 
 
 def succession_compose(
@@ -311,11 +283,9 @@ def succession_compose(
         raise DomainError(f"positions must be distinct, increasing, within [1, {n - k}]")
     if k <= reduced.n and circular_successions(reduced, k).values:
         raise DomainError("the core must have no k-circular succession")
-    word = list(reduced.one_line())
     for i in pos:
-        word = _shift_values(word, i + k, 1)
-        word.insert(i - 1, ColoredSymbol(i + k, 0))
-    return _from_word(word, reduced.ell)
+        reduced = _with_letter(reduced, i, i + k)
+    return reduced
 
 
 # -- prefix action and its classes ------------------------------------------------
@@ -499,19 +469,7 @@ def isolate_forward(
     if p.n == n - 1:
         if not is_isolated_fixed(p, m - 1):
             raise DomainError(f"input is not {m - 1}-isolated-fixed")
-        sigma = [0] * n
-        colors = [0] * n
-
-        def up(v: int) -> int:
-            return v if v < m else v + 1
-
-        for i in range(1, n):
-            sigma[up(i) - 1] = up(p.sigma[i - 1])
-        for v in range(1, n):
-            colors[up(v) - 1] = p.colors[v - 1]
-        sigma[m - 1] = m
-        colors[m - 1] = 0
-        return 0, m, ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
+        return 0, m, _with_letter(p, m, m)
     if p.n != n:
         raise DomainError(f"input size must be {n - 1} or {n}, got {p.n}")
     if not is_isolated_fixed(p, m - 1):
@@ -550,19 +508,7 @@ def isolate_inverse(
     if not is_isolated_fixed(p2, m):
         raise DomainError(f"image is not {m}-isolated-fixed")
     if alpha == m and eps == 0 and p2.sigma[m - 1] == m:
-        sigma = [0] * (n - 1)
-        colors = [0] * (n - 1)
-
-        def down(v: int) -> int:
-            return v if v < m else v - 1
-
-        for i in range(1, n + 1):
-            if i != m:
-                sigma[down(i) - 1] = down(p2.sigma[i - 1])
-        for v in range(1, n + 1):
-            if v != m:
-                colors[down(v) - 1] = p2.colors[v - 1]
-        return ColoredPermutation(p2.ell, tuple(sigma), tuple(colors))
+        return _without_letter(p2, m)
     if alpha == m and eps == 0:
         return p2
     if alpha == m:
@@ -574,7 +520,8 @@ def isolate_inverse(
     letters = [(m, eps)] + [(v, p2.colors[v - 1]) for v in chain[1:]]
     for v in chain:
         s.delete_letter(v)
-    s.insert_chain_before(alpha, letters)
+    for v, c in letters:
+        s.insert_before(alpha, v, c)
     return s.to_permutation(n)
 
 
@@ -638,33 +585,20 @@ def derangement_insert(
         s.new_cycle([(n, eps)])
         return s.to_permutation(n)
     t = _first_free_pair(p)
-    u = t + 1
-    if p.colors[t - 1] == 0:
-        if p.sigma[t - 1] == u:
-            s.delete_letter(t)
-            s.new_cycle([(n, 0), (t, 0)])
-        elif s.cycle_len(t) == 2:
-            b = p.sigma[t - 1]
-            lam = p.colors[b - 1]
-            s.delete_letter(t)
-            s.delete_letter(b)
-            s.insert_before(u, t, 0)
-            s.new_cycle([(n, lam), (b, 0)])
-        else:
-            a = s.pred[t]
-            xi = p.colors[a - 1]
-            s.delete_letter(a)
-            s.new_cycle([(n, xi), (a, 0)])
+    b = p.sigma[t - 1]
+    if p.colors[t - 1] == 0 and b == t + 1:
+        s.delete_letter(t)
+        s.new_cycle([(n, 0), (t, 0)])
+    elif p.colors[t - 1] == 0 and len(s.cycle_values(t)) == 2:
+        s.delete_letter(t)
+        s.delete_letter(b)
+        s.insert_before(t + 1, t, 0)
+        s.new_cycle([(n, p.colors[b - 1]), (b, 0)])
     else:
-        if s.cycle_len(t) == 1:
-            gam = p.colors[t - 1]
-            s.delete_letter(t)
-            s.new_cycle([(n, gam), (t, 0)])
-        else:
-            a = s.pred[t]
-            g2 = p.colors[a - 1]
-            s.delete_letter(a)
-            s.new_cycle([(n, g2), (a, 0)])
+        # A colored 1-cycle t is its own predecessor, so it lands here too.
+        a = s.pred[t]
+        s.delete_letter(a)
+        s.new_cycle([(n, p.colors[a - 1]), (a, 0)])
     return s.to_permutation(n)
 
 
@@ -683,7 +617,7 @@ def derangement_remove(
     if n % 2 == 0 and p2 == all_transpositions(p2.ell, n):
         raise DomainError("excluded image: all-2-cycles derangement")
     s = _Surgeon(p2)
-    c = s.cycle_len(n)
+    c = len(s.cycle_values(n))
     rho = p2.colors[n - 1]
     b = p2.sigma[n - 1]
     if c >= 3 or c == 1 or p2.colors[b - 1] != 0:
@@ -735,9 +669,7 @@ def isolated_insert(
     if not is_isolated_fixed(p, m):
         raise DomainError(f"input is not {m}-isolated-fixed")
     if alpha == n and rho == 0 and p.sigma[0] == 1:
-        sigma = tuple(v - 1 for v in p.sigma[1:])
-        colors = p.colors[1:]
-        return ColoredPermutation(p.ell, sigma, colors)
+        return _without_letter(p, 1)
     if alpha == n and rho != 0:
         return ColoredPermutation(p.ell, p.sigma + (n,), p.colors + (rho,))
     s = _Surgeon(p)
@@ -760,15 +692,13 @@ def isolated_remove(
     if p2.n == n - 2:
         if not is_isolated_fixed(p2, m - 1):
             raise DomainError(f"image is not {m - 1}-isolated-fixed")
-        sigma = (1,) + tuple(v + 1 for v in p2.sigma)
-        colors = (0,) + p2.colors
-        return 0, n, ColoredPermutation(p2.ell, sigma, colors)
+        return 0, n, _with_letter(p2, 1, 1)
     if p2.n != n:
         raise DomainError(f"image size must be {n} or {n - 2}, got {p2.n}")
     if not is_isolated_fixed(p2, m):
         raise DomainError(f"image is not {m}-isolated-fixed")
     s = _Surgeon(p2)
-    c = s.cycle_len(n)
+    c = len(s.cycle_values(n))
     b = p2.sigma[n - 1]
     rho = p2.colors[n - 1]
     if c == 1:

@@ -96,7 +96,7 @@ def _cmd_count(args) -> int:
                     "n": dist.n,
                     "k": dist.k,
                     "stat": args.stat,
-                    "counts": [str(c) for c in dist.counts],
+                    "counts": list(dist.counts),
                 }
             )
         )
@@ -182,6 +182,11 @@ def _cmd_verify(args) -> int:
         jobs=args.jobs,
         budget=_resolve_budget(args),
     )
+    if not results:
+        raise ValueError(
+            f"suite {args.suite} checks nothing for --colors-max {args.colors_max}"
+            f" --n-max {args.n_max}"
+        )
     print(report_json(results))
     return 0 if all(r.passed for r in results) else 1
 

@@ -196,6 +196,8 @@ class ColoredPermutation:
         The cycle supports must partition ``[1..n]``; each letter fixes the
         color of its value and the successor of the previous value.
         """
+        if ell < 1:
+            raise ValueError(f"number of colors must be >= 1, got {ell}")
         sigma = [0] * n
         colors = [0] * n
         seen = [False] * n
@@ -281,17 +283,19 @@ def _parse_token(tok: str, ell: int, pos: int) -> ColoredSymbol:
     m = _TOKEN_RE.match(tok)
     if m is None:
         raise ParseError(f"bad token {tok!r}", pos)
-    value = int(m.group(1))
+    try:
+        value = int(m.group(1))
+        color = None if m.group(2) is None else int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        message = f"number too long in a token of {len(tok)} characters"
+        raise ParseError(message, pos) from None
     if value < 1:
         raise ParseError(f"value must be >= 1, got {value}", pos)
-    color = 0
-    if m.group(2) is not None:
-        color = int(m.group(2))
-        if not 1 <= color <= ell - 1:
-            raise ParseError(
-                f"color exponent {color} not in [1, {ell - 1}] for {ell} colors", pos
-            )
-    return ColoredSymbol(value, color)
+    if color is not None and not 1 <= color <= ell - 1:
+        raise ParseError(
+            f"color exponent {color} not in [1, {ell - 1}] for {ell} colors", pos
+        )
+    return ColoredSymbol(value, color or 0)
 
 
 def _word_tokens(text: str) -> Iterator[tuple[str, int]]:
@@ -361,10 +365,7 @@ def parse_cycles(text: str, ell: int, n: int | None = None) -> ColoredPermutatio
     elif n != len(letters):
         raise ParseError(f"expected {n} tokens, found {len(letters)}", len(text))
     _check_values(letters, n)
-    try:
-        return ColoredPermutation.from_cycles(cycles, ell, n)
-    except ValueError as exc:
-        raise ParseError(str(exc), 0) from exc
+    return ColoredPermutation.from_cycles(cycles, ell, n)
 
 
 def format_cycles(p: ColoredPermutation) -> str:

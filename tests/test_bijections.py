@@ -1,9 +1,12 @@
+import functools
+import hashlib
 import itertools
 import math
 
 import pytest
 from hypothesis import given
 
+from wreathperm import bijections
 from wreathperm import (
     ColoredPermutation,
     DomainError,
@@ -554,3 +557,95 @@ class TestIsolatedInsertion:
             isolated_insert(0, 1, parse_one_line("2 1 3", 2), 1)  # fixed 3 > m
         with pytest.raises(DomainError):
             isolated_remove(parse_one_line("2 1", 2), 1, 5)  # size must be n or n-2
+
+
+@functools.lru_cache(maxsize=None)
+def _frozen_calls():
+    """Every map with its argument tuples over ell=2, n<=3, one step past each range."""
+    ell = 2
+    elems = [p for n in range(4) for p in group(ell, n)]
+    calls = {}
+
+    def add(name, *args):
+        calls.setdefault(name, []).append(args)
+
+    for p in elems:
+        n = p.n
+        span = range(n + 2)
+        add("foata", p.sigma)
+        add("foata_inverse", p.sigma)
+        add("colored_foata", p)
+        add("colored_foata_inverse", p)
+        add("derangement_remove", p)
+        for m, k in itertools.product(span, span):
+            add("remove_max_succession", p, m, k)
+            add("insert_max_succession", p, m, k)
+        for m in span:
+            add("succession_decompose", p, m)
+            add("class_signature", p, m)
+            add("class_core", p, m)
+            add("class_representative", p, m)
+            add("isolated_to_increasing", p, m)
+            add("increasing_to_isolated", p, m)
+            for size in range(n, n + 3):
+                add("isolate_forward", p, m, size)
+                add("isolated_remove", p, m, size)
+        for r in range(n + 3):
+            for pos in itertools.combinations(range(1, n + 3), r):
+                for k in span:
+                    add("succession_compose", pos, p, k)
+        for tau in elems:
+            add("prefix_action", tau, p)
+        for eps, a, m in itertools.product(range(ell + 1), range(n + 3), span):
+            add("isolate_inverse", eps, a, p, m)
+            add("isolated_insert", eps, a, p, m)
+        for eps, k in itertools.product(range(ell + 1), range(n + 3)):
+            add("derangement_insert", eps, k, p)
+    for p in elems:
+        for m in range(p.n + 1):
+            if all(v <= m for v in fixed_points(p)):
+                sig = class_signature(p, m)
+                for tau in group(ell, m):
+                    add("signature_insert", tau, sig)
+    return calls
+
+
+# sha256 of the "args -> repr(output)" lines of each map ("!" and the exception
+# type on failure).  A changed digest means the map computes a different
+# bijection or has a different domain.
+FROZEN_IMAGES = {
+    "class_core": "9cd7cb96aa6b2f896cd9fffeb63efdf5ae93c5c06a18eac7f2b66453fe60d77a",
+    "class_representative": "1dcea9b96f31ae4e5a866e7a019f5de427b0626fed1e09de91d032ae3ad86f03",
+    "class_signature": "dd74bcc88d538c888e45c9318feab1d515797eaf4d4ac7d42b514f6a8af0ec18",
+    "colored_foata": "83c58b5a81c97915cf50f51f8aaeec600b79401cfa548a504cfb57015909bcbf",
+    "colored_foata_inverse": "72d095f32ac94be8969b3fb7bf1a88fed4576154d9916217095865ff42aad1ed",
+    "derangement_insert": "0cdf9d5cf121c91613aa243bc8937a84a528eb0e477fc46095aa164750bf4778",
+    "derangement_remove": "7bccf7b9cf5e9bffaf7b42ae01cd192df4b089be60d2be5362aec98a45249dcd",
+    "foata": "ba0b47f14cf8a7585d19c6263e277319109b681466db5275c761f8eec77d7c05",
+    "foata_inverse": "ac1ce0dbe4d32b4ab35d3a4a59c4bc6a85e51e6dbe70b34dc0724c939e569af2",
+    "increasing_to_isolated": "a44f686aca5645338ce6d3230659485653defafc9c5283027dc9da4b9df26bfd",
+    "insert_max_succession": "ccf8a7bc22587ff8b37088bffc530e980774cb0acf99879355522944424b307b",
+    "isolate_forward": "89f41314486406b61a77dd9560d5ec6635285fb02c9ad4dc461c03176c4a9f0c",
+    "isolate_inverse": "42b0d7a260cfec40d28d58266ee09a2fe8b9b664d98748c74602f19de609204a",
+    "isolated_insert": "5aab95ed495897d70169984e0049b403b0bf8a47903fa5441afbb6c6c3ed6601",
+    "isolated_remove": "d2a45a53445a2785c1f1b88cd838289821a0dec7c2b8b11dd17f3deb5b150b2b",
+    "isolated_to_increasing": "efc16f747815cd8e08ae2253b94b37745037a5e5527e4ee80a705b6f34f9ecbc",
+    "prefix_action": "2730c264744bfabd3cb9e47805d26eea6562292298d33edb1648d5dfc6de720e",
+    "remove_max_succession": "23a1b6fbea4ab1f13c581b7f837e3ed1381c9e40439f7fbc48accb0c99e6bdb5",
+    "signature_insert": "d66cad91523fd5097bb29d68ef3d10166af9e5dabf90df52cbc7531fe2e6447c",
+    "succession_compose": "9d83e8fa7edad10937f07da1fe6719fcbb0c10287210afa3a87b2ee5b1fb31c7",
+    "succession_decompose": "f1753153dc5415623ab45c118fb483c039cc67bc0337c6e8989613d08ddc61bd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_IMAGES))
+def test_frozen_images(name):
+    func = getattr(bijections, name)
+    digest = hashlib.sha256()
+    for args in _frozen_calls()[name]:
+        try:
+            out = repr(func(*args))
+        except Exception as exc:  # the domain is part of what is frozen
+            out = f"!{type(exc).__name__}"
+        digest.update(f"{args!r} -> {out}\n".encode())
+    assert digest.hexdigest() == FROZEN_IMAGES[name]

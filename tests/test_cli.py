@@ -68,6 +68,16 @@ class TestCount:
         assert code == 0
         assert out.strip() == "48 0 0 0"
 
+    def test_json_counts_are_integers(self, capsys):
+        code, out = run_cli(
+            capsys, "count", "--colors", "2", "--n", "2", "--stat", "circ", "--k", "0",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "ell": 2, "n": 2, "k": 0, "stat": "circ", "counts": [5, 2, 1]
+        }
+
     def test_linear_k_zero_usage_error(self, capsys):
         code, _ = run_cli(
             capsys, "count", "--colors", "2", "--n", "3", "--stat", "lin", "--k", "0"
@@ -290,6 +300,18 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(out)[0]["counterexample"] == {"k": 0, "m": 0}
+
+    @pytest.mark.parametrize("suite,colors,n_max", [("t2", "0", "2"), ("t3", "2", "1")])
+    def test_empty_range_usage_error(self, capsys, suite, colors, n_max):
+        code = cli.main(
+            ["verify", "--suite", suite, "--colors-max", colors, "--n-max", n_max]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: suite {suite} checks nothing for --colors-max {colors}"
+            f" --n-max {n_max}\n"
+        )
 
     def test_budget_exit(self, capsys):
         code, _ = run_cli(

@@ -214,6 +214,9 @@ class TestText:
             (parse_cycles, "(1^3 3)", 2, 5),
             (parse_one_line, "2 1 2", None, 4),  # the repeat, not the first copy
             (parse_cycles, "(2 1)(2)", None, 6),
+            # more digits than int() converts
+            pytest.param(parse_one_line, "1" * 5000, None, 0, id="long-one-line"),
+            pytest.param(parse_cycles, f"({'1' * 5000})", None, 1, id="long-cycle"),
         ],
     )
     def test_parse_error_offset_points_at_token(self, parse, text, n, offset):
@@ -246,6 +249,14 @@ class TestText:
             parse(text, 2, 10**6)
         expected = f"expected 1000000 tokens, found 1 (at offset {len(text)})"
         assert str(exc.value) == expected
+
+    @pytest.mark.parametrize(
+        "parse,text", [(parse_one_line, "1"), (parse_cycles, "(1)")]
+    )
+    def test_color_count_checked_before_letters(self, parse, text):
+        with pytest.raises(ValueError) as exc:
+            parse(text, 0)
+        assert str(exc.value) == "number of colors must be >= 1, got 0"
 
 
 class TestRotations:
