@@ -79,63 +79,28 @@ def _without_letter(p: ColoredPermutation, i: int) -> ColoredPermutation:
     return ColoredPermutation(p.ell, sigma, p.colors[: v - 1] + p.colors[v:])
 
 
-class _Surgeon:
-    """Mutable successor/predecessor maps over values, for cycle splicing."""
+def _swap(sigma: list[int], a: int, b: int) -> None:
+    """Exchange the images of ``a`` and ``b``.
 
-    __slots__ = ("ell", "succ", "pred", "color")
+    In one cycle, this cuts it in two: ``a`` keeps the arc after ``b`` and
+    ``b`` the arc after ``a``.  In two cycles, it joins them.
+    """
+    sigma[a - 1], sigma[b - 1] = sigma[b - 1], sigma[a - 1]
 
-    def __init__(self, p: ColoredPermutation):
-        self.ell = p.ell
-        self.succ: dict[int, int] = {}
-        self.pred: dict[int, int] = {}
-        self.color: dict[int, int] = {}
-        for i, v in enumerate(p.sigma, start=1):
-            self.succ[i] = v
-            self.pred[v] = i
-        for v in range(1, p.n + 1):
-            self.color[v] = p.colors[v - 1]
 
-    def cycle_values(self, v: int) -> list[int]:
-        out = [v]
-        x = self.succ[v]
-        while x != v:
-            out.append(x)
-            x = self.succ[x]
-        return out
+def _without_max(ell: int, sigma: list[int], colors: list[int]) -> ColoredPermutation:
+    """Cut the largest value out of its cycle and drop it."""
+    n = len(sigma)
+    _swap(sigma, sigma.index(n) + 1, n)
+    return ColoredPermutation(ell, tuple(sigma[:-1]), tuple(colors[:-1]))
 
-    def delete_letter(self, x: int) -> None:
-        s = self.succ.pop(x)
-        p = self.pred.pop(x)
-        del self.color[x]
-        if s != x:
-            self.succ[p] = s
-            self.pred[s] = p
 
-    def insert_after(self, a: int, x: int, color: int) -> None:
-        s = self.succ[a]
-        self.succ[a] = x
-        self.pred[x] = a
-        self.succ[x] = s
-        self.pred[s] = x
-        self.color[x] = color
-
-    def insert_before(self, b: int, x: int, color: int) -> None:
-        self.insert_after(self.pred[b], x, color)
-
-    def new_cycle(self, letters: Sequence[tuple[int, int]]) -> None:
-        vals = [v for v, _ in letters]
-        for v, c in letters:
-            self.color[v] = c
-        for a, b in zip(vals, vals[1:] + vals[:1]):
-            self.succ[a] = b
-            self.pred[b] = a
-
-    def to_permutation(self, n: int) -> ColoredPermutation:
-        if set(self.succ) != set(range(1, n + 1)):
-            raise DomainError(f"support after surgery is not [1..{n}]")
-        sigma = tuple(self.succ[i] for i in range(1, n + 1))
-        colors = tuple(self.color[v] for v in range(1, n + 1))
-        return ColoredPermutation(self.ell, sigma, colors)
+def _pair_with_max(sigma: list[int], colors: list[int], x: int) -> None:
+    """Detach ``x`` into the 2-cycle ``(n x)`` with the fixed largest value
+    ``n``, which takes the color of ``x``; ``x`` loses its color."""
+    _swap(sigma, sigma.index(x) + 1, x)
+    _swap(sigma, x, len(sigma))
+    colors[-1], colors[x - 1] = colors[x - 1], 0
 
 
 # -- largest-succession removal ------------------------------------------------
@@ -327,9 +292,13 @@ class ClassSignature:
     omega: tuple[tuple[ColoredSymbol, ...], ...]
 
 
-def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
+def _check_m(p: ColoredPermutation, m: int) -> None:
     if not 0 <= m <= p.n:
         raise DomainError(f"need 0 <= m <= n, got m={m}, n={p.n}")
+
+
+def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
+    _check_m(p, m)
     if any(v > m for v in fixed_points(p)):
         raise DomainError(f"fixed points must lie in [{m}]")
     words = []
@@ -348,8 +317,7 @@ def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
 
 def class_core(p: ColoredPermutation, m: int) -> ColoredPermutation:
     """The element on ``[m]`` left after erasing the signature's words and cycles."""
-    if not 0 <= m <= p.n:
-        raise DomainError(f"need 0 <= m <= n, got m={m}, n={p.n}")
+    _check_m(p, m)
     sigma = []
     for i in range(1, m + 1):
         x = p.sigma[i - 1]
@@ -376,9 +344,8 @@ def signature_insert(tau: ColoredPermutation, sig: ClassSignature) -> ColoredPer
 
 def class_representative(p: ColoredPermutation, m: int) -> ColoredPermutation:
     """Canonical member of ``p``'s prefix-action class (identity core)."""
-    return signature_insert(
-        ColoredPermutation.identity(p.ell, m), class_signature(p, m)
-    )
+    sig = class_signature(p, m)
+    return signature_insert(ColoredPermutation.identity(p.ell, m), sig)
 
 
 # -- isolated <-> increasing ----------------------------------------------------
@@ -392,6 +359,7 @@ def isolated_to_increasing(p: ColoredPermutation, m: int) -> ColoredPermutation:
     image swap (both swaps land on color 0 where required).  The result is
     m-increasing-fixed.
     """
+    _check_m(p, m)
     if not is_isolated_fixed(p, m):
         raise DomainError(f"input is not {m}-isolated-fixed")
     sigma = sorted(p.sigma[:m]) + list(p.sigma[m:])
@@ -410,6 +378,7 @@ def increasing_to_isolated(p2: ColoredPermutation, m: int) -> ColoredPermutation
     backwards from ``i`` until the first value that is an image of the sorted
     prefix; cycles that avoid those walks are kept as they are.
     """
+    _check_m(p2, m)
     if not is_increasing_fixed(p2, m):
         raise DomainError(f"input is not {m}-increasing-fixed")
     n = p2.n
@@ -462,7 +431,8 @@ def isolate_forward(
     fixed point ``m`` (color 0, anchor ``m``).  Size ``n`` inputs cut the
     cycle through ``m`` at the smallest value ``alpha`` of that cycle: the
     arc from ``m`` up to ``alpha`` becomes its own cycle, ``m`` loses its
-    color (returned as ``color``), and ``alpha`` is the anchor.
+    color (returned as ``color``), and ``alpha`` is the anchor.  The cut is
+    one exchange of the images of the predecessors of ``m`` and ``alpha``.
     """
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
@@ -474,30 +444,22 @@ def isolate_forward(
         raise DomainError(f"input size must be {n - 1} or {n}, got {p.n}")
     if not is_isolated_fixed(p, m - 1):
         raise DomainError(f"input is not {m - 1}-isolated-fixed")
-    s = _Surgeon(p)
-    cyc = s.cycle_values(m)
-    alpha = min(cyc)
-    eps = p.colors[m - 1]
-    if alpha == m:
-        colors = list(p.colors)
-        colors[m - 1] = 0
-        return eps, m, ColoredPermutation(p.ell, p.sigma, tuple(colors))
-    chain = []
-    x = m
-    while x != alpha:
-        chain.append(x)
-        x = s.succ[x]
-    letters = [(m, 0)] + [(v, p.colors[v - 1]) for v in chain[1:]]
-    for v in chain:
-        s.delete_letter(v)
-    s.new_cycle(letters)
-    return eps, alpha, s.to_permutation(n)
+    sigma, colors = list(p.sigma), list(p.colors)
+    alpha, x = m, sigma[m - 1]
+    while x != m:
+        alpha, x = min(alpha, x), sigma[x - 1]
+    eps, colors[m - 1] = colors[m - 1], 0
+    _swap(sigma, sigma.index(m) + 1, sigma.index(alpha) + 1)
+    return eps, alpha, ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
 
 
 def isolate_inverse(
     eps: int, alpha: int, p2: ColoredPermutation, m: int
 ) -> ColoredPermutation:
-    """Invert :func:`isolate_forward` given the returned ``(color, anchor)``."""
+    """Invert :func:`isolate_forward` given the returned ``(color, anchor)``.
+
+    The same exchange joins the cycle of ``m`` back in just before ``alpha``.
+    """
     n = p2.n
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
@@ -509,20 +471,10 @@ def isolate_inverse(
         raise DomainError(f"image is not {m}-isolated-fixed")
     if alpha == m and eps == 0 and p2.sigma[m - 1] == m:
         return _without_letter(p2, m)
-    if alpha == m and eps == 0:
-        return p2
-    if alpha == m:
-        colors = list(p2.colors)
-        colors[m - 1] = eps
-        return ColoredPermutation(p2.ell, p2.sigma, tuple(colors))
-    s = _Surgeon(p2)
-    chain = s.cycle_values(m)
-    letters = [(m, eps)] + [(v, p2.colors[v - 1]) for v in chain[1:]]
-    for v in chain:
-        s.delete_letter(v)
-    for v, c in letters:
-        s.insert_before(alpha, v, c)
-    return s.to_permutation(n)
+    sigma, colors = list(p2.sigma), list(p2.colors)
+    colors[m - 1] = eps
+    _swap(sigma, sigma.index(alpha) + 1, sigma.index(m) + 1)
+    return ColoredPermutation(p2.ell, tuple(sigma), tuple(colors))
 
 
 def all_transpositions(ell: int, n: int) -> ColoredPermutation:
@@ -577,29 +529,22 @@ def derangement_insert(
         and p == all_transpositions(p.ell, n - 1)
     ):
         raise DomainError("excluded input: color 0, anchor n, all-2-cycles derangement")
-    s = _Surgeon(p)
+    sigma, colors = list(p.sigma) + [n], list(p.colors) + [eps]
     if k < n:
-        s.insert_after(k, n, eps)
-        return s.to_permutation(n)
-    if eps != 0:
-        s.new_cycle([(n, eps)])
-        return s.to_permutation(n)
-    t = _first_free_pair(p)
-    b = p.sigma[t - 1]
-    if p.colors[t - 1] == 0 and b == t + 1:
-        s.delete_letter(t)
-        s.new_cycle([(n, 0), (t, 0)])
-    elif p.colors[t - 1] == 0 and len(s.cycle_values(t)) == 2:
-        s.delete_letter(t)
-        s.delete_letter(b)
-        s.insert_before(t + 1, t, 0)
-        s.new_cycle([(n, p.colors[b - 1]), (b, 0)])
-    else:
-        # A colored 1-cycle t is its own predecessor, so it lands here too.
-        a = s.pred[t]
-        s.delete_letter(a)
-        s.new_cycle([(n, p.colors[a - 1]), (a, 0)])
-    return s.to_permutation(n)
+        _swap(sigma, k, n)
+    elif eps == 0:
+        t = _first_free_pair(p)
+        b = p.sigma[t - 1]
+        if p.colors[t - 1] == 0 and b == t + 1:
+            _pair_with_max(sigma, colors, t)
+        elif p.colors[t - 1] == 0 and p.sigma[b - 1] == t:
+            # (t b) is a 2-cycle: b pairs with n, the freed t goes before t+1
+            _pair_with_max(sigma, colors, b)
+            _swap(sigma, sigma.index(t + 1) + 1, t)
+        else:
+            # A colored 1-cycle t is its own predecessor, so it lands here too.
+            _pair_with_max(sigma, colors, sigma.index(t) + 1)
+    return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
 
 
 def derangement_remove(
@@ -616,36 +561,30 @@ def derangement_remove(
         raise DomainError("image must be a derangement")
     if n % 2 == 0 and p2 == all_transpositions(p2.ell, n):
         raise DomainError("excluded image: all-2-cycles derangement")
-    s = _Surgeon(p2)
-    c = len(s.cycle_values(n))
-    rho = p2.colors[n - 1]
-    b = p2.sigma[n - 1]
-    if c >= 3 or c == 1 or p2.colors[b - 1] != 0:
-        k = s.pred[n]
-        s.delete_letter(n)
-        return rho, k, s.to_permutation(n - 1)
+    sigma, colors = list(p2.sigma), list(p2.colors)
+    rho = colors[n - 1]
+    b = sigma[n - 1]
+    if b == n or sigma[b - 1] != n or colors[b - 1] != 0:
+        return rho, sigma.index(n) + 1, _without_max(p2.ell, sigma, colors)
+    # n sits in the 2-cycle (n b) with b uncolored.
     t = _first_free_pair(p2)
     u = t + 1
     if b == t and rho == 0:
-        s.delete_letter(n)
-        s.delete_letter(t)
-        s.insert_before(u, t, 0)
+        _swap(sigma, sigma.index(u) + 1, t)  # t goes back before u
     elif b == t:
-        s.delete_letter(n)
-        s.color[t] = rho
+        colors[t - 1] = rho
     elif p2.colors[t - 1] == 0 and p2.sigma[t - 1] == u:
-        s.delete_letter(t)
-        s.delete_letter(n)
-        s.delete_letter(b)
-        s.new_cycle([(b, rho), (t, 0)])
+        # t leaves its cycle and takes the place of n next to b
+        _swap(sigma, sigma.index(t) + 1, t)
+        _swap(sigma, b, t)
+        colors[b - 1] = rho
     else:
         # Reached both when t's successor is not u and when t is colored; a
         # colored t can sit right before u without (t, u) being a free pair,
         # and such images must re-insert the displaced letter before t.
-        s.delete_letter(n)
-        s.delete_letter(b)
-        s.insert_before(t, b, rho)
-    return 0, n, s.to_permutation(n - 1)
+        _swap(sigma, sigma.index(t) + 1, b)
+        colors[b - 1] = rho
+    return 0, n, _without_max(p2.ell, sigma, colors)
 
 
 def isolated_insert(
@@ -670,17 +609,12 @@ def isolated_insert(
         raise DomainError(f"input is not {m}-isolated-fixed")
     if alpha == n and rho == 0 and p.sigma[0] == 1:
         return _without_letter(p, 1)
-    if alpha == n and rho != 0:
-        return ColoredPermutation(p.ell, p.sigma + (n,), p.colors + (rho,))
-    s = _Surgeon(p)
-    if alpha == n:
-        b = p.sigma[0]
-        gam = p.colors[b - 1]
-        s.delete_letter(b)
-        s.new_cycle([(n, gam), (b, 0)])
-    else:
-        s.insert_before(alpha, n, rho)
-    return s.to_permutation(n)
+    sigma, colors = list(p.sigma) + [n], list(p.colors) + [rho]
+    if alpha < n:
+        _swap(sigma, sigma.index(alpha) + 1, n)
+    elif rho == 0:
+        _pair_with_max(sigma, colors, sigma[0])
+    return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
 
 
 def isolated_remove(
@@ -697,17 +631,10 @@ def isolated_remove(
         raise DomainError(f"image size must be {n} or {n - 2}, got {p2.n}")
     if not is_isolated_fixed(p2, m):
         raise DomainError(f"image is not {m}-isolated-fixed")
-    s = _Surgeon(p2)
-    c = len(s.cycle_values(n))
-    b = p2.sigma[n - 1]
-    rho = p2.colors[n - 1]
-    if c == 1:
-        s.delete_letter(n)
-        return rho, n, s.to_permutation(n - 1)
-    if c == 2 and p2.colors[b - 1] == 0 and b > m:
-        s.delete_letter(n)
-        s.delete_letter(b)
-        s.insert_after(1, b, rho)
-        return 0, n, s.to_permutation(n - 1)
-    s.delete_letter(n)
-    return rho, b, s.to_permutation(n - 1)
+    sigma, colors = list(p2.sigma), list(p2.colors)
+    b, rho = sigma[n - 1], colors[n - 1]
+    if m < b < n and sigma[b - 1] == n and colors[b - 1] == 0:
+        _swap(sigma, 1, b)  # b goes back right after 1
+        colors[b - 1] = rho
+        return 0, n, _without_max(p2.ell, sigma, colors)
+    return rho, b, _without_max(p2.ell, sigma, colors)

@@ -6,8 +6,8 @@ Three families of statistics, all counting "value lands k above" patterns:
   wraparound; for ``k = 0`` these are the fixed points);
 * ``linear`` (``k >= 1``): position ``i >= 2`` holds the letter of position
   ``i - 1`` shifted by ``k`` (equal colors, values ``k`` apart);
-* ``skew linear`` (``k >= 1``): linear, plus the boundary case where the
-  first letter is the uncolored value ``k``.
+* ``skew linear`` (``k >= 1``): linear on the word with an uncolored ``0``
+  in front, so the first letter counts when it is the uncolored value ``k``.
 
 Succession sets store values, not positions.
 """
@@ -68,26 +68,27 @@ def is_derangement(p: ColoredPermutation) -> bool:
     return not fixed_points(p)
 
 
+def _linear_values(word, colors, k: int) -> frozenset[int]:
+    """Letters ``b`` right after ``a`` with ``b == a + k`` and equal colors;
+    ``colors[v]`` is the color of value ``v``."""
+    return frozenset(
+        b for a, b in zip(word, word[1:]) if b == a + k and colors[a] == colors[b]
+    )
+
+
 def linear_successions(p: ColoredPermutation, k: int) -> SuccessionSet:
     """Values at positions ``i >= 2`` equal to the previous letter plus ``k``."""
     if k < 1:
         raise ValueError(f"linear successions are defined only for k >= 1, got {k}")
-    vals = set()
-    for i in range(1, p.n):
-        a, b = p.sigma[i - 1], p.sigma[i]
-        if b == a + k and p.colors[a - 1] == p.colors[b - 1]:
-            vals.add(b)
-    return SuccessionSet(LINEAR, k, frozenset(vals))
+    return SuccessionSet(LINEAR, k, _linear_values(p.sigma, (0,) + p.colors, k))
 
 
 def skew_linear_successions(p: ColoredPermutation, k: int) -> SuccessionSet:
-    """Linear successions, plus ``k`` itself when the word starts with it uncolored."""
+    """Linear successions of the word with an uncolored ``0`` in front."""
     if k < 1:
         raise ValueError(f"skew linear successions are defined only for k >= 1, got {k}")
-    vals = set(linear_successions(p, k).values)
-    if p.n >= 1 and k <= p.n and p.sigma[0] == k and p.colors[k - 1] == 0:
-        vals.add(k)
-    return SuccessionSet(SKEW_LINEAR, k, frozenset(vals))
+    colors = (0,) + p.colors
+    return SuccessionSet(SKEW_LINEAR, k, _linear_values((0,) + p.sigma, colors, k))
 
 
 def succession_set(p: ColoredPermutation, k: int, kind: str) -> SuccessionSet:

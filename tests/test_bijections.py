@@ -291,6 +291,11 @@ class TestIsolatedIncreasing:
             isolated_to_increasing(parse_one_line("3^1 1 2", 2), 2)
         with pytest.raises(DomainError):
             increasing_to_isolated(parse_one_line("2 1 3", 1), 2)  # fixed 3 > m
+        for m in (-1, 3):  # out of range: the same error as every other map
+            with pytest.raises(DomainError):
+                isolated_to_increasing(parse_one_line("2 1", 1), m)
+            with pytest.raises(DomainError):
+                increasing_to_isolated(parse_one_line("2 1", 1), m)
 
 
 class TestClassSignature:
@@ -339,6 +344,8 @@ class TestClassSignature:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             class_signature(parse_one_line("1 2 3", 2), 1)
+        with pytest.raises(DomainError):
+            class_representative(parse_one_line("2 1", 2), -1)
 
 
 class TestIsolateStep:
@@ -559,6 +566,38 @@ class TestIsolatedInsertion:
             isolated_remove(parse_one_line("2 1", 2), 1, 5)  # size must be n or n-2
 
 
+def _in_domain(func, *args):
+    try:
+        return func(*args)
+    except DomainError:
+        return None
+
+
+@given(colored_perms(max_n=7))
+def test_surgery_maps_random(p):
+    """The three insertion steps land in their codomain and invert, past the
+    sizes the exhaustive tests reach."""
+    n, ell = p.n, p.ell
+    for m, size in itertools.product(range(1, n + 2), (n, n + 1)):
+        out = _in_domain(isolate_forward, p, m, size)
+        if out is not None:
+            eps, alpha, q = out
+            assert q.n == size and is_isolated_fixed(q, m)
+            assert isolate_inverse(eps, alpha, q, m) == p
+    for eps, k in itertools.product(range(ell), range(1, n + 2)):
+        q = _in_domain(derangement_insert, eps, k, p)
+        if q is not None:
+            assert q.n == n + 1 and is_derangement(q)
+            assert derangement_remove(q) == (eps, k, p)
+    for rho, alpha, m in itertools.product(range(ell), range(1, n + 2), range(1, n + 1)):
+        q = _in_domain(isolated_insert, rho, alpha, p, m)
+        if q is not None:
+            # the image is m-isolated-fixed of size n+1, or one step down at n-1
+            assert q.n in (n + 1, n - 1)
+            assert is_isolated_fixed(q, m if q.n == n + 1 else m - 1)
+            assert isolated_remove(q, m, n + 1) == (rho, alpha, p)
+
+
 @functools.lru_cache(maxsize=None)
 def _frozen_calls():
     """Every map with its argument tuples over ell=2, n<=3, one step past each range."""
@@ -623,13 +662,13 @@ FROZEN_IMAGES = {
     "derangement_remove": "7bccf7b9cf5e9bffaf7b42ae01cd192df4b089be60d2be5362aec98a45249dcd",
     "foata": "ba0b47f14cf8a7585d19c6263e277319109b681466db5275c761f8eec77d7c05",
     "foata_inverse": "ac1ce0dbe4d32b4ab35d3a4a59c4bc6a85e51e6dbe70b34dc0724c939e569af2",
-    "increasing_to_isolated": "a44f686aca5645338ce6d3230659485653defafc9c5283027dc9da4b9df26bfd",
+    "increasing_to_isolated": "72e6fc12a884ddfa32a038e4557237387ca2babd162420eea05f99f9b3ebc357",
     "insert_max_succession": "ccf8a7bc22587ff8b37088bffc530e980774cb0acf99879355522944424b307b",
     "isolate_forward": "89f41314486406b61a77dd9560d5ec6635285fb02c9ad4dc461c03176c4a9f0c",
     "isolate_inverse": "42b0d7a260cfec40d28d58266ee09a2fe8b9b664d98748c74602f19de609204a",
     "isolated_insert": "5aab95ed495897d70169984e0049b403b0bf8a47903fa5441afbb6c6c3ed6601",
     "isolated_remove": "d2a45a53445a2785c1f1b88cd838289821a0dec7c2b8b11dd17f3deb5b150b2b",
-    "isolated_to_increasing": "efc16f747815cd8e08ae2253b94b37745037a5e5527e4ee80a705b6f34f9ecbc",
+    "isolated_to_increasing": "7c81b27f9093b056c3cc1065c0f95caf8c06fb5e6ffe5b05104d772f196193d7",
     "prefix_action": "2730c264744bfabd3cb9e47805d26eea6562292298d33edb1648d5dfc6de720e",
     "remove_max_succession": "23a1b6fbea4ab1f13c581b7f837e3ed1381c9e40439f7fbc48accb0c99e6bdb5",
     "signature_insert": "d66cad91523fd5097bb29d68ef3d10166af9e5dabf90df52cbc7531fe2e6447c",

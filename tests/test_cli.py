@@ -237,6 +237,13 @@ class TestBijection:
         )
         assert code == 4
 
+    def test_out_of_range_m_exit(self, capsys):
+        code, _ = run_cli(
+            capsys, "bijection", "--name", "isolated-to-increasing", "--m", "3",
+            "--input", "2 1",
+        )
+        assert code == 4
+
     def test_parse_error_exit(self, capsys):
         code, _ = run_cli(
             capsys, "bijection", "--name", "delta", "--input", "2 2"
