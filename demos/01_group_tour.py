@@ -22,7 +22,6 @@ print("  one-line:", pi)
 print("  cycles:  ", format_cycles(pi))
 print("  image of position 2:", pi.image(2))
 print("  action on the colored symbol 2^3:", pi.apply(ColoredSymbol(2, 3)))
-print("  shifting the symbol 4^2 by +1:", ColoredSymbol(4, 2).shifted(1, N))
 print()
 
 e = ColoredPermutation.identity(ELL, N)

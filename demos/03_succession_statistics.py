@@ -19,12 +19,12 @@ from wreathperm import (
 
 pi = parse_one_line("1^1 5 9^2 6^1 8 7^1 3^3 4^2 2^1", 4, 9)
 print("pi =", pi)
-print("  3-circular successions:", circular_successions(pi, 3).sorted())
+print("  3-circular successions:", tuple(sorted(circular_successions(pi, 3))))
 
 rho = parse_one_line("5^1 2^1 4 7 9 1^1 3^1 8^2 6", 4, 9)
 print("rho =", rho)
-print("  2-linear successions:", linear_successions(rho, 2).sorted())
-print("  2-skew-linear:", skew_linear_successions(rho, 2).sorted())
+print("  2-linear successions:", tuple(sorted(linear_successions(rho, 2))))
+print("  2-skew-linear:", tuple(sorted(skew_linear_successions(rho, 2))))
 print()
 
 print("fixed-point distribution over the 2-color group on 2 letters:",

@@ -29,8 +29,8 @@ pi = parse_one_line("3^1 4 9^1 8^1 7 5^1 6 2^2 1^2", 4, 9)
 image = colored_foata(pi)
 print("colored cycles-to-word on", pi)
 print("  image:", image)
-print("  2-circular successions of the source:", circular_successions(pi, 2).sorted())
-print("  2-linear successions of the image:  ", linear_successions(image, 2).sorted())
+print("  2-circular successions of the source:", tuple(sorted(circular_successions(pi, 2))))
+print("  2-linear successions of the image:  ", tuple(sorted(linear_successions(image, 2))))
 print("  inverse restores the source:", colored_foata_inverse(image) == pi)
 print()
 

@@ -120,7 +120,7 @@ def remove_max_succession(
         raise DomainError(f"need 0 <= k <= m, got k={k}, m={m}")
     if m + 1 > p.n:
         raise DomainError(f"need m + 1 <= n, got m={m}, n={p.n}")
-    succ = circular_successions(p, k).values
+    succ = circular_successions(p, k)
     if not succ or max(succ) != m + 1:
         raise DomainError(
             f"largest {k}-circular succession must be exactly {m + 1}"
@@ -140,7 +140,7 @@ def insert_max_succession(
         raise DomainError(f"need 0 <= k <= m, got k={k}, m={m}")
     if m > p.n:
         raise DomainError(f"need m <= n, got m={m}, n={p.n}")
-    if any(v > m for v in circular_successions(p, k).values):
+    if any(v > m for v in circular_successions(p, k)):
         raise DomainError(f"all {k}-circular successions must lie in [{m}]")
     return _with_letter(p, m + 1 - k, m + 1)
 
@@ -246,7 +246,7 @@ def succession_compose(
     pos = list(positions)
     if pos != sorted(set(pos)) or (pos and not 1 <= pos[0] <= pos[-1] <= n - k):
         raise DomainError(f"positions must be distinct, increasing, within [1, {n - k}]")
-    if k <= reduced.n and circular_successions(reduced, k).values:
+    if k <= reduced.n and circular_successions(reduced, k):
         raise DomainError("the core must have no k-circular succession")
     for i in pos:
         reduced = _with_letter(reduced, i, i + k)

@@ -38,21 +38,32 @@ from .tables import FLAVORS, build_table
 _STATS = {"circ": CIRCULAR, "lin": LINEAR, "skew": SKEW_LINEAR}
 
 
+def _at_least(low: int):
+    """An argparse type for integers ``>= low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_jobs, _budget = _at_least(1), _at_least(0)
+
+
 def _resolve_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("WREATH_EULER_BUDGET")
-    return int(env) if env else None
-
-
-def _jobs(text: str) -> int:
     try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return jobs
+        return _budget(env) if env else None
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"WREATH_EULER_BUDGET: {exc}") from None
 
 
 def _cmd_table(args) -> int:
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.add_argument("--jobs", type=_jobs, default=1)
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_budget, default=None)
     c.set_defaults(func=_cmd_count)
 
     b = sub.add_parser("bijection", help="apply a named bijection to one element")
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--colors-max", type=int, required=True)
     v.add_argument("--n-max", type=int, required=True)
     v.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
-    v.add_argument("--budget", type=int, default=None)
+    v.add_argument("--budget", type=_budget, default=None)
     v.set_defaults(func=_cmd_verify)
     return parser
 

@@ -17,7 +17,6 @@ cycle: the value of that letter wearing that letter's own color.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -35,37 +34,18 @@ class DomainError(ValueError):
     """A partial map was applied outside its stated domain."""
 
 
-@functools.total_ordering
 @dataclass(frozen=True, slots=True)
 class ColoredSymbol:
-    """A value with a color exponent: ``(v, j)`` stands for ``zeta^j * v``.
-
-    Symbols are totally ordered with *higher* color exponents sorting lower:
-    ``zeta^i a < zeta^j b`` iff ``i > j``, or ``i == j`` and ``a < b``.
-    Value 0 is permitted only as the boundary marker used by shifted
-    comparisons; group elements never contain it.
-    """
+    """A value with a color exponent: ``(v, j)`` stands for ``zeta^j * v``."""
 
     value: int
     color: int = 0
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"symbol value must be >= 0, got {self.value}")
+        if self.value < 1:
+            raise ValueError(f"symbol value must be >= 1, got {self.value}")
         if self.color < 0:
             raise ValueError(f"color exponent must be >= 0, got {self.color}")
-
-    def __lt__(self, other: "ColoredSymbol") -> bool:
-        if not isinstance(other, ColoredSymbol):
-            return NotImplemented
-        return (-self.color, self.value) < (-other.color, other.value)
-
-    def shifted(self, k: int, n: int) -> "ColoredSymbol":
-        """Shift the value by ``k`` keeping the color; result must lie in [0, n]."""
-        v = self.value + k
-        if not 0 <= v <= n:
-            raise ValueError(f"shift out of range: {self.value} + {k} not in [0, {n}]")
-        return ColoredSymbol(v, self.color)
 
     def __str__(self) -> str:
         return f"{self.value}^{self.color}" if self.color else str(self.value)

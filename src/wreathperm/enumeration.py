@@ -27,9 +27,9 @@ from .statistics import (
     CIRCULAR,
     LINEAR,
     SKEW_LINEAR,
-    circular_successions,
-    linear_successions,
-    skew_linear_successions,
+    circular_pairs,
+    linear_pairs,
+    skew_linear_pairs,
 )
 from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
 
@@ -462,17 +462,18 @@ def _suite_family(family):
 
 def _e22_check(ell, sigma, colors) -> dict | None:
     p = ColoredPermutation(ell, sigma, colors)
-    for k in range(1, p.n + 1):
-        expected = set(linear_successions(p, k).values)
-        if p.sigma[0] == k and p.colors[k - 1] == 0:
-            expected.add(k)
-        if set(skew_linear_successions(p, k).values) != expected:
-            return {"perm": str(p), "k": k}
+    expected = linear_pairs(p)
+    if p.sigma and p.colors[p.sigma[0] - 1] == 0:
+        expected |= {(p.sigma[0], p.sigma[0])}
+    got = skew_linear_pairs(p)
+    if got != expected:  # report the smallest k where the sets differ
+        return {"perm": str(p), "k": min(k for k, _ in got ^ expected)}
     return None
 
 
 def _suite_e22(ell, n, jobs, budget):
-    """Skew linear sets equal linear sets, possibly plus the boundary value k."""
+    """Skew linear pairs equal linear pairs, plus ``(v, v)`` for an uncolored
+    first value ``v``."""
     return _find_failure(partial(_e22_check, ell), ell, n, jobs, budget)
 
 
@@ -480,19 +481,19 @@ def _e43_check(ell, sigma, colors) -> dict | None:
     if not sigma:
         return None
     p = ColoredPermutation(ell, sigma, colors)
-    rot = rotate_right(p)
-    last = p.image(p.n)
-    for k in range(p.n + 1):
-        expected = set(circular_successions(rot, k).values)
-        if last.value == k + 1 and last.color == 0:
-            expected.discard(k + 1)
-        if set(circular_successions(p, k + 1).values) != expected:
-            return {"perm": str(p), "k": k}
+    expected = {(k + 1, v) for k, v in circular_pairs(rotate_right(p))}
+    last = p.sigma[-1]
+    if p.colors[last - 1] == 0:
+        expected.discard((last, last))
+    got = {(k, v) for k, v in circular_pairs(p) if k}
+    if got != expected:  # report the smallest unshifted k where the sets differ
+        return {"perm": str(p), "k": min(k for k, _ in got ^ expected) - 1}
     return None
 
 
 def _suite_e43(ell, n, jobs, budget):
-    """Shifting k by one matches rotating the word right, up to the value k+1."""
+    """Raising k by one matches rotating the word right, up to the value k+1
+    of an uncolored last letter."""
     return _find_failure(partial(_e43_check, ell), ell, n, jobs, budget)
 
 

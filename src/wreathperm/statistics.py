@@ -1,21 +1,20 @@
 """Succession statistics and membership predicates on colored permutations.
 
-Three families of statistics, all counting "value lands k above" patterns:
+Each kind of succession is one rule over every ``k`` at once, stated as a
+``frozenset`` of ``(k, value)`` pairs:
 
-* ``circular``: position ``i`` holds the uncolored value ``i + k`` (no
-  wraparound; for ``k = 0`` these are the fixed points);
-* ``linear`` (``k >= 1``): position ``i >= 2`` holds the letter of position
-  ``i - 1`` shifted by ``k`` (equal colors, values ``k`` apart);
-* ``skew linear`` (``k >= 1``): linear on the word with an uncolored ``0``
-  in front, so the first letter counts when it is the uncolored value ``k``.
+* ``circular``: an uncolored value ``v`` at position ``i <= v`` is a
+  ``(v - i)``-circular succession (no wraparound; ``k = 0`` gives the fixed
+  points);
+* ``linear``: equal-colored adjacent letters ``a, b`` with ``b > a`` form a
+  ``(b - a)``-linear succession of value ``b``;
+* ``skew linear``: linear on the word with an uncolored ``0`` in front, so an
+  uncolored first value ``v`` is also a ``v``-succession.
 
-Succession sets store values, not positions.
+The per-k functions filter those pairs and return the set of values.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
 
 from .core import ColoredPermutation, sigma_cycles
 
@@ -23,89 +22,69 @@ CIRCULAR = "circular"
 LINEAR = "linear"
 SKEW_LINEAR = "skewLinear"
 
-KINDS = (CIRCULAR, LINEAR, SKEW_LINEAR)
+
+def circular_pairs(p: ColoredPermutation) -> frozenset[tuple[int, int]]:
+    """``(k, v)`` for every k-circular succession of value ``v``."""
+    return frozenset(
+        (v - i, v)
+        for i, v in enumerate(p.sigma, start=1)
+        if v >= i and p.colors[v - 1] == 0
+    )
 
 
-@dataclass(frozen=True, slots=True)
-class SuccessionSet:
-    """The set of values realizing one succession statistic."""
-
-    kind: str
-    k: int
-    values: frozenset[int]
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
-
-    def __contains__(self, value: int) -> bool:
-        return value in self.values
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sorted())
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def circular_successions(p: ColoredPermutation, k: int) -> SuccessionSet:
+def circular_successions(p: ColoredPermutation, k: int) -> frozenset[int]:
     """Values ``i + k`` appearing uncolored at position ``i``; ``k >= 0``."""
     if k < 0:
         raise ValueError(f"circular successions need k >= 0, got {k}")
-    vals = frozenset(
-        v
-        for i, v in enumerate(p.sigma, start=1)
-        if v == i + k and p.colors[v - 1] == 0
-    )
-    return SuccessionSet(CIRCULAR, k, vals)
+    return frozenset(v for j, v in circular_pairs(p) if j == k)
 
 
 def fixed_points(p: ColoredPermutation) -> frozenset[int]:
     """Values fixed by ``p`` (uncolored and in place)."""
-    return circular_successions(p, 0).values
+    return circular_successions(p, 0)
 
 
 def is_derangement(p: ColoredPermutation) -> bool:
     return not fixed_points(p)
 
 
-def _linear_values(word, colors, k: int) -> frozenset[int]:
-    """Letters ``b`` right after ``a`` with ``b == a + k`` and equal colors;
-    ``colors[v]`` is the color of value ``v``."""
+def _linear_pairs(word, colors) -> frozenset[tuple[int, int]]:
+    """``(b - a, b)`` for letters ``b`` right after ``a`` with ``b > a`` and
+    equal colors; ``colors[v]`` is the color of value ``v``."""
     return frozenset(
-        b for a, b in zip(word, word[1:]) if b == a + k and colors[a] == colors[b]
+        (b - a, b) for a, b in zip(word, word[1:]) if b > a and colors[a] == colors[b]
     )
 
 
-def linear_successions(p: ColoredPermutation, k: int) -> SuccessionSet:
+def linear_pairs(p: ColoredPermutation) -> frozenset[tuple[int, int]]:
+    """``(k, v)`` for every k-linear succession of value ``v``."""
+    return _linear_pairs(p.sigma, (0,) + p.colors)
+
+
+def skew_linear_pairs(p: ColoredPermutation) -> frozenset[tuple[int, int]]:
+    """Linear pairs of the word with an uncolored ``0`` in front."""
+    return _linear_pairs((0,) + p.sigma, (0,) + p.colors)
+
+
+def linear_successions(p: ColoredPermutation, k: int) -> frozenset[int]:
     """Values at positions ``i >= 2`` equal to the previous letter plus ``k``."""
     if k < 1:
         raise ValueError(f"linear successions are defined only for k >= 1, got {k}")
-    return SuccessionSet(LINEAR, k, _linear_values(p.sigma, (0,) + p.colors, k))
+    return frozenset(v for j, v in linear_pairs(p) if j == k)
 
 
-def skew_linear_successions(p: ColoredPermutation, k: int) -> SuccessionSet:
+def skew_linear_successions(p: ColoredPermutation, k: int) -> frozenset[int]:
     """Linear successions of the word with an uncolored ``0`` in front."""
     if k < 1:
         raise ValueError(f"skew linear successions are defined only for k >= 1, got {k}")
-    colors = (0,) + p.colors
-    return SuccessionSet(SKEW_LINEAR, k, _linear_values((0,) + p.sigma, colors, k))
-
-
-def succession_set(p: ColoredPermutation, k: int, kind: str) -> SuccessionSet:
-    if kind == CIRCULAR:
-        return circular_successions(p, k)
-    if kind == LINEAR:
-        return linear_successions(p, k)
-    if kind == SKEW_LINEAR:
-        return skew_linear_successions(p, k)
-    raise ValueError(f"unknown statistic kind {kind!r}")
+    return frozenset(v for j, v in skew_linear_pairs(p) if j == k)
 
 
 def successions_bounded(p: ColoredPermutation, m: int, k: int) -> bool:
     """True iff every k-circular succession value is at most ``m``; needs ``k <= m``."""
     if not 0 <= k <= m <= p.n:
         raise ValueError(f"need 0 <= k <= m <= n, got k={k}, m={m}, n={p.n}")
-    return all(v <= m for v in circular_successions(p, k).values)
+    return all(v <= m for v in circular_successions(p, k))
 
 
 def is_increasing_fixed(p: ColoredPermutation, m: int) -> bool:
@@ -117,10 +96,7 @@ def is_increasing_fixed(p: ColoredPermutation, m: int) -> bool:
             return False
     if any(v > m for v in fixed_points(p)):
         return False
-    for i in range(1, m):
-        if not p.image(i) < p.image(i + 1):
-            return False
-    return True
+    return all(p.sigma[i - 1] < p.sigma[i] for i in range(1, m))
 
 
 def is_isolated_fixed(p: ColoredPermutation, m: int) -> bool:

@@ -104,6 +104,29 @@ class TestCount:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("budget", ["abc", "-5"])
+    def test_bad_budget_flag_usage_error(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", "--colors", "2", "--n", "2", "--stat", "circ",
+                      "--k", "0", "--budget", budget])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --budget: expected an integer >= 0, got '{budget}'" in err
+
+    @pytest.mark.parametrize("budget", ["abc", "-5"])
+    def test_bad_env_budget_usage_error(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("WREATH_EULER_BUDGET", budget)
+        code = cli.main(["count", "--colors", "2", "--n", "2", "--stat", "circ", "--k", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: WREATH_EULER_BUDGET: expected an integer >= 0, got '{budget}'\n"
+        )
+
+    def test_zero_budget_fits_nothing(self, capsys):
+        code = cli.main(["count", "--colors", "2", "--n", "2", "--stat", "circ",
+                         "--k", "0", "--budget", "0"])
+        assert code == 3
+        assert capsys.readouterr().err.endswith("no n fits\n")
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
     @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import pytest
 from wreathperm import (
     BudgetError,
     CheckResult,
-    SuccessionSet,
     bounded_matrix,
     build_table,
     circular_successions,
@@ -109,7 +108,7 @@ def _spec_histograms(ell, n):
     families = {"increasing": [0] * width, "isolated": [0] * width}
     for p in group(ell, n):
         for k in range(width):
-            circ = circular_successions(p, k).values
+            circ = circular_successions(p, k)
             matrices["circular"][k][len(circ)] += 1
             bounded[k][max(circ, default=0)] += 1
             if k:
@@ -132,13 +131,26 @@ def test_kernels_match_spec(ell, n):
         assert family_counts(ell, n, family) == tuple(counts)
 
 
+def _force_pool(monkeypatch):
+    monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _failures(suite):
+    """``(ell, n, counterexample)`` of each failed check of ``suite`` on the
+    2-color group on 4 letters, the same at one and two workers."""
+    reports = [verify_suite(suite, 2, 4, jobs=jobs) for jobs in (1, 2)]
+    assert reports[0] == reports[1]
+    return [(r.ell, r.n, r.counterexample) for r in reports[0] if not r.passed]
+
+
 @pytest.mark.parametrize(
     "suite,stat,first_k,bad_indices",
     [
-        ("e22", "skew_linear_successions", 1, (100, 300)),  # one per partition
-        ("e22", "skew_linear_successions", 1, (300,)),  # second partition only
-        ("e43", "circular_successions", 0, (100, 300)),
-        ("e43", "circular_successions", 0, (300,)),
+        ("e22", "skew_linear_pairs", 1, (100, 300)),  # one per partition
+        ("e22", "skew_linear_pairs", 1, (300,)),  # second partition only
+        ("e43", "circular_pairs", 0, (100, 300)),
+        ("e43", "circular_pairs", 0, (300,)),
     ],
 )
 def test_counterexample_independent_of_jobs(
@@ -150,23 +162,43 @@ def test_counterexample_independent_of_jobs(
     bad = {element_at(2, 4, i) for i in bad_indices}
     real = getattr(enumeration, stat)
 
-    def broken(p, k):
-        found = real(p, k)
+    def broken(p):
+        found = real(p)
         if p not in bad:
             return found
-        return SuccessionSet(found.kind, k, found.values | {0})
+        return found | {(k, 0) for k in range(first_k, p.n + 1)}  # every k broken
 
+    _force_pool(monkeypatch)
     monkeypatch.setattr(enumeration, stat, broken)
-    monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     # e43 also sees a broken set when the rotated word is a bad element
     failing = bad | {rotate_left(q) for q in bad} if suite == "e43" else bad
     index = min(i for i, p in enumerate(group(2, 4)) if p in failing)
     expected = {"index": index, "perm": str(element_at(2, 4, index)), "k": first_k}
-    reports = [verify_suite(suite, 2, 4, jobs=jobs) for jobs in (1, 2)]
-    assert reports[0] == reports[1]
-    failed = [r for r in reports[0] if not r.passed]
-    assert [(r.ell, r.n, r.counterexample) for r in failed] == [(2, 4, expected)]
+    assert _failures(suite) == [(2, 4, expected)]
+
+
+@pytest.mark.parametrize(
+    "suite,stat,broken_k,reported_k",
+    [
+        ("e22", "skew_linear_pairs", 2, 2),
+        ("e43", "circular_pairs", 3, 2),  # e43 compares k + 1 of p with k of its rotation
+    ],
+)
+def test_counterexample_reports_smallest_failing_k(
+    monkeypatch, suite, stat, broken_k, reported_k
+):
+    """A pair set broken at one k only is reported at that k, not at the
+    first k the suite compares."""
+    bad = element_at(2, 4, 256)  # 3 4 1 2; its left rotation comes later
+    real = getattr(enumeration, stat)
+
+    def broken(p):
+        return real(p) | {(broken_k, 0)} if p == bad else real(p)
+
+    _force_pool(monkeypatch)
+    monkeypatch.setattr(enumeration, stat, broken)
+    expected = {"index": 256, "perm": str(bad), "k": reported_k}
+    assert _failures(suite) == [(2, 4, expected)]
 
 
 class TestDistribution:

@@ -26,11 +26,11 @@ SKEW_FIXTURE = "1^2 3^3 9 2^2 4^2 8^3 6 5^1 7^1"
 class TestCircular:
     def test_fixture(self):
         p = parse_one_line(CIRC_FIXTURE, 4, 9)
-        assert circular_successions(p, 3).sorted() == (5, 8)
+        assert tuple(sorted(circular_successions(p, 3))) == (5, 8)
 
     def test_identity_fixed_points(self):
         e = ColoredPermutation.identity(3, 5)
-        assert circular_successions(e, 0).sorted() == (1, 2, 3, 4, 5)
+        assert tuple(sorted(circular_successions(e, 0))) == (1, 2, 3, 4, 5)
         assert fixed_points(e) == frozenset(range(1, 6))
 
     def test_derangement_count(self):
@@ -50,11 +50,11 @@ class TestCircular:
 class TestLinear:
     def test_fixture(self):
         p = parse_one_line(LIN_FIXTURE, 4, 9)
-        assert linear_successions(p, 2).sorted() == (3, 9)
+        assert tuple(sorted(linear_successions(p, 2))) == (3, 9)
 
     def test_identity(self):
         e = ColoredPermutation.identity(3, 5)
-        assert linear_successions(e, 1).sorted() == (2, 3, 4, 5)
+        assert tuple(sorted(linear_successions(e, 1))) == (2, 3, 4, 5)
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -73,7 +73,7 @@ class TestLinear:
 class TestSkewLinear:
     def test_fixture(self):
         p = parse_one_line(SKEW_FIXTURE, 4, 9)
-        assert skew_linear_successions(p, 2).sorted() == (4, 7)
+        assert tuple(sorted(skew_linear_successions(p, 2))) == (4, 7)
 
     def test_boundary_value_joins(self):
         p = parse_one_line("2 1 3", 1)
@@ -82,7 +82,7 @@ class TestSkewLinear:
 
     def test_identity(self):
         e = ColoredPermutation.identity(2, 4)
-        assert skew_linear_successions(e, 1).sorted() == (1, 2, 3, 4)
+        assert tuple(sorted(skew_linear_successions(e, 1))) == (1, 2, 3, 4)
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -92,10 +92,10 @@ class TestSkewLinear:
         for ell, n in [(1, 4), (2, 4), (3, 3)]:
             for p in group(ell, n):
                 for k in range(1, n + 1):
-                    expected = set(linear_successions(p, k).values)
+                    expected = set(linear_successions(p, k))
                     if p.sigma[0] == k and p.color_of(k) == 0:
                         expected.add(k)
-                    assert set(skew_linear_successions(p, k).values) == expected
+                    assert set(skew_linear_successions(p, k)) == expected
 
 
 class TestBounded:
@@ -132,11 +132,11 @@ class TestBounded:
             for p in group(ell, n):
                 rot = rotate_right(p)
                 for k in range(n + 1):
-                    expected = set(circular_successions(rot, k).values)
+                    expected = set(circular_successions(rot, k))
                     last = p.image(n)
                     if last.value == k + 1 and last.color == 0:
                         expected.discard(k + 1)
-                    assert set(circular_successions(p, k + 1).values) == expected
+                    assert set(circular_successions(p, k + 1)) == expected
 
 
 class TestIncreasingFixed:
