@@ -21,7 +21,7 @@ from functools import partial
 from itertools import islice, product, repeat, starmap
 from typing import Iterator
 
-from .core import ColoredPermutation, rotate_right
+from .core import ColoredPermutation, rotate_right, sigma_cycles
 from .reporting import CheckResult
 from .statistics import (
     CIRCULAR,
@@ -55,17 +55,15 @@ def group_size(ell: int, n: int) -> int:
 
 def _check_budget(ell: int, n: int, budget: int | None) -> int:
     limit = DEFAULT_BUDGET if budget is None else budget
-    size = group_size(ell, n)
-    if size > limit:
-        fits = 0
-        while group_size(ell, fits + 1) <= limit:
-            fits += 1
-        hint = f"the largest n that fits with ell={ell} is {fits}"
+    fits = -1  # grows no further than n, so a huge n is never sized
+    while fits < n and group_size(ell, fits + 1) <= limit:
+        fits += 1
+    if fits < n:
+        hint = f"the largest n that fits with ell={ell} is {fits}" if fits >= 0 else "no n fits"
         raise BudgetError(
-            f"group of size {size} exceeds the budget of {limit} elements; "
-            + (hint if limit >= 1 else "no n fits")
+            f"the group with ell={ell}, n={n} exceeds the budget of {limit} elements; {hint}"
         )
-    return size
+    return group_size(ell, n)
 
 
 def _unrank_sigma(n: int, rank: int) -> list[int]:
@@ -104,13 +102,12 @@ def _next_sigma(sigma: list[int]) -> bool:
     return True
 
 
-def _iter_raw(
+def _iter_blocks(
     ell: int, n: int, start: int, stop: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield ``(sigma, colors)`` for the contiguous index range [start, stop).
-
-    Elements with the same underlying permutation share one ``sigma`` tuple.
-    """
+) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]]:
+    """Yield ``(sigma, colorings)`` for each run of the index range
+    [start, stop) that shares one underlying permutation; the first and last
+    run may be part of a block."""
     if stop <= start:
         return
     radix = ell**n
@@ -119,12 +116,19 @@ def _iter_raw(
     left = stop - start
     while True:
         take = min(radix - offset, left)
-        colors = islice(product(range(ell), repeat=n), offset, offset + take)
-        yield from zip(repeat(tuple(sigma), take), colors)
+        yield tuple(sigma), islice(product(range(ell), repeat=n), offset, offset + take)
         left -= take
         offset = 0
         if not left or not _next_sigma(sigma):
             return
+
+
+def _iter_raw(
+    ell: int, n: int, start: int, stop: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield ``(sigma, colors)`` for the contiguous index range [start, stop)."""
+    for sigma, colorings in _iter_blocks(ell, n, start, stop):
+        yield from zip(repeat(sigma), colorings)
 
 
 def enumerate_group(
@@ -174,97 +178,91 @@ class CountDistribution:
             raise ValueError("distribution does not cover the whole group")
 
 
-# Kernels read one raw element ``(sigma, colors)`` in a single pass and return
-# a hashable key; a partition is folded into a Counter of keys, and each public
+# A kernel reads one underlying permutation ``sigma`` once and returns the key
+# function of its colorings: everything that depends on ``sigma`` alone is
+# worked out per block, and the returned function reads the colors of every
+# element.  A partition is folded into a Counter of keys, and each public
 # function expands the merged keys into its histogram.  Succession keys hold
 # one code ``k * (n + 1) + v`` per k-succession with value ``v``, so a single
 # key serves every k at once.  ``statistics.py`` is the readable spec of each.
 
 
-def _circular_key(sigma, colors) -> tuple[int, ...]:
+def _circular_kernel(sigma):
     """An uncolored value ``v`` at position ``i`` with ``v >= i`` is a
     ``(v - i)``-circular succession."""
     w = len(sigma) + 1
-    return tuple(
-        [(v - i) * w + v for i, v in enumerate(sigma, 1) if v >= i and not colors[v - 1]]
-    )
+    candidates = [(v - 1, (v - i) * w + v) for i, v in enumerate(sigma, 1) if v >= i]
+    return lambda colors: tuple([code for j, code in candidates if not colors[j]])
 
 
-def _linear_key(sigma, colors) -> tuple[int, ...]:
+def _linear_kernel(sigma):
     """An adjacent equal-colored pair ``a, b`` with ``b > a`` is a
     ``(b - a)``-linear succession."""
     w = len(sigma) + 1
-    return tuple(
-        [
-            (b - a) * w + b
-            for a, b in zip(sigma, sigma[1:])
-            if b > a and colors[a - 1] == colors[b - 1]
-        ]
-    )
+    rises = [(a - 1, b - 1, (b - a) * w + b) for a, b in zip(sigma, sigma[1:]) if b > a]
+    return lambda colors: tuple([code for a, b, code in rises if colors[a] == colors[b]])
 
 
-def _skew_linear_key(sigma, colors) -> tuple[int, ...]:
+def _skew_linear_kernel(sigma):
     """Linear successions, plus the first value ``v`` as a ``v``-succession
     when it is uncolored."""
-    key = _linear_key(sigma, colors)
-    if sigma and not colors[sigma[0] - 1]:
-        v = sigma[0]
-        key += (v * (len(sigma) + 1) + v,)
+    linear = _linear_kernel(sigma)
+    if not sigma:
+        return linear
+    v = sigma[0]
+    first = (v * (len(sigma) + 1) + v,)
+    return lambda colors: linear(colors) if colors[v - 1] else linear(colors) + first
+
+
+def _family_kernel(sigma, chain):
+    """The ``m`` making an element a member of a family form the interval
+    ``[max fixed point, h]``, ``h`` the number of leading uncolored values in
+    ``chain``, a sequence of value indices that depends on ``sigma`` alone."""
+    fixed = [v - 1 for v in range(len(sigma), 0, -1) if sigma[v - 1] == v]
+
+    def key(colors):
+        h = 0
+        for j in chain:
+            if colors[j]:
+                break
+            h += 1
+        return next((j + 1 for j in fixed if not colors[j]), 0), h
+
     return key
 
 
-def _max_fixed_point(sigma, colors) -> int:
-    fixed = [v for i, v in enumerate(sigma, 1) if v == i and not colors[v - 1]]
-    return max(fixed, default=0)
+def _increasing_kernel(sigma):
+    """``h`` is the length of the uncolored increasing prefix."""
+    rise = next((i for i in range(1, len(sigma)) if sigma[i] < sigma[i - 1]), len(sigma))
+    return _family_kernel(sigma, [v - 1 for v in sigma[:rise]])
 
 
-def _increasing_key(sigma, colors) -> tuple[int, int]:
-    """The ``m`` making an element m-increasing-fixed form the interval
-    ``[max fixed point, h]``, ``h`` the length of its uncolored increasing prefix."""
-    prev = h = 0
-    for v in sigma:
-        if v < prev or colors[v - 1]:
-            break
-        prev = v
-        h += 1
-    return _max_fixed_point(sigma, colors), h
+def _isolated_kernel(sigma):
+    """``h`` is the number of leading uncolored values, capped below the
+    smallest second-smallest value of any cycle."""
+    seconds = [sorted(c)[1] for c in sigma_cycles(sigma) if len(c) > 1]
+    return _family_kernel(sigma, range(min(seconds, default=len(sigma) + 1) - 1))
 
 
-def _isolated_key(sigma, colors) -> tuple[int, int]:
-    """The ``m`` making an element m-isolated-fixed form the interval
-    ``[max fixed point, h]``, ``h`` the number of leading uncolored values capped
-    below the smallest second-smallest value of any cycle."""
-    h = 0
-    while h < len(sigma) and not colors[h]:
-        h += 1
-    seen = bytearray(len(sigma) + 1)
-    for v in range(1, h + 1):
-        if seen[v]:  # v shares a cycle with a smaller value
-            h = v - 1
-            break
-        u = sigma[v - 1]
-        while u != v:
-            seen[u] = 1
-            u = sigma[u - 1]
-    return _max_fixed_point(sigma, colors), h
-
-
-_SUCCESSION_KEYS = {
-    CIRCULAR: _circular_key,
-    LINEAR: _linear_key,
-    SKEW_LINEAR: _skew_linear_key,
+_SUCCESSION_KERNELS = {
+    CIRCULAR: _circular_kernel,
+    LINEAR: _linear_kernel,
+    SKEW_LINEAR: _skew_linear_kernel,
 }
-_FAMILY_KEYS = {"increasing": _increasing_key, "isolated": _isolated_key}
+_FAMILY_KERNELS = {"increasing": _increasing_kernel, "isolated": _isolated_kernel}
 
 
-def _tally(kernel, elements, start) -> Counter:
-    """Count the elements of one partition by ``kernel(sigma, colors)``."""
-    return Counter(starmap(kernel, elements))
+def _tally(kernel, ell, n, start, stop) -> Counter:
+    """Count the elements of one index range by ``kernel(sigma)(colors)``."""
+    counts = Counter()
+    for sigma, colorings in _iter_blocks(ell, n, start, stop):
+        counts.update(map(kernel(sigma), colorings))
+    return counts
 
 
-def _first_failure(check, elements, start) -> dict | None:
+def _first_failure(check, ell, n, start, stop) -> dict | None:
     """The counterexample of the lowest-index element that ``check`` rejects."""
-    for index, found in enumerate(starmap(check, elements), start):
+    for index, found in enumerate(starmap(check, _iter_raw(ell, n, start, stop)), start):
         if found is not None:
             return {"index": index, **found}
     return None
@@ -277,9 +275,9 @@ def _pool_size(jobs: int, cpus: int, partitions: int) -> int:
 
 
 def _run_task(args):
-    """Fold a kernel over the raw elements of one contiguous index range."""
+    """Fold a kernel over one contiguous index range."""
     fold, ell, n, kernel, start, stop = args
-    return fold(kernel, _iter_raw(ell, n, start, stop), start)
+    return fold(kernel, ell, n, start, stop)
 
 
 def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int | None) -> list:
@@ -316,7 +314,7 @@ def distribution(
     budget: int | None = None,
 ) -> CountDistribution:
     """Exact distribution of one succession statistic over the whole group."""
-    if kind not in _SUCCESSION_KEYS:
+    if kind not in _SUCCESSION_KERNELS:
         raise ValueError(f"unknown statistic kind {kind!r}")
     if kind == CIRCULAR and k < 0:
         raise ValueError(f"circular statistic needs k >= 0, got {k}")
@@ -336,11 +334,11 @@ def distribution_matrix(
 
     Row ``k = 0`` of a linear/skew matrix is all zeros (undefined there).
     """
-    if kind not in _SUCCESSION_KEYS:
+    if kind not in _SUCCESSION_KERNELS:
         raise ValueError(f"unknown statistic kind {kind!r}")
+    keys = _count_keys(_SUCCESSION_KERNELS[kind], ell, n, jobs, budget)
     width = n + 1
     matrix = [[0] * width for _ in range(width)]
-    keys = _count_keys(_SUCCESSION_KEYS[kind], ell, n, jobs, budget)
     for key, count in keys.items():
         per_k = [0] * width
         for code in key:
@@ -357,9 +355,10 @@ def bounded_matrix(
 ) -> list[tuple[int, ...]]:
     """``matrix[k][v]``: elements whose largest k-circular succession is ``v``
     (``v = 0`` meaning none)."""
+    keys = _count_keys(_circular_kernel, ell, n, jobs, budget)
     width = n + 1
     matrix = [[0] * width for _ in range(width)]
-    for key, count in _count_keys(_circular_key, ell, n, jobs, budget).items():
+    for key, count in keys.items():
         largest = [0] * width
         for code in key:
             k, v = divmod(code, width)
@@ -373,10 +372,10 @@ def family_counts(
     ell: int, n: int, family: str, *, jobs: int = 1, budget: int | None = None
 ) -> tuple[int, ...]:
     """Counts of m-increasing-fixed or m-isolated-fixed elements per ``m``."""
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILY_KERNELS:
         raise ValueError(f"unknown family {family!r}")
+    keys = _count_keys(_FAMILY_KERNELS[family], ell, n, jobs, budget)
     counts = [0] * (n + 1)
-    keys = _count_keys(_FAMILY_KEYS[family], ell, n, jobs, budget)
     for (low, high), count in keys.items():
         for m in range(low, high + 1):
             counts[m] += count

@@ -1,6 +1,11 @@
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from io import StringIO
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import wreathperm.cli as cli
 from wreathperm import CheckResult
@@ -349,3 +354,53 @@ class TestVerify:
             "--budget", "1000",
         )
         assert code == 3
+
+
+# Each subcommand's flags with the values drawn for them.  Every size under
+# ``count`` is guarded by its --budget, so it also gets a huge integer;
+# ``table`` sizes and the ``verify`` ranges of the rec suite have no budget,
+# so they stay small.
+_SMALL = ("-1", "0", "1", "2", "3")
+_HUGE = "99999999999999999999"
+_WORDS = ("1 2 3", "2 1", "3^1 1 2", "2 1^2", "1 1", "", "(1 2)(3)", "(1^1)", "(2 1")
+_FLAGS = {
+    "table": {"--flavor": ("g", "d"), "--colors": _SMALL, "--max-n": _SMALL,
+              "--format": ("csv", "json", "text")},
+    "count": {"--colors": _SMALL + (_HUGE,), "--n": _SMALL + (_HUGE,),
+              "--stat": ("circ", "lin", "skew"), "--k": _SMALL + (_HUGE,),
+              "--format": ("text", "json"), "--jobs": _SMALL},
+    "bijection": {"--name": tuple(cli._BIJECTIONS), "--input": _WORDS, "--inverse": (),
+                  **dict.fromkeys(("--colors", "--n", "--m", "--k", "--eps", "--alpha"),
+                                  _SMALL + (_HUGE,))},
+    "verify": {"--suite": ("all", *cli.SUITES), "--colors-max": _SMALL, "--n-max": _SMALL,
+               "--jobs": _SMALL},
+}
+_BAD = ("x", "", "1.5", "circ", "-")  # wrong for every flag that takes a value
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in draw(st.permutations(list(_FLAGS[command].items()))):
+        if not draw(st.integers(0, 9)):  # now and then a flag, required or not, is left out
+            continue
+        argv.append(flag)
+        if values:
+            argv.append(draw(st.sampled_from(values if draw(st.integers(0, 9)) else _BAD)))
+    if command in ("count", "verify"):  # keep every enumeration small
+        argv += ["--budget", str(draw(st.integers(0, 20_000)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=timedelta(milliseconds=500))
+@given(_argvs())
+def test_arbitrary_argv_exits_with_documented_code(argv):
+    """main returns 0-4 or leaves through argparse with code 2, never raising."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in range(5), argv

@@ -1,5 +1,8 @@
+from datetime import timedelta
+
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from wreathperm import (
     ColoredPermutation,
@@ -267,3 +270,25 @@ def test_group_laws_random(p):
     e = ColoredPermutation.identity(p.ell, p.n)
     assert p * p.inverse() == e
     assert p.inverse().inverse() == p
+
+
+_TEXTS = st.text(max_size=40) | st.lists(
+    st.sampled_from(["1", "2", "3", "10", "0", "-1", "^", "^1", "^-1", "(", ")", " ",
+                     "\t", "x", "99999999999999999999999"]),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=timedelta(milliseconds=500))
+@given(
+    parse=st.sampled_from([parse_one_line, parse_cycles]),
+    text=_TEXTS,
+    ell=st.integers(1, 5),
+    n=st.none() | st.integers(0, 8),
+)
+def test_parse_arbitrary_text(parse, text, ell, n):
+    """Any text either parses or raises ParseError at an offset within it."""
+    try:
+        parse(text, ell, n)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)

@@ -1,5 +1,9 @@
 import math
 import os
+import random
+from collections import Counter
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
@@ -25,7 +29,7 @@ from wreathperm import (
     skew_linear_successions,
     verify_suite,
 )
-from wreathperm import enumeration
+from wreathperm import circular_pairs, enumeration, linear_pairs, skew_linear_pairs
 
 from conftest import group
 
@@ -84,6 +88,20 @@ class TestStream:
         with pytest.raises(BudgetError, match="no n fits"):
             distribution(2, 1, 0, "circular", budget=0)
 
+    @pytest.mark.parametrize("n", [3000, 10**20])
+    def test_budget_checked_before_sizing_huge_groups(self, n):
+        """A group far over the budget is refused without computing its size
+        or allocating a row per letter."""
+        calls = [
+            lambda: distribution(2, n, 1, "linear", budget=10),
+            lambda: distribution_matrix(2, n, "circular", budget=10),
+            lambda: bounded_matrix(2, n, budget=10),
+            lambda: family_counts(2, n, "isolated", budget=10),
+        ]
+        for call in calls:
+            with pytest.raises(BudgetError, match=f"n={n} exceeds .* ell=2 is 2"):
+                call()
+
     @pytest.mark.parametrize(
         "jobs,cpus,partitions,workers",
         [
@@ -129,6 +147,57 @@ def test_kernels_match_spec(ell, n):
     assert bounded_matrix(ell, n) == [tuple(row) for row in bounded]
     for family, counts in families.items():
         assert family_counts(ell, n, family) == tuple(counts)
+
+
+_KERNELS = {**enumeration._SUCCESSION_KERNELS, **enumeration._FAMILY_KERNELS}
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("n", range(6))
+def test_kernel_keys_match_spec_per_element(ell, n):
+    """Every element's own key, decoded, is its pair set or its family interval."""
+    pairs = {"circular": circular_pairs, "linear": linear_pairs,
+             "skewLinear": skew_linear_pairs}
+    families = {"increasing": is_increasing_fixed, "isolated": is_isolated_fixed}
+    width = n + 1
+    for sigma, block in groupby(group(ell, n), attrgetter("sigma")):
+        kernels = {name: kernel(sigma) for name, kernel in _KERNELS.items()}
+        for p in block:
+            for name, spec in pairs.items():
+                key = kernels[name](p.colors)
+                decoded = [divmod(code, width) for code in key]
+                assert len(set(decoded)) == len(decoded)
+                assert frozenset(decoded) == spec(p), (name, str(p))
+            for name, spec in families.items():
+                low, high = kernels[name](p.colors)
+                members = [low <= m <= high for m in range(width)]
+                assert members == [spec(p, m) for m in range(width)], (name, str(p))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("n", range(6))
+def test_ranges_cut_inside_blocks(ell, n):
+    """Folding any index ranges, cut inside a block of one underlying
+    permutation or not, counts every element once under its own key."""
+    size = group_size(ell, n)
+    rng = random.Random(ell * 10 + n)
+    cuts = sorted(rng.randrange(size + 1) for _ in range(8))
+    ranges = list(zip(cuts[::2], cuts[1::2])) + [(size // 3, size // 3 + 1)]
+    if ell > 1 and n > 0:  # some range must start inside a block
+        assert any(start % ell**n for start, _ in ranges)
+    for name, kernel in _KERNELS.items():
+        keys = [kernel(sigma)(colors) for sigma, colors in enumeration._iter_raw(ell, n, 0, size)]
+        whole = Counter(keys)
+        for parts in (1, 3, 7, 11):
+            merged = Counter()
+            for start, stop in partition_bounds(size, parts):
+                counts = enumeration._run_task((enumeration._tally, ell, n, kernel, start, stop))
+                assert sum(counts.values()) == stop - start
+                merged += counts
+            assert merged == whole, (name, parts)
+        for start, stop in ranges:
+            counts = enumeration._run_task((enumeration._tally, ell, n, kernel, start, stop))
+            assert counts == Counter(keys[start:stop]), (name, start, stop)
 
 
 def _force_pool(monkeypatch):
