@@ -288,8 +288,9 @@ def parse_one_line(text: str, ell: int, n: int | None = None) -> ColoredPermutat
     letters = [(_parse_token(tok, ell, pos), pos) for tok, pos in _word_tokens(text)]
     if n is None:
         n = len(letters)
-    elif n != len(letters):
-        raise ParseError(f"expected {n} tokens, found {len(letters)}", len(text))
+    elif n != len(letters):  # point at the first surplus token, if any
+        at = letters[n][1] if 0 <= n < len(letters) else len(text)
+        raise ParseError(f"expected {n} tokens, found {len(letters)}", at)
     _check_values(letters, n)
     colors = [0] * n
     for sym, _ in letters:
@@ -313,22 +314,22 @@ def format_one_line(p: ColoredPermutation) -> str:
 
 
 _CYCLES_RE = re.compile(r"\(([^()]*)\)")
+_STRAY_RE = re.compile(r"\S")
 
 
 def parse_cycles(text: str, ell: int, n: int | None = None) -> ColoredPermutation:
     """Parse a product of cycles like ``(1^2 3)(2 5^2 6^1)(7^1)``."""
-    stripped = text.strip()
     pieces = []
     pos = 0
     for m in _CYCLES_RE.finditer(text):
-        if text[pos : m.start()].strip():
-            raise ParseError("unexpected text between cycles", pos)
+        if stray := _STRAY_RE.search(text, pos, m.start()):
+            raise ParseError("unexpected text between cycles", stray.start())
         pieces.append((m.group(1), m.start() + 1))
         pos = m.end()
-    if text[pos:].strip():
-        raise ParseError("unexpected trailing text", pos)
-    if not pieces and stripped:
-        raise ParseError("expected '(' to open a cycle", 0)
+    if stray := _STRAY_RE.search(text, pos):
+        if pieces or stray.group() == "(":  # an unclosed cycle, not a missing one
+            raise ParseError("unexpected trailing text", stray.start())
+        raise ParseError("expected '(' to open a cycle", stray.start())
     cycles = []
     letters = []
     for body, offset in pieces:

@@ -18,11 +18,11 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, product, repeat, starmap
+from itertools import accumulate, islice, product, repeat, starmap
 from typing import Iterator
 
 from .core import ColoredPermutation, rotate_right, sigma_cycles
-from .reporting import CheckResult
+from .reporting import CheckResult, check_result, first_mismatch
 from .statistics import (
     CIRCULAR,
     LINEAR,
@@ -389,18 +389,12 @@ def _suite_t2(ell, n, jobs, budget):
     """Elements with k-successions bounded by m are counted by g[n][m], all k <= m."""
     g = build_table(ell, n, FLAVOR_G)
     matrix = bounded_matrix(ell, n, jobs=jobs, budget=budget)
-    for k in range(n + 1):
-        prefix = 0
-        for m in range(n + 1):
-            prefix += matrix[k][m]
-            if k <= m and prefix != g.entry(n, m):
-                return {
-                    "k": k,
-                    "m": m,
-                    "count": str(prefix),
-                    "expected": str(g.entry(n, m)),
-                }
-    return None
+    at_most = [list(accumulate(row)) for row in matrix]
+    return first_mismatch(
+        ("k", "m", "count", "expected"),
+        ((k, m) for k in range(n + 1) for m in range(k, n + 1)),
+        lambda k, m: (at_most[k][m], g.entry(n, m)),
+    )
 
 
 def _suite_three_term(kind):
@@ -416,12 +410,14 @@ def _suite_three_term(kind):
         )
         prev = distribution_matrix(ell, n, CIRCULAR, jobs=jobs, budget=budget)
         prev = [row + (0,) for row in prev]  # pad m = n+1 with zero
-        for k in range(n + 1):
-            for m in range(n + 2):
-                rhs = cur[k][m] + prev[k][m] - (prev[k][m - 1] if m else 0)
-                if lhs[k + 1][m] != rhs:
-                    return {"k": k, "m": m, "lhs": str(lhs[k + 1][m]), "rhs": str(rhs)}
-        return None
+        return first_mismatch(
+            ("k", "m", "lhs", "rhs"),
+            product(range(n + 1), range(n + 2)),
+            lambda k, m: (
+                lhs[k + 1][m],
+                cur[k][m] + prev[k][m] - (prev[k][m - 1] if m else 0),
+            ),
+        )
 
     return run
 
@@ -430,31 +426,24 @@ def _suite_l45(ell, n, jobs, budget):
     """c[k][m] = C(n-k, m) * g[n-m][k] for k <= n - m."""
     g = build_table(ell, n, FLAVOR_G)
     matrix = distribution_matrix(ell, n, CIRCULAR, jobs=jobs, budget=budget)
-    for m in range(n + 1):
-        for k in range(n - m + 1):
-            expected = math.comb(n - k, m) * g.entry(n - m, k)
-            if matrix[k][m] != expected:
-                return {
-                    "k": k,
-                    "m": m,
-                    "count": str(matrix[k][m]),
-                    "expected": str(expected),
-                }
-    return None
+    return first_mismatch(
+        ("k", "m", "count", "expected"),
+        ((k, m) for m in range(n + 1) for k in range(n - m + 1)),
+        lambda k, m: (matrix[k][m], math.comb(n - k, m) * g.entry(n - m, k)),
+    )
 
 
 def _suite_family(family):
+    """m-members of ``family`` are counted by d[n][m]."""
+
     def run(ell, n, jobs, budget):
         d = build_table(ell, n, FLAVOR_D)
         counts = family_counts(ell, n, family, jobs=jobs, budget=budget)
-        for m in range(n + 1):
-            if counts[m] != d.entry(n, m):
-                return {
-                    "m": m,
-                    "count": str(counts[m]),
-                    "expected": str(d.entry(n, m)),
-                }
-        return None
+        return first_mismatch(
+            ("m", "count", "expected"),
+            ((m,) for m in range(n + 1)),
+            lambda m: (counts[m], d.entry(n, m)),
+        )
 
     return run
 
@@ -536,15 +525,6 @@ def verify_suite(
         run, first, shrink = _ENUM_SUITES[name]
         for ell in range(1, max_ell + 1):
             for n in range(first, max_n + 1 - shrink):
-                ce = run(ell, n, jobs, budget)
-                results.append(
-                    CheckResult(
-                        name,
-                        ell,
-                        n,
-                        {"max_ell": max_ell, "max_n": max_n},
-                        "pass" if ce is None else "fail",
-                        ce,
-                    )
-                )
+                params = {"max_ell": max_ell, "max_n": max_n}
+                results.append(check_result(name, ell, n, params, run(ell, n, jobs, budget)))
     return results

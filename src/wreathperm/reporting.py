@@ -1,4 +1,6 @@
-"""Shared pass/fail reporting for recurrence and brute-force check suites."""
+"""The one place where a comparison becomes a check result: ``first_mismatch``
+finds the first index point whose two sides differ, ``check_result`` makes that
+a pass or a fail, and ``report_json`` renders the results canonically."""
 
 from __future__ import annotations
 
@@ -32,6 +34,23 @@ class CheckResult:
         if self.counterexample is not None:
             d["counterexample"] = self.counterexample
         return d
+
+
+def first_mismatch(names, points, sides) -> dict | None:
+    """The first point whose two ``sides(*point)`` differ, as a dict keyed by
+    ``names``: the point's coordinates, then both sides as strings.  None when
+    every point agrees."""
+    for point in points:
+        lhs, rhs = sides(*point)
+        if lhs != rhs:
+            return dict(zip(names, (*point, str(lhs), str(rhs))))
+    return None
+
+
+def check_result(check, ell, n, params, counterexample) -> CheckResult:
+    """A pass without a counterexample, a fail carrying it otherwise."""
+    status = "pass" if counterexample is None else "fail"
+    return CheckResult(check, ell, n, params, status, counterexample)
 
 
 def report_json(results: list[CheckResult]) -> str:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .reporting import CheckResult
+from .reporting import CheckResult, check_result, first_mismatch
 
 FLAVOR_G = "g"
 FLAVOR_D = "d"
@@ -125,15 +125,6 @@ def egf_coefficient(ell: int, m: int, n: int) -> int:
 # -- recurrence suite ---------------------------------------------------------
 
 
-def _scan(table: DifferenceTable, points, lhs_rhs):
-    """First (n, m, lhs, rhs) disagreement over the given points, or None."""
-    for n, m in points:
-        lhs, rhs = lhs_rhs(table, n, m)
-        if lhs != rhs:
-            return {"n": n, "m": m, "lhs": str(lhs), "rhs": str(rhs)}
-    return None
-
-
 def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
     """Validate every recurrence, boundary, and divisibility identity.
 
@@ -146,118 +137,89 @@ def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
         raise ValueError(f"need max_n >= 2, got {max_n}")
     g = build_table(ell, max_n, FLAVOR_G)
     d = build_table(ell, max_n, FLAVOR_D)
-    params = {"max_n": max_n}
-    results = []
-
-    def add(check, table, points, lhs_rhs):
-        ce = _scan(table, points, lhs_rhs)
-        status = "pass" if ce is None else "fail"
-        results.append(CheckResult(check, ell, None, params, status, ce))
 
     def term(coef, table, n, m):
         return coef * table.entry(n, m) if coef else 0
 
-    two_prev = [(n, m) for n in range(2, max_n + 1) for m in range(n)]
-    add(
-        "g_rec_two_prev_rows",
-        g,
-        two_prev,
-        lambda t, n, m: (
+    def two_prev_rows(t):
+        return lambda n, m: (
             t.entry(n, m),
             (ell * n - 1) * t.entry(n - 1, m) + term(ell * (n - m - 1), t, n - 2, m),
-        ),
-    )
-    add(
-        "d_rec_two_prev_rows",
-        d,
-        two_prev,
-        lambda t, n, m: (
-            t.entry(n, m),
-            (ell * n - 1) * t.entry(n - 1, m) + term(ell * (n - m - 1), t, n - 2, m),
-        ),
-    )
-
-    diag = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
-    add(
-        "g_rec_prev_row_diag",
-        g,
-        diag,
-        lambda t, n, m: (
-            t.entry(n, m),
-            term(ell * (n - m), t, n - 1, m) + ell * m * t.entry(n - 1, m - 1),
-        ),
-    )
-    add(
-        "d_rec_prev_row_diag",
-        d,
-        diag,
-        lambda t, n, m: (
-            t.entry(n, m),
-            term(ell * (n - m), t, n - 1, m) + t.entry(n - 1, m - 1),
-        ),
-    )
-
-    inner = [(n, m) for n in range(2, max_n + 1) for m in range(1, n)]
-    add(
-        "g_rec_three_term",
-        g,
-        inner,
-        lambda t, n, m: (
-            t.entry(n, m),
-            ell * n * t.entry(n - 1, m) - ell * m * t.entry(n - 2, m - 1),
-        ),
-    )
-    add(
-        "d_rec_three_term",
-        d,
-        inner,
-        lambda t, n, m: (
-            t.entry(n, m) + t.entry(n - 2, m - 1),
-            ell * n * t.entry(n - 1, m),
-        ),
-    )
-
-    col0 = [(n, 0) for n in range(1, max_n + 1)]
-    add(
-        "d_rec_column0_parity",
-        d,
-        col0,
-        lambda t, n, m: (t.entry(n, 0), ell * n * t.entry(n - 1, 0) + (-1) ** n),
-    )
-
-    boundary_ce = None
-    expected = [
-        ("g", 0, 0, 1),
-        ("g", 1, 0, ell - 1),
-        ("g", 1, 1, ell),
-        ("d", 0, 0, 1),
-        ("d", 1, 0, ell - 1),
-        ("d", 1, 1, 1),
-    ]
-    for flavor, n, m, want in expected:
-        got = (g if flavor == "g" else d).entry(n, m)
-        if got != want:
-            boundary_ce = {"flavor": flavor, "n": n, "m": m, "lhs": str(got), "rhs": str(want)}
-            break
-    results.append(
-        CheckResult(
-            "boundary_values",
-            ell,
-            None,
-            params,
-            "pass" if boundary_ce is None else "fail",
-            boundary_ce,
         )
-    )
 
-    everywhere = [(n, m) for n in range(max_n + 1) for m in range(n + 1)]
-    add(
-        "g_equals_scaled_d",
-        g,
-        everywhere,
-        lambda t, n, m: (
-            t.entry(n, m),
-            ell**m * math.factorial(m) * d.entry(n, m),
+    two_prev = [(n, m) for n in range(2, max_n + 1) for m in range(n)]
+    diag = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
+    inner = [(n, m) for n in range(2, max_n + 1) for m in range(1, n)]
+    boundary = {
+        (FLAVOR_G, 0, 0): 1,
+        (FLAVOR_G, 1, 0): ell - 1,
+        (FLAVOR_G, 1, 1): ell,
+        (FLAVOR_D, 0, 0): 1,
+        (FLAVOR_D, 1, 0): ell - 1,
+        (FLAVOR_D, 1, 1): 1,
+    }
+    by_flavor = {FLAVOR_G: g, FLAVOR_D: d}
+    nm = ("n", "m", "lhs", "rhs")
+    identities = [
+        ("g_rec_two_prev_rows", nm, two_prev, two_prev_rows(g)),
+        ("d_rec_two_prev_rows", nm, two_prev, two_prev_rows(d)),
+        (
+            "g_rec_prev_row_diag",
+            nm,
+            diag,
+            lambda n, m: (
+                g.entry(n, m),
+                term(ell * (n - m), g, n - 1, m) + ell * m * g.entry(n - 1, m - 1),
+            ),
         ),
-    )
-    return results
+        (
+            "d_rec_prev_row_diag",
+            nm,
+            diag,
+            lambda n, m: (
+                d.entry(n, m),
+                term(ell * (n - m), d, n - 1, m) + d.entry(n - 1, m - 1),
+            ),
+        ),
+        (
+            "g_rec_three_term",
+            nm,
+            inner,
+            lambda n, m: (
+                g.entry(n, m),
+                ell * n * g.entry(n - 1, m) - ell * m * g.entry(n - 2, m - 1),
+            ),
+        ),
+        (
+            "d_rec_three_term",
+            nm,
+            inner,
+            lambda n, m: (
+                d.entry(n, m) + d.entry(n - 2, m - 1),
+                ell * n * d.entry(n - 1, m),
+            ),
+        ),
+        (
+            "d_rec_column0_parity",
+            nm,
+            [(n, 0) for n in range(1, max_n + 1)],
+            lambda n, m: (d.entry(n, 0), ell * n * d.entry(n - 1, 0) + (-1) ** n),
+        ),
+        (
+            "boundary_values",
+            ("flavor", *nm),
+            boundary,
+            lambda flavor, n, m: (by_flavor[flavor].entry(n, m), boundary[flavor, n, m]),
+        ),
+        (
+            "g_equals_scaled_d",
+            nm,
+            [(n, m) for n in range(max_n + 1) for m in range(n + 1)],
+            lambda n, m: (g.entry(n, m), ell**m * math.factorial(m) * d.entry(n, m)),
+        ),
+    ]
+    params = {"max_n": max_n}
+    return [
+        check_result(check, ell, None, params, first_mismatch(names, points, sides))
+        for check, names, points, sides in identities
+    ]

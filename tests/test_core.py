@@ -1,3 +1,4 @@
+import re
 from datetime import timedelta
 
 import hypothesis.strategies as st
@@ -194,12 +195,31 @@ class TestText:
             # more digits than int() converts
             pytest.param(parse_one_line, "1" * 5000, None, 0, id="long-one-line"),
             pytest.param(parse_cycles, f"({'1' * 5000})", None, 1, id="long-cycle"),
+            # stray text, not where the previous cycle ended
+            (parse_cycles, "(1 2)  x (3)", None, 7),
+            (parse_cycles, "(1 2)(3)   junk", None, 11),
+            (parse_cycles, "  x (1)", None, 2),
+            (parse_cycles, "1 2", None, 0),
+            (parse_one_line, "1 2 3 4", 3, 6),  # the first surplus token
         ],
     )
     def test_parse_error_offset_points_at_token(self, parse, text, n, offset):
         with pytest.raises(ParseError) as exc:
             parse(text, 4, n)
         assert exc.value.position == offset
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("  1 2", "expected '(' to open a cycle (at offset 2)"),
+            ("(1 2", "unexpected trailing text (at offset 0)"),  # opened, never closed
+            ("(1) 2", "unexpected trailing text (at offset 4)"),
+        ],
+    )
+    def test_parse_cycles_names_missing_or_stray_cycle(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_cycles(text, 2)
+        assert str(exc.value) == message
 
     def test_parse_length_mismatch(self):
         with pytest.raises(ParseError):
@@ -279,6 +299,9 @@ _TEXTS = st.text(max_size=40) | st.lists(
 ).map("".join)
 
 
+_AT_STRAY_TEXT = re.compile(r"unexpected text between|unexpected trailing|expected '\('")
+
+
 @settings(max_examples=400, deadline=timedelta(milliseconds=500))
 @given(
     parse=st.sampled_from([parse_one_line, parse_cycles]),
@@ -287,8 +310,13 @@ _TEXTS = st.text(max_size=40) | st.lists(
     n=st.none() | st.integers(0, 8),
 )
 def test_parse_arbitrary_text(parse, text, ell, n):
-    """Any text either parses or raises ParseError at an offset within it."""
+    """Any text either parses or raises ParseError at an offset within it; an
+    error about stray or surplus text points at its first character."""
     try:
         parse(text, ell, n)
     except ParseError as exc:
         assert 0 <= exc.position <= len(text)
+        counts = re.match(r"expected (\d+) tokens, found (\d+)", str(exc))
+        surplus = counts and int(counts[2]) > int(counts[1]) and parse is parse_one_line
+        if surplus or _AT_STRAY_TEXT.match(str(exc)):
+            assert not text[exc.position].isspace()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 from wreathperm import (
     BudgetError,
     CheckResult,
+    DifferenceTable,
     bounded_matrix,
     build_table,
     circular_successions,
@@ -30,6 +32,7 @@ from wreathperm import (
     verify_suite,
 )
 from wreathperm import circular_pairs, enumeration, linear_pairs, skew_linear_pairs
+from wreathperm import tables
 
 from conftest import group
 
@@ -268,6 +271,124 @@ def test_counterexample_reports_smallest_failing_k(
     monkeypatch.setattr(enumeration, stat, broken)
     expected = {"index": 256, "perm": str(bad), "k": reported_k}
     assert _failures(suite) == [(2, 4, expected)]
+
+
+def _bumped(value, cell):
+    """``value`` (a nested tuple or list of ints) with the entry at ``cell``
+    raised by one."""
+    if not cell:
+        return value + 1
+    i, *rest = cell
+    items = list(value)
+    items[i] = _bumped(items[i], rest)
+    return type(value)(items)
+
+
+def _bump(monkeypatch, module, name, args, cell):
+    """Make ``module.name`` raise one entry of its result by one when its
+    leading positional arguments are ``args``."""
+    real = getattr(module, name)
+
+    def bumped(*a, **kw):
+        out = real(*a, **kw)
+        if a[: len(args)] != args:
+            return out
+        if isinstance(out, DifferenceTable):
+            return dataclasses.replace(out, rows=_bumped(out.rows, cell))
+        return _bumped(out, cell)
+
+    monkeypatch.setattr(module, name, bumped)
+
+
+@pytest.mark.parametrize(
+    "suite,name,args,cell,expected",
+    [
+        ("t2", "bounded_matrix", (2, 3), (1, 2),
+         [(2, 3, {"k": 1, "m": 2, "count": "41", "expected": "40"})]),
+        ("t2", "build_table", (2, 4, "g"), (4, 2),
+         [(2, 4, {"k": 0, "m": 2, "count": "296", "expected": "297"})]),
+        ("t3", "distribution_matrix", (2, 3, "circular"), (1, 1),
+         [(2, 2, {"k": 0, "m": 1, "lhs": "13", "rhs": "12"}),
+          (2, 3, {"k": 1, "m": 1, "lhs": "80", "rhs": "81"})]),
+        ("c7", "distribution_matrix", (2, 3, "linear"), (2, 1),
+         [(2, 2, {"k": 1, "m": 1, "lhs": "9", "rhs": "8"})]),
+        ("c7", "distribution_matrix", (1, 4, "circular"), (0, 2),
+         [(1, 3, {"k": 0, "m": 2, "lhs": "3", "rhs": "4"})]),
+        ("l45", "distribution_matrix", (2, 4, "circular"), (1, 2),
+         [(2, 4, {"k": 1, "m": 2, "count": "19", "expected": "18"})]),
+        ("l45", "build_table", (1, 4, "g"), (3, 1),
+         [(1, 4, {"k": 1, "m": 1, "count": "9", "expected": "12"})]),
+        ("t9", "family_counts", (2, 3, "increasing"), (2,),
+         [(2, 3, {"m": 2, "count": "6", "expected": "5"})]),
+        ("t9", "build_table", (2, 4, "d"), (4, 1),
+         [(2, 4, {"m": 1, "count": "131", "expected": "132"})]),
+        ("t11", "family_counts", (1, 4, "isolated"), (0,),
+         [(1, 4, {"m": 0, "count": "10", "expected": "9"})]),
+    ],
+)
+def test_table_suite_counterexample(monkeypatch, suite, name, args, cell, expected):
+    """A count or table entry off by one fails exactly the checks that read
+    it, each at its first disagreeing index."""
+    _force_pool(monkeypatch)
+    _bump(monkeypatch, enumeration, name, args, cell)
+    assert _failures(suite) == expected
+
+
+def _rec_failures():
+    """``(check, ell, counterexample)`` of each failed identity of the ``rec``
+    suite up to 4 letters and 2 colors, the same at one and two workers."""
+    reports = [verify_suite("rec", 2, 4, jobs=jobs) for jobs in (1, 2)]
+    assert reports[0] == reports[1]
+    return [(r.check, r.ell, r.counterexample) for r in reports[0] if not r.passed]
+
+
+def _ce(n, m, lhs, rhs):
+    return {"n": n, "m": m, "lhs": str(lhs), "rhs": str(rhs)}
+
+
+@pytest.mark.parametrize(
+    "args,cell,expected",
+    [
+        ((2, 4, "g"), (3, 1), [
+            ("g_rec_two_prev_rows", 2, _ce(3, 1, 35, 34)),
+            ("g_rec_prev_row_diag", 2, _ce(3, 1, 35, 34)),
+            ("g_rec_three_term", 2, _ce(3, 1, 35, 34)),
+            ("g_equals_scaled_d", 2, _ce(3, 1, 35, 34)),
+        ]),
+        ((2, 4, "g"), (1, 1), [
+            ("g_rec_two_prev_rows", 2, _ce(2, 1, 6, 9)),
+            ("g_rec_prev_row_diag", 2, _ce(1, 1, 3, 2)),
+            ("g_rec_three_term", 2, _ce(2, 1, 6, 10)),
+            ("boundary_values", 2, {"flavor": "g", **_ce(1, 1, 3, 2)}),
+            ("g_equals_scaled_d", 2, _ce(1, 1, 3, 2)),
+        ]),
+        ((1, 4, "d"), (2, 1), [
+            ("d_rec_two_prev_rows", 1, _ce(2, 1, 2, 1)),
+            ("d_rec_prev_row_diag", 1, _ce(2, 1, 2, 1)),
+            ("d_rec_three_term", 1, _ce(2, 1, 3, 2)),
+            ("g_equals_scaled_d", 1, _ce(2, 1, 1, 2)),
+        ]),
+        ((2, 4, "d"), (0, 0), [
+            ("d_rec_two_prev_rows", 2, _ce(2, 0, 5, 7)),
+            ("d_rec_prev_row_diag", 2, _ce(1, 1, 1, 2)),
+            ("d_rec_three_term", 2, _ce(2, 1, 5, 4)),
+            ("d_rec_column0_parity", 2, _ce(1, 0, 1, 3)),
+            ("boundary_values", 2, {"flavor": "d", **_ce(0, 0, 2, 1)}),
+            ("g_equals_scaled_d", 2, _ce(0, 0, 1, 2)),
+        ]),
+        ((1, 4, "d"), (4, 0), [
+            ("d_rec_two_prev_rows", 1, _ce(4, 0, 10, 9)),
+            ("d_rec_column0_parity", 1, _ce(4, 0, 10, 9)),
+            ("g_equals_scaled_d", 1, _ce(4, 0, 9, 10)),
+        ]),
+    ],
+)
+def test_recurrence_counterexample(monkeypatch, args, cell, expected):
+    """A table entry off by one fails exactly the identities that read it,
+    each at its first disagreeing index; ``boundary_values`` also names the
+    table."""
+    _bump(monkeypatch, tables, "build_table", args, cell)
+    assert _rec_failures() == expected
 
 
 class TestDistribution:
