@@ -41,7 +41,6 @@ from .core import (
     ColoredSymbol,
     DomainError,
     canonical_cycles,
-    sigma_cycles,
 )
 from .statistics import (
     circular_successions,
@@ -169,7 +168,6 @@ def foata_inverse(word: Sequence[int]) -> tuple[int, ...]:
     n = len(word)
     sigma = [0] * n
     block: list[int] = []
-    best = 0
     suffix_max = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_max[i] = max(word[i], suffix_max[i + 1])
@@ -374,46 +372,23 @@ def isolated_to_increasing(p: ColoredPermutation, m: int) -> ColoredPermutation:
 def increasing_to_isolated(p2: ColoredPermutation, m: int) -> ColoredPermutation:
     """Invert :func:`isolated_to_increasing`.
 
-    For each ``i <= m`` the cycle through ``i`` is rebuilt by walking
-    backwards from ``i`` until the first value that is an image of the sorted
-    prefix; cycles that avoid those walks are kept as they are.
+    The tail is kept.  For each ``i <= m``, walking backwards from ``i``
+    reaches a value of the sorted prefix first: the old image of ``i``, which
+    takes the color ``i`` now wears.  Then ``1..m`` lose their colors.
     """
     _check_m(p2, m)
     if not is_increasing_fixed(p2, m):
         raise DomainError(f"input is not {m}-increasing-fixed")
-    n = p2.n
-    heads_of = p2.sigma[:m]
-    targets = set(heads_of)
+    prefix = set(p2.sigma[:m])
     inv = p2.sigma_inverse()
-    sigma = [0] * n
-    consumed: set[int] = set()
-    heads = {}
+    sigma, colors = list(p2.sigma), list(p2.colors)
     for i in range(1, m + 1):
-        chain = [i]
         x = i
-        while x not in targets:
+        while x not in prefix:
             x = inv[x - 1]
-            chain.append(x)
-        cyc = list(reversed(chain))
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            sigma[a - 1] = b
-        heads[i] = chain[-1]
-        for v in chain:
-            if v in consumed:
-                raise DomainError("input is not an increasing rearrangement image")
-            consumed.add(v)
-    for cyc in sigma_cycles(p2.sigma):
-        if consumed.isdisjoint(cyc):
-            for v in cyc:
-                sigma[v - 1] = p2.sigma[v - 1]
-            consumed.update(cyc)
-    if len(consumed) != n:
-        raise DomainError("input is not an increasing rearrangement image")
-    colors = list(p2.colors)
-    for i in range(1, m + 1):
-        colors[heads[i] - 1] = p2.colors[i - 1]
-    for i in range(1, m + 1):
-        colors[i - 1] = 0
+        sigma[i - 1] = x
+        colors[x - 1] = p2.colors[i - 1]
+    colors[:m] = [0] * m
     return ColoredPermutation(p2.ell, tuple(sigma), tuple(colors))
 
 
@@ -499,7 +474,11 @@ def _first_free_pair(p: ColoredPermutation) -> int:
     ):
         t += 2
     if t > p.n:
-        raise DomainError("every adjacent pair is a plain 2-cycle")
+        # Only the all-2-cycles derangement gets here: as tau's one excluded
+        # input (color 0, anchor n, n odd) and as its one excluded image (n even).
+        raise DomainError(
+            "excluded: the all-2-cycles derangement, as an image or with color 0 at anchor n"
+        )
     return t
 
 
@@ -522,13 +501,6 @@ def derangement_insert(
         raise DomainError(f"anchor must lie in [1, {n}], got {k}")
     if not is_derangement(p):
         raise DomainError("input must be a derangement")
-    if (
-        n % 2 == 1
-        and eps == 0
-        and k == n
-        and p == all_transpositions(p.ell, n - 1)
-    ):
-        raise DomainError("excluded input: color 0, anchor n, all-2-cycles derangement")
     sigma, colors = list(p.sigma) + [n], list(p.colors) + [eps]
     if k < n:
         _swap(sigma, k, n)
@@ -559,8 +531,6 @@ def derangement_remove(
         raise DomainError("need n >= 1")
     if not is_derangement(p2):
         raise DomainError("image must be a derangement")
-    if n % 2 == 0 and p2 == all_transpositions(p2.ell, n):
-        raise DomainError("excluded image: all-2-cycles derangement")
     sigma, colors = list(p2.sigma), list(p2.colors)
     rho = colors[n - 1]
     b = sigma[n - 1]

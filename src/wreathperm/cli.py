@@ -212,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="print a difference table")
     t.add_argument("--flavor", choices=FLAVORS, required=True)
-    t.add_argument("--colors", type=int, required=True)
+    t.add_argument("--colors", type=_at_least(1), required=True)
     t.add_argument("--max-n", type=int, required=True)
     t.add_argument("--format", choices=("csv", "json", "text"), default="text")
     t.set_defaults(func=_cmd_table)
 
     c = sub.add_parser("count", help="distribution of a succession statistic")
-    c.add_argument("--colors", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--colors", type=_at_least(1), required=True)
+    c.add_argument("--n", type=_at_least(0), required=True)
     c.add_argument("--stat", choices=sorted(_STATS), required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--format", choices=("text", "json"), default="text")
@@ -229,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bijection", help="apply a named bijection to one element")
     b.add_argument("--name", required=True, choices=tuple(_BIJECTIONS))
-    b.add_argument("--colors", type=int, default=1)
-    b.add_argument("--n", type=int, default=None)
+    b.add_argument("--colors", type=_at_least(1), default=1)
+    b.add_argument("--n", type=_at_least(0), default=None)
     b.add_argument("--m", type=int, default=None)
     b.add_argument("--k", type=int, default=None)
     b.add_argument("--eps", type=int, default=None, help="color exponent argument")

@@ -286,20 +286,21 @@ def _word_tokens(text: str) -> Iterator[tuple[str, int]]:
 def parse_one_line(text: str, ell: int, n: int | None = None) -> ColoredPermutation:
     """Parse a one-line word; ``n`` defaults to the number of tokens."""
     letters = [(_parse_token(tok, ell, pos), pos) for tok, pos in _word_tokens(text)]
-    if n is None:
-        n = len(letters)
-    elif n != len(letters):  # point at the first surplus token, if any
-        at = letters[n][1] if 0 <= n < len(letters) else len(text)
-        raise ParseError(f"expected {n} tokens, found {len(letters)}", at)
-    _check_values(letters, n)
+    n = len(letters) if n is None else n
+    _check_values(letters, n, text)
     colors = [0] * n
     for sym, _ in letters:
         colors[sym.value - 1] = sym.color
     return ColoredPermutation(ell, tuple(sym.value for sym, _ in letters), tuple(colors))
 
 
-def _check_values(letters: Sequence[tuple[ColoredSymbol, int]], n: int) -> None:
-    """Every value in ``[1, n]`` and none repeated; errors point at the token."""
+def _check_values(letters: Sequence[tuple[ColoredSymbol, int]], n: int, text: str) -> None:
+    """Exactly ``n`` letters, each value in ``[1, n]`` once.  Errors point at the
+    token (the first surplus one), or at the end of ``text`` if letters are
+    missing; the count comes first, so a huge ``n`` allocates nothing."""
+    if n != len(letters):
+        at = letters[n][1] if 0 <= n < len(letters) else len(text)
+        raise ParseError(f"expected {n} tokens, found {len(letters)}", at)
     seen = [False] * n
     for sym, pos in letters:
         if not 1 <= sym.value <= n:
@@ -341,11 +342,8 @@ def parse_cycles(text: str, ell: int, n: int | None = None) -> ColoredPermutatio
             raise ParseError("empty cycle", offset)
         letters.extend(cycle)
         cycles.append([sym for sym, _ in cycle])
-    if n is None:
-        n = len(letters)
-    elif n != len(letters):
-        raise ParseError(f"expected {n} tokens, found {len(letters)}", len(text))
-    _check_values(letters, n)
+    n = len(letters) if n is None else n
+    _check_values(letters, n, text)
     return ColoredPermutation.from_cycles(cycles, ell, n)
 
 

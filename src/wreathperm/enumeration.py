@@ -54,6 +54,8 @@ def group_size(ell: int, n: int) -> int:
 
 
 def _check_budget(ell: int, n: int, budget: int | None) -> int:
+    if ell < 1 or n < 0:  # the sizes given, not the first one the loop would size
+        raise ValueError(f"need ell >= 1 and n >= 0, got ell={ell}, n={n}")
     limit = DEFAULT_BUDGET if budget is None else budget
     fits = -1  # grows no further than n, so a huge n is never sized
     while fits < n and group_size(ell, fits + 1) <= limit:

@@ -286,6 +286,18 @@ class TestIsolatedIncreasing:
                     assert increasing_to_isolated(out, m) == p
                 assert images == set(members(ell, n, is_increasing_fixed, m))
 
+    def test_every_increasing_element_is_an_image(self):
+        # so the inverse needs no check that its input was reached
+        for ell, n in itertools.product((1, 2), range(6)):
+            for m in range(n + 1):
+                preimages = set()
+                for p2 in members(ell, n, is_increasing_fixed, m):
+                    p = increasing_to_isolated(p2, m)
+                    assert is_isolated_fixed(p, m)
+                    assert p not in preimages
+                    preimages.add(p)
+                    assert isolated_to_increasing(p, m) == p2
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             isolated_to_increasing(parse_one_line("3^1 1 2", 2), 2)
@@ -504,6 +516,19 @@ class TestDerangementInsertion:
                 else:
                     assert excluded == 1
                 assert images == target
+
+    def test_excluded_input_and_image_share_one_error(self):
+        messages = set()
+        for ell, n in itertools.product((1, 2, 3), range(1, 7)):
+            with pytest.raises(DomainError) as exc:
+                if n % 2:
+                    derangement_insert(0, n, all_transpositions(ell, n - 1))
+                else:
+                    derangement_remove(all_transpositions(ell, n))
+            messages.add(str(exc.value))
+        assert messages == {
+            "excluded: the all-2-cycles derangement, as an image or with color 0 at anchor n"
+        }
 
     def test_exclusions(self):
         with pytest.raises(DomainError):

@@ -303,6 +303,24 @@ class TestBijection:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (
+                ["representative", "--m", "1", "--inverse", "--input", "1"],
+                "the class representative map has no inverse",
+            ),
+            (
+                ["foata", "--colors", "2", "--input", "2^1 1"],
+                "the plain cycles-to-word map needs an uncolored input",
+            ),
+        ],
+    )
+    def test_domain_error_message(self, capsys, args, message):
+        code = cli.main(["bijection", "--name", *args])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestVerify:
     def test_small_all_suite(self, capsys):
@@ -354,6 +372,23 @@ class TestVerify:
             "--budget", "1000",
         )
         assert code == 3
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["table", "--flavor", "g", "--colors", "0", "--max-n", "3"], "--colors"),
+        (["count", "--colors", "0", "--n", "3", "--stat", "circ", "--k", "0"], "--colors"),
+        (["count", "--colors", "2", "--n", "-1", "--stat", "circ", "--k", "0"], "--n"),
+        (["bijection", "--name", "delta", "--colors", "0", "--input", "1"], "--colors"),
+        (["bijection", "--name", "delta", "--n", "-1", "--input", "1"], "--n"),
+    ],
+)
+def test_size_below_range_usage_error(capsys, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer >= " in capsys.readouterr().err
 
 
 # Each subcommand's flags with the values drawn for them.  Every size under

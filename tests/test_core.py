@@ -201,6 +201,7 @@ class TestText:
             (parse_cycles, "  x (1)", None, 2),
             (parse_cycles, "1 2", None, 0),
             (parse_one_line, "1 2 3 4", 3, 6),  # the first surplus token
+            (parse_cycles, "(1)(2)(3)", 2, 7),
         ],
     )
     def test_parse_error_offset_points_at_token(self, parse, text, n, offset):
@@ -317,6 +318,6 @@ def test_parse_arbitrary_text(parse, text, ell, n):
     except ParseError as exc:
         assert 0 <= exc.position <= len(text)
         counts = re.match(r"expected (\d+) tokens, found (\d+)", str(exc))
-        surplus = counts and int(counts[2]) > int(counts[1]) and parse is parse_one_line
+        surplus = counts and int(counts[2]) > int(counts[1])
         if surplus or _AT_STRAY_TEXT.match(str(exc)):
             assert not text[exc.position].isspace()

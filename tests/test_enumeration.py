@@ -91,6 +91,20 @@ class TestStream:
         with pytest.raises(BudgetError, match="no n fits"):
             distribution(2, 1, 0, "circular", budget=0)
 
+    @pytest.mark.parametrize("ell,n", [(0, 3), (-1, 0), (2, -1)])
+    def test_bad_sizes_named_as_given(self, ell, n):
+        calls = [
+            lambda: distribution(ell, n, 0, "circular"),
+            lambda: distribution_matrix(ell, n, "circular"),
+            lambda: bounded_matrix(ell, n),
+            lambda: family_counts(ell, n, "isolated"),
+            lambda: list(enumerate_group(ell, n)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"need ell >= 1 and n >= 0, got ell={ell}, n={n}"
+
     @pytest.mark.parametrize("n", [3000, 10**20])
     def test_budget_checked_before_sizing_huge_groups(self, n):
         """A group far over the budget is refused without computing its size
