@@ -1,7 +1,8 @@
 """Command-line surface: tables, statistic counts, bijections, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
-budget exceeded, 4 domain error (input outside a bijection's domain).  The
+budget exceeded, 4 domain error (input outside a bijection's domain), 141
+stdout closed by its reader (128 + SIGPIPE, as a shell reports it).  The
 environment variable ``WREATH_EULER_BUDGET`` overrides the default element
 budget; an explicit ``--budget`` flag wins over both.
 """
@@ -68,11 +69,11 @@ def _resolve_budget(args) -> int | None:
 
 def _cmd_table(args) -> int:
     table = build_table(args.colors, args.max_n, args.flavor)
+    write = sys.stdout.write  # one write per row; the triangle is never one string
     if args.format == "csv":
-        print("n,m,value")
-        for n in range(args.max_n + 1):
-            for m in range(n + 1):
-                print(f"{n},{m},{table.entry(n, m)}")
+        write("n,m,value\n")
+        for n, row in enumerate(table.rows):
+            write("".join(f"{n},{m},{value}\n" for m, value in enumerate(row)))
     elif args.format == "json":
         print(
             json.dumps(
@@ -84,8 +85,8 @@ def _cmd_table(args) -> int:
             )
         )
     else:
-        for n in range(args.max_n + 1):
-            print(f"n={n}: " + " ".join(str(v) for v in table.row(n)))
+        for n, row in enumerate(table.rows):
+            write(f"n={n}: {' '.join(map(str, row))}\n")
     return 0
 
 
@@ -266,7 +267,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (say ``| head``).  Point stdout at devnull
+        # so the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

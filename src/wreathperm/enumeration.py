@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, islice, product, repeat, starmap
@@ -293,6 +292,10 @@ def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int | None) -
         (fold, ell, n, kernel, start, stop)
         for start, stop in partition_bounds(size, workers)
     ]
+    # Imported here, so a process that never starts a pool never loads
+    # concurrent.futures or multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, tasks))
 
@@ -521,8 +524,9 @@ def verify_suite(
     results: list[CheckResult] = []
     for name in names:
         if name == "rec":
-            for ell in range(1, max_ell + 1):
-                results.extend(check_recurrences(ell, max(2, max_n)))
+            if max_n >= 2:  # the identities reach back two rows
+                for ell in range(1, max_ell + 1):
+                    results.extend(check_recurrences(ell, max_n))
             continue
         run, first, shrink = _ENUM_SUITES[name]
         for ell in range(1, max_ell + 1):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 from .reporting import CheckResult, check_result, first_mismatch
 
@@ -101,25 +101,23 @@ def derangement_number(ell: int, n: int) -> int:
 def egf_coefficient(ell: int, m: int, n: int) -> int:
     """``n! * [u^n]`` of ``ell^m m! exp(-u) / (1 - ell*u)^(m+1)``.
 
-    Evaluated by exact rational series arithmetic: the geometric series is
-    raised to the ``(m+1)``-st power by repeated convolution and multiplied
-    against the truncated exponential.  Equals the ``g`` entry at
-    ``(n + m, m)``.
+    Evaluated by exact integer series arithmetic: each of the ``m + 1``
+    factors ``1/(1 - ell*u)`` is the prefix recurrence
+    ``power[c] += ell * power[c-1]``, and ``n! * [u^n]`` of the product with
+    ``exp(-u)`` is ``sum_a (-1)^a * n!/a! * power[n-a]``, integral term by
+    term.  Equals the ``g`` entry at ``(n + m, m)``.
     """
     if m < 0 or n < 0:
         raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
-    geom = [ell**b for b in range(n + 1)]
     power = [1] + [0] * n
     for _ in range(m + 1):
-        power = [
-            sum(power[a] * geom[c - a] for a in range(c + 1)) for c in range(n + 1)
-        ]
-    exp_neg = [Fraction((-1) ** a, math.factorial(a)) for a in range(n + 1)]
-    coeff = sum(exp_neg[a] * power[n - a] for a in range(n + 1))
-    value = coeff * ell**m * math.factorial(m) * math.factorial(n)
-    if value.denominator != 1:
-        raise ArithmeticError("series coefficient is not integral")
-    return int(value)
+        for c in range(1, n + 1):
+            power[c] += ell * power[c - 1]
+    fact_n = math.factorial(n)
+    coeff = sum(
+        (-1) ** a * (fact_n // math.factorial(a)) * power[n - a] for a in range(n + 1)
+    )
+    return coeff * ell**m * math.factorial(m)
 
 
 # -- recurrence suite ---------------------------------------------------------
@@ -135,16 +133,18 @@ def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
     """
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
-    g = build_table(ell, max_n, FLAVOR_G)
-    d = build_table(ell, max_n, FLAVOR_D)
+    g = build_table(ell, max_n, FLAVOR_G).rows
+    d = build_table(ell, max_n, FLAVOR_D).rows
+    # scale[m] = ell^m * m!, one multiplication per m
+    scale = list(accumulate(range(1, max_n + 1), lambda s, m: s * ell * m, initial=1))
 
-    def term(coef, table, n, m):
-        return coef * table.entry(n, m) if coef else 0
+    def term(coef, rows, n, m):
+        return coef * rows[n][m] if coef else 0
 
     def two_prev_rows(t):
         return lambda n, m: (
-            t.entry(n, m),
-            (ell * n - 1) * t.entry(n - 1, m) + term(ell * (n - m - 1), t, n - 2, m),
+            t[n][m],
+            (ell * n - 1) * t[n - 1][m] + term(ell * (n - m - 1), t, n - 2, m),
         )
 
     two_prev = [(n, m) for n in range(2, max_n + 1) for m in range(n)]
@@ -168,54 +168,45 @@ def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
             nm,
             diag,
             lambda n, m: (
-                g.entry(n, m),
-                term(ell * (n - m), g, n - 1, m) + ell * m * g.entry(n - 1, m - 1),
+                g[n][m],
+                term(ell * (n - m), g, n - 1, m) + ell * m * g[n - 1][m - 1],
             ),
         ),
         (
             "d_rec_prev_row_diag",
             nm,
             diag,
-            lambda n, m: (
-                d.entry(n, m),
-                term(ell * (n - m), d, n - 1, m) + d.entry(n - 1, m - 1),
-            ),
+            lambda n, m: (d[n][m], term(ell * (n - m), d, n - 1, m) + d[n - 1][m - 1]),
         ),
         (
             "g_rec_three_term",
             nm,
             inner,
-            lambda n, m: (
-                g.entry(n, m),
-                ell * n * g.entry(n - 1, m) - ell * m * g.entry(n - 2, m - 1),
-            ),
+            lambda n, m: (g[n][m], ell * n * g[n - 1][m] - ell * m * g[n - 2][m - 1]),
         ),
         (
             "d_rec_three_term",
             nm,
             inner,
-            lambda n, m: (
-                d.entry(n, m) + d.entry(n - 2, m - 1),
-                ell * n * d.entry(n - 1, m),
-            ),
+            lambda n, m: (d[n][m] + d[n - 2][m - 1], ell * n * d[n - 1][m]),
         ),
         (
             "d_rec_column0_parity",
             nm,
             [(n, 0) for n in range(1, max_n + 1)],
-            lambda n, m: (d.entry(n, 0), ell * n * d.entry(n - 1, 0) + (-1) ** n),
+            lambda n, m: (d[n][0], ell * n * d[n - 1][0] + (-1) ** n),
         ),
         (
             "boundary_values",
             ("flavor", *nm),
             boundary,
-            lambda flavor, n, m: (by_flavor[flavor].entry(n, m), boundary[flavor, n, m]),
+            lambda flavor, n, m: (by_flavor[flavor][n][m], boundary[flavor, n, m]),
         ),
         (
             "g_equals_scaled_d",
             nm,
             [(n, m) for n in range(max_n + 1) for m in range(n + 1)],
-            lambda n, m: (g.entry(n, m), ell**m * math.factorial(m) * d.entry(n, m)),
+            lambda n, m: (g[n][m], scale[m] * d[n][m]),
         ),
     ]
     params = {"max_n": max_n}

@@ -1,20 +1,32 @@
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from io import StringIO
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import wreathperm
 import wreathperm.cli as cli
-from wreathperm import CheckResult
+from wreathperm import CheckResult, build_table
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _python(*args, **kwargs):
+    """Start a fresh interpreter that imports this checkout's package."""
+    src = str(Path(wreathperm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
 class TestTable:
@@ -35,6 +47,18 @@ class TestTable:
         )
         assert code == 0
         assert out.strip() == "n=0: 1"
+
+    def test_csv_and_text_render_the_rows(self, capsys):
+        rows = build_table(2, 6, "d").rows
+        csv = "n,m,value\n" + "".join(
+            f"{n},{m},{v}\n" for n, row in enumerate(rows) for m, v in enumerate(row)
+        )
+        text = "".join(
+            f"n={n}: " + " ".join(str(v) for v in row) + "\n" for n, row in enumerate(rows)
+        )
+        args = ("table", "--flavor", "d", "--colors", "2", "--max-n", "6", "--format")
+        assert run_cli(capsys, *args, "csv") == (0, csv)
+        assert run_cli(capsys, *args, "text") == (0, text)
 
     def test_json_matches_closed_form(self, capsys):
         from wreathperm import g_closed_form
@@ -354,7 +378,11 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)[0]["counterexample"] == {"k": 0, "m": 0}
 
-    @pytest.mark.parametrize("suite,colors,n_max", [("t2", "0", "2"), ("t3", "2", "1")])
+    @pytest.mark.parametrize(
+        "suite,colors,n_max",
+        [("t2", "0", "2"), ("t3", "2", "1"), ("rec", "1", "1"), ("rec", "1", "0"),
+         ("rec", "1", "-1"), ("all", "2", "-1")],
+    )
     def test_empty_range_usage_error(self, capsys, suite, colors, n_max):
         code = cli.main(
             ["verify", "--suite", suite, "--colors-max", colors, "--n-max", n_max]
@@ -372,6 +400,40 @@ class TestVerify:
             "--budget", "1000",
         )
         assert code == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--flavor", "g", "--colors", "3", "--max-n", "200", "--format", "csv"],
+        # a report far larger than a pipe's buffer
+        ["verify", "--suite", "rec", "--colors-max", "200", "--n-max", "20"],
+    ],
+    ids=("table", "verify"),
+)
+def test_closed_stdout_exits_quietly(args):
+    """A reader that stops after one line (like ``| head -n 1``) leaves no
+    traceback, and the exit code is 141 (128 + SIGPIPE)."""
+    proc = _python("-m", "wreathperm.cli", *args, stdout=subprocess.PIPE,
+                   stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_no_pool_module_without_a_pool():
+    """Importing the CLI and printing a table loads no process-pool module."""
+    code = (
+        "import sys, wreathperm.cli as cli\n"
+        "cli.main(['table', '--flavor', 'g', '--colors', '2', '--max-n', '5'])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    out, _ = _python("-c", code, stdout=subprocess.PIPE).communicate(timeout=60)
+    assert out.decode().splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from wreathperm import (
     derangement_number,
     egf_coefficient,
     g_closed_form,
+    tables,
 )
 
 # frozen low-order triangles for one and two colors
@@ -148,14 +150,25 @@ class TestEgf:
                 assert egf_coefficient(ell, m, 0) == ell**m * math.factorial(m)
 
     def test_three_routes_agree(self):
-        for ell in range(1, 5):
-            table = build_table(ell, 12, "g")
-            for m in range(13):
-                for n in range(13 - m):
+        # every n + m <= 40 at ell <= 3 (perfbench's closed-form range), and
+        # n + m <= 12 at ell = 4
+        for ell, top in ((1, 40), (2, 40), (3, 40), (4, 12)):
+            table = build_table(ell, top, "g")
+            for m in range(top + 1):
+                for n in range(top + 1 - m):
                     value = egf_coefficient(ell, m, n)
                     assert value == table.entry(n + m, m)
                     assert value == _egf_double_sum(ell, m, n)
                     assert value == _egf_bivariate(ell, m, n)
+
+
+class _NoWrap(tuple):
+    """A tuple that raises IndexError on a negative index."""
+
+    def __getitem__(self, index):
+        if index < 0:
+            raise IndexError(f"negative index {index}")
+        return super().__getitem__(index)
 
 
 class TestRecurrences:
@@ -177,6 +190,24 @@ class TestRecurrences:
             for n in range(21):
                 for m in range(n + 1):
                     assert g.entry(n, m) == ell**m * math.factorial(m) * d.entry(n, m)
+
+    def test_reads_no_negative_index(self, monkeypatch):
+        """Rows are read directly, so a negative index would wrap around to
+        the far end of a row instead of failing; rows that refuse one give
+        the same results."""
+        expected = {
+            (ell, n): check_recurrences(ell, n) for ell in (1, 2, 3) for n in range(2, 9)
+        }
+        real = tables.build_table
+
+        def strict(*args):
+            table = real(*args)
+            rows = _NoWrap(_NoWrap(row) for row in table.rows)
+            return dataclasses.replace(table, rows=rows)
+
+        monkeypatch.setattr(tables, "build_table", strict)
+        for (ell, n), results in expected.items():
+            assert check_recurrences(ell, n) == results
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
