@@ -1,10 +1,11 @@
 """Command-line surface: tables, statistic counts, bijections, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
-budget exceeded, 4 domain error (input outside a bijection's domain), 141
-stdout closed by its reader (128 + SIGPIPE, as a shell reports it).  The
-environment variable ``WREATH_EULER_BUDGET`` overrides the default element
-budget; an explicit ``--budget`` flag wins over both.
+budget or table size limit exceeded, 4 domain error (input outside a
+bijection's domain), 141 stdout closed by its reader (128 + SIGPIPE, as a
+shell reports it).  The environment variable ``WREATH_EULER_BUDGET``
+overrides the default element budget; an explicit ``--budget`` flag wins over
+both.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import bijections as bij
 from .enumeration import (
     SUITES,
     BudgetError,
+    check_table_size,
     distribution,
     verify_suite,
 )
@@ -68,6 +70,7 @@ def _resolve_budget(args) -> int | None:
 
 
 def _cmd_table(args) -> int:
+    check_table_size(args.colors, args.max_n)
     table = build_table(args.colors, args.max_n, args.flavor)
     write = sys.stdout.write  # one write per row; the triangle is never one string
     if args.format == "csv":

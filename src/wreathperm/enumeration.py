@@ -7,7 +7,8 @@ cut into contiguous index ranges, so counting reductions parallelize with an
 exact integer merge and identical results at any worker count.
 
 A budget guard refuses group sizes above ``DEFAULT_BUDGET`` elements unless a
-larger budget is passed explicitly.
+larger budget is passed explicitly, and ``check_table_size`` refuses a
+difference table above ``TABLE_BIT_LIMIT`` bits.
 """
 
 from __future__ import annotations
@@ -17,22 +18,16 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice, product, repeat, starmap
+from itertools import accumulate, count, islice, product
 from typing import Iterator
 
-from .core import ColoredPermutation, rotate_right, sigma_cycles
+from .core import ColoredPermutation, sigma_cycles
 from .reporting import CheckResult, check_result, first_mismatch
-from .statistics import (
-    CIRCULAR,
-    LINEAR,
-    SKEW_LINEAR,
-    circular_pairs,
-    linear_pairs,
-    skew_linear_pairs,
-)
+from .statistics import CIRCULAR, LINEAR, SKEW_LINEAR
 from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
 
 DEFAULT_BUDGET = 100_000_000
+TABLE_BIT_LIMIT = 2**33
 
 # Below this many elements a parallel run is pure overhead; counts merge
 # exactly either way, so results do not depend on the threshold.
@@ -52,19 +47,37 @@ def group_size(ell: int, n: int) -> int:
     return ell**n * math.factorial(n)
 
 
+def _refuse_past(what: str, ell: int, name: str, n: int, fits_at, limit: str) -> None:
+    """Raise ``BudgetError`` unless ``fits_at(n)``, naming the largest ``name``
+    that fits; ``fits_at`` holds up to some size and fails from there on."""
+    fits = -1  # grows no further than n, so a huge n is never sized
+    while fits < n and fits_at(fits + 1):
+        fits += 1
+    if fits < n:
+        largest = f"the largest {name} that fits with ell={ell} is {fits}"
+        hint = largest if fits >= 0 else f"no {name} fits"
+        raise BudgetError(f"the {what} with ell={ell}, {name}={n} exceeds the {limit}; {hint}")
+
+
 def _check_budget(ell: int, n: int, budget: int | None) -> int:
     if ell < 1 or n < 0:  # the sizes given, not the first one the loop would size
         raise ValueError(f"need ell >= 1 and n >= 0, got ell={ell}, n={n}")
     limit = DEFAULT_BUDGET if budget is None else budget
-    fits = -1  # grows no further than n, so a huge n is never sized
-    while fits < n and group_size(ell, fits + 1) <= limit:
-        fits += 1
-    if fits < n:
-        hint = f"the largest n that fits with ell={ell} is {fits}" if fits >= 0 else "no n fits"
-        raise BudgetError(
-            f"the group with ell={ell}, n={n} exceeds the budget of {limit} elements; {hint}"
-        )
+    text = f"budget of {limit} elements"
+    _refuse_past("group", ell, "n", n, lambda m: group_size(ell, m) <= limit, text)
     return group_size(ell, n)
+
+
+def check_table_size(ell: int, max_n: int) -> None:
+    """Refuse, before anything is built, a difference table whose entries
+    times the bit length of ``ell^max_n * max_n!`` (a bound on every entry of
+    both flavors) exceed ``TABLE_BIT_LIMIT``."""
+
+    def fits_at(m):
+        return (m + 1) * (m + 2) // 2 * group_size(ell, m).bit_length() <= TABLE_BIT_LIMIT
+
+    limit = f"limit of {TABLE_BIT_LIMIT} bits (entries x bit length of ell^max_n * max_n!)"
+    _refuse_past("table", ell, "max_n", max_n, fits_at, limit)
 
 
 def _unrank_sigma(n: int, rank: int) -> list[int]:
@@ -124,21 +137,13 @@ def _iter_blocks(
             return
 
 
-def _iter_raw(
-    ell: int, n: int, start: int, stop: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield ``(sigma, colors)`` for the contiguous index range [start, stop)."""
-    for sigma, colorings in _iter_blocks(ell, n, start, stop):
-        yield from zip(repeat(sigma), colorings)
-
-
 def enumerate_group(
     ell: int, n: int, *, budget: int | None = None
 ) -> Iterator[ColoredPermutation]:
     """Every element exactly once, in the fixed enumeration order."""
     size = _check_budget(ell, n, budget)
-    for sigma, colors in _iter_raw(ell, n, 0, size):
-        yield ColoredPermutation(ell, sigma, colors)
+    for sigma, colorings in _iter_blocks(ell, n, 0, size):
+        yield from map(partial(ColoredPermutation, ell, sigma), colorings)
 
 
 def enumerate_range(
@@ -148,8 +153,8 @@ def enumerate_range(
     size = _check_budget(ell, n, budget)
     if not 0 <= start <= stop <= size:
         raise IndexError(f"range [{start}, {stop}) out of bounds for size {size}")
-    for sigma, colors in _iter_raw(ell, n, start, stop):
-        yield ColoredPermutation(ell, sigma, colors)
+    for sigma, colorings in _iter_blocks(ell, n, start, stop):
+        yield from map(partial(ColoredPermutation, ell, sigma), colorings)
 
 
 def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
@@ -262,10 +267,13 @@ def _tally(kernel, ell, n, start, stop) -> Counter:
 
 
 def _first_failure(check, ell, n, start, stop) -> dict | None:
-    """The counterexample of the lowest-index element that ``check`` rejects."""
-    for index, found in enumerate(starmap(check, _iter_raw(ell, n, start, stop)), start):
-        if found is not None:
-            return {"index": index, **found}
+    """The counterexample of the lowest-index element that
+    ``check(sigma)(colors)`` rejects."""
+    indices = count(start)
+    for sigma, colorings in _iter_blocks(ell, n, start, stop):
+        for found, index in zip(map(check(sigma), colorings), indices):
+            if found is not None:
+                return {"index": index, **found}
     return None
 
 
@@ -302,11 +310,6 @@ def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int | None) -
 
 def _count_keys(kernel, ell, n, jobs, budget) -> Counter:
     return sum(_map_reduce(_tally, ell, n, kernel, jobs, budget), Counter())
-
-
-def _find_failure(check, ell, n, jobs, budget) -> dict | None:
-    parts = _map_reduce(_first_failure, ell, n, check, jobs, budget)
-    return next((found for found in parts if found is not None), None)
 
 
 def distribution(
@@ -392,13 +395,13 @@ def family_counts(
 
 def _suite_t2(ell, n, jobs, budget):
     """Elements with k-successions bounded by m are counted by g[n][m], all k <= m."""
-    g = build_table(ell, n, FLAVOR_G)
+    g = build_table(ell, n, FLAVOR_G).rows
     matrix = bounded_matrix(ell, n, jobs=jobs, budget=budget)
     at_most = [list(accumulate(row)) for row in matrix]
     return first_mismatch(
         ("k", "m", "count", "expected"),
         ((k, m) for k in range(n + 1) for m in range(k, n + 1)),
-        lambda k, m: (at_most[k][m], g.entry(n, m)),
+        lambda k, m: (at_most[k][m], g[n][m]),
     )
 
 
@@ -429,12 +432,12 @@ def _suite_three_term(kind):
 
 def _suite_l45(ell, n, jobs, budget):
     """c[k][m] = C(n-k, m) * g[n-m][k] for k <= n - m."""
-    g = build_table(ell, n, FLAVOR_G)
+    g = build_table(ell, n, FLAVOR_G).rows
     matrix = distribution_matrix(ell, n, CIRCULAR, jobs=jobs, budget=budget)
     return first_mismatch(
         ("k", "m", "count", "expected"),
         ((k, m) for m in range(n + 1) for k in range(n - m + 1)),
-        lambda k, m: (matrix[k][m], math.comb(n - k, m) * g.entry(n - m, k)),
+        lambda k, m: (matrix[k][m], math.comb(n - k, m) * g[n - m][k]),
     )
 
 
@@ -442,52 +445,87 @@ def _suite_family(family):
     """m-members of ``family`` are counted by d[n][m]."""
 
     def run(ell, n, jobs, budget):
-        d = build_table(ell, n, FLAVOR_D)
+        d = build_table(ell, n, FLAVOR_D).rows
         counts = family_counts(ell, n, family, jobs=jobs, budget=budget)
         return first_mismatch(
             ("m", "count", "expected"),
             ((m,) for m in range(n + 1)),
-            lambda m: (counts[m], d.entry(n, m)),
+            lambda m: (counts[m], d[n][m]),
         )
 
     return run
 
 
-def _e22_check(ell, sigma, colors) -> dict | None:
-    p = ColoredPermutation(ell, sigma, colors)
-    expected = linear_pairs(p)
-    if p.sigma and p.colors[p.sigma[0] - 1] == 0:
-        expected |= {(p.sigma[0], p.sigma[0])}
-    got = skew_linear_pairs(p)
-    if got != expected:  # report the smallest k where the sets differ
-        return {"perm": str(p), "k": min(k for k, _ in got ^ expected)}
-    return None
+def _equal_colored(candidates):
+    """The pairs of the ``(a, b, pair)`` candidates whose value indices ``a``
+    and ``b`` carry one color; the colors end with an uncolored slot at ``-1``."""
+    return lambda colors: [pair for a, b, pair in candidates if colors[a] == colors[b]]
 
 
-def _suite_e22(ell, n, jobs, budget):
+def _skew_side(sigma):
+    """Linear pairs of the word with an uncolored ``0`` in front."""
+    word = (0,) + sigma
+    return _equal_colored([(a - 1, b - 1, (b - a, b)) for a, b in zip(word, word[1:]) if b > a])
+
+
+def _linear_side(sigma):
+    """``(v, v)`` for an uncolored first value ``v``, then the linear pairs."""
+    first = [(-1, v - 1, (v, v)) for v in sigma[:1]]
+    rises = [(a - 1, b - 1, (b - a, b)) for a, b in zip(sigma, sigma[1:]) if b > a]
+    return _equal_colored(first + rises)
+
+
+def _circular_side(sigma):
+    """Circular pairs with ``k >= 1``."""
+    return _equal_colored([(-1, v - 1, (v - i, v)) for i, v in enumerate(sigma, 1) if v > i])
+
+
+def _rotated_side(sigma):
+    """Circular pairs of the word rotated right, ``k`` raised by one, less
+    ``(L, L)`` for the last letter ``L``, which the rotation puts in front."""
+    rotated = sigma[-1:] + sigma[:-1]
+    shifted = [(-1, v - 1, (v - i + 1, v)) for i, v in enumerate(rotated, 1) if v >= i]
+    return _equal_colored([c for c in shifted if c[2] != rotated[:1] * 2])
+
+
+def _sides_check(ell, sigma, got, expected, shift):
+    """Compare two sides of an identity on each coloring of ``sigma``.  Each
+    side is built per block by its own definition (``statistics.py`` is the
+    spec), never from the other's candidates.  A failure reports the smallest
+    ``k`` (less ``shift``) where their pair sets differ."""
+
+    def found(colors):
+        padded = colors + (0,)
+        a, b = got(padded), expected(padded)
+        diff = a != b and set(a) ^ set(b)  # sides list their pairs in one order
+        if not diff:
+            return None
+        k = min(k for k, _ in diff) - shift
+        return {"perm": str(ColoredPermutation(ell, sigma, colors)), "k": k}
+
+    return found
+
+
+def _e22_check(ell, sigma):
     """Skew linear pairs equal linear pairs, plus ``(v, v)`` for an uncolored
     first value ``v``."""
-    return _find_failure(partial(_e22_check, ell), ell, n, jobs, budget)
+    return _sides_check(ell, sigma, _skew_side(sigma), _linear_side(sigma), 0)
 
 
-def _e43_check(ell, sigma, colors) -> dict | None:
-    if not sigma:
-        return None
-    p = ColoredPermutation(ell, sigma, colors)
-    expected = {(k + 1, v) for k, v in circular_pairs(rotate_right(p))}
-    last = p.sigma[-1]
-    if p.colors[last - 1] == 0:
-        expected.discard((last, last))
-    got = {(k, v) for k, v in circular_pairs(p) if k}
-    if got != expected:  # report the smallest unshifted k where the sets differ
-        return {"perm": str(p), "k": min(k for k, _ in got ^ expected) - 1}
-    return None
-
-
-def _suite_e43(ell, n, jobs, budget):
+def _e43_check(ell, sigma):
     """Raising k by one matches rotating the word right, up to the value k+1
-    of an uncolored last letter."""
-    return _find_failure(partial(_e43_check, ell), ell, n, jobs, budget)
+    of an uncolored last letter; a failure reports the unshifted k."""
+    return _sides_check(ell, sigma, _circular_side(sigma), _rotated_side(sigma), 1)
+
+
+def _suite_every_element(check):
+    """``check(ell, sigma)(colors)`` finds no counterexample in the group."""
+
+    def run(ell, n, jobs, budget):
+        parts = _map_reduce(_first_failure, ell, n, partial(check, ell), jobs, budget)
+        return next(filter(None, parts), None)
+
+    return run
 
 
 # name -> (check, first n, how far below max_n the last n stops).  The
@@ -499,8 +537,8 @@ _ENUM_SUITES = {
     "l45": (_suite_l45, 0, 0),
     "t9": (_suite_family("increasing"), 0, 0),
     "t11": (_suite_family("isolated"), 0, 0),
-    "e22": (_suite_e22, 0, 0),
-    "e43": (_suite_e43, 0, 0),
+    "e22": (_suite_every_element(_e22_check), 0, 0),
+    "e43": (_suite_every_element(_e43_check), 0, 0),
 }
 
 
@@ -524,7 +562,8 @@ def verify_suite(
     results: list[CheckResult] = []
     for name in names:
         if name == "rec":
-            if max_n >= 2:  # the identities reach back two rows
+            if max_n >= 2 and max_ell >= 1:  # the identities reach back two rows
+                check_table_size(max_ell, max_n)
                 for ell in range(1, max_ell + 1):
                     results.extend(check_recurrences(ell, max_n))
             continue

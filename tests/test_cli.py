@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 import wreathperm
 import wreathperm.cli as cli
-from wreathperm import CheckResult, build_table
+from wreathperm import CheckResult, build_table, enumeration
 
 
 def run_cli(capsys, *argv):
@@ -403,6 +403,32 @@ class TestVerify:
 
 
 @pytest.mark.parametrize(
+    "args,ell,largest",
+    [
+        (["table", "--flavor", "g", "--colors", "2", "--max-n", "5000"], 2, 1204),
+        (["table", "--flavor", "d", "--colors", "3", "--max-n", "1500"], 3, 1182),
+        (["table", "--flavor", "g", "--colors", "1", "--max-n", "9" * 20], 1, 1246),
+        (["verify", "--suite", "rec", "--colors-max", "1", "--n-max", "9" * 20], 1, 1246),
+        (["verify", "--suite", "rec", "--colors-max", "3", "--n-max", "1500"], 3, 1182),
+    ],
+)
+def test_table_over_size_limit_exit(capsys, monkeypatch, args, ell, largest):
+    """A table over the size limit is refused with exit 3 before any row is
+    built, and the message names the largest max_n that fits."""
+
+    def build_nothing(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "build_table", build_nothing)
+    monkeypatch.setattr(enumeration, "check_recurrences", build_nothing)
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: the table with ell={ell}, max_n={args[-1]} exceeds ")
+    assert err.endswith(f"; the largest max_n that fits with ell={ell} is {largest}\n")
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["table", "--flavor", "g", "--colors", "3", "--max-n", "200", "--format", "csv"],
@@ -454,14 +480,14 @@ def test_size_below_range_usage_error(capsys, args, flag):
 
 
 # Each subcommand's flags with the values drawn for them.  Every size under
-# ``count`` is guarded by its --budget, so it also gets a huge integer;
-# ``table`` sizes and the ``verify`` ranges of the rec suite have no budget,
-# so they stay small.
+# ``count`` and ``verify`` is guarded by its --budget, and every ``table`` and
+# ``rec`` size by the table size limit, so each also gets a huge integer; the
+# ``verify`` colors stay small, as the suites loop over every ell up to them.
 _SMALL = ("-1", "0", "1", "2", "3")
 _HUGE = "99999999999999999999"
 _WORDS = ("1 2 3", "2 1", "3^1 1 2", "2 1^2", "1 1", "", "(1 2)(3)", "(1^1)", "(2 1")
 _FLAGS = {
-    "table": {"--flavor": ("g", "d"), "--colors": _SMALL, "--max-n": _SMALL,
+    "table": {"--flavor": ("g", "d"), "--colors": _SMALL, "--max-n": _SMALL + (_HUGE,),
               "--format": ("csv", "json", "text")},
     "count": {"--colors": _SMALL + (_HUGE,), "--n": _SMALL + (_HUGE,),
               "--stat": ("circ", "lin", "skew"), "--k": _SMALL + (_HUGE,),
@@ -469,8 +495,8 @@ _FLAGS = {
     "bijection": {"--name": tuple(cli._BIJECTIONS), "--input": _WORDS, "--inverse": (),
                   **dict.fromkeys(("--colors", "--n", "--m", "--k", "--eps", "--alpha"),
                                   _SMALL + (_HUGE,))},
-    "verify": {"--suite": ("all", *cli.SUITES), "--colors-max": _SMALL, "--n-max": _SMALL,
-               "--jobs": _SMALL},
+    "verify": {"--suite": ("all", *cli.SUITES), "--colors-max": _SMALL,
+               "--n-max": _SMALL + (_HUGE,), "--jobs": _SMALL},
 }
 _BAD = ("x", "", "1.5", "circ", "-")  # wrong for every flag that takes a value
 

@@ -11,6 +11,7 @@ import pytest
 from wreathperm import (
     BudgetError,
     CheckResult,
+    ColoredPermutation,
     DifferenceTable,
     bounded_matrix,
     build_table,
@@ -28,6 +29,7 @@ from wreathperm import (
     partition_bounds,
     report_json,
     rotate_left,
+    rotate_right,
     skew_linear_successions,
     verify_suite,
 )
@@ -119,6 +121,21 @@ class TestStream:
             with pytest.raises(BudgetError, match=f"n={n} exceeds .* ell=2 is 2"):
                 call()
 
+    @pytest.mark.parametrize("ell,largest", [(1, 1246), (2, 1204), (3, 1182)])
+    def test_table_size_limit(self, ell, largest):
+        """The largest table that fits is the last whose entries times the
+        bit length of ell^max_n * max_n! stay within the limit."""
+
+        def bits(m):
+            return (m + 1) * (m + 2) // 2 * group_size(ell, m).bit_length()
+
+        assert bits(largest) <= enumeration.TABLE_BIT_LIMIT < bits(largest + 1)
+        enumeration.check_table_size(ell, largest)
+        for max_n in (largest + 1, 5000, 10**20):
+            match = f"max_n={max_n} exceeds .* ell={ell} is {largest}$"
+            with pytest.raises(BudgetError, match=match):
+                enumeration.check_table_size(ell, max_n)
+
     @pytest.mark.parametrize(
         "jobs,cpus,partitions,workers",
         [
@@ -202,8 +219,9 @@ def test_ranges_cut_inside_blocks(ell, n):
     ranges = list(zip(cuts[::2], cuts[1::2])) + [(size // 3, size // 3 + 1)]
     if ell > 1 and n > 0:  # some range must start inside a block
         assert any(start % ell**n for start, _ in ranges)
+    elements = [element_at(ell, n, i) for i in range(size)]  # each unranked on its own
     for name, kernel in _KERNELS.items():
-        keys = [kernel(sigma)(colors) for sigma, colors in enumeration._iter_raw(ell, n, 0, size)]
+        keys = [kernel(p.sigma)(p.colors) for p in elements]
         whole = Counter(keys)
         for parts in (1, 3, 7, 11):
             merged = Counter()
@@ -217,6 +235,27 @@ def test_ranges_cut_inside_blocks(ell, n):
             assert counts == Counter(keys[start:stop]), (name, start, stop)
 
 
+@pytest.mark.parametrize("ell,n", [(2, 3), (3, 3), (3, 4)])
+def test_first_failure_across_cut_blocks(ell, n):
+    """Folding a block check over any index range, cut inside a block or not,
+    reports the first element in the range that the check rejects."""
+    size = group_size(ell, n)
+    rng = random.Random(ell * 10 + n)
+    flagged = set(rng.sample(range(size), 5))
+    bad = {element_at(ell, n, i) for i in flagged}
+
+    def check(sigma):
+        return lambda colors: {} if ColoredPermutation(ell, sigma, colors) in bad else None
+
+    cuts = sorted(rng.randrange(size + 1) for _ in range(20))
+    ranges = [(0, size), *zip(cuts[::2], cuts[1::2])]
+    assert any(start % ell**n for start, _ in ranges)  # some range starts inside a block
+    for start, stop in ranges:
+        found = enumeration._run_task((enumeration._first_failure, ell, n, check, start, stop))
+        first = min((i for i in flagged if start <= i < stop), default=None)
+        assert found == (first if first is None else {"index": first}), (start, stop)
+
+
 def _force_pool(monkeypatch):
     monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -228,6 +267,47 @@ def _failures(suite):
     reports = [verify_suite(suite, 2, 4, jobs=jobs) for jobs in (1, 2)]
     assert reports[0] == reports[1]
     return [(r.ell, r.n, r.counterexample) for r in reports[0] if not r.passed]
+
+
+# The block-check sides that read each statistic: the side builder, the
+# element whose statistic it reads, how far it raises k, and the least k of
+# the statistic it keeps.
+_STAT_SIDES = {
+    "skew_linear_pairs": [("_skew_side", lambda p: p, 0, 0)],
+    "circular_pairs": [
+        ("_circular_side", lambda p: p, 0, 1),
+        ("_rotated_side", rotate_right, 1, 0),
+    ],
+}
+
+
+def _break_stat(monkeypatch, stat, extra):
+    """Make every block-check side that reads ``stat`` add ``extra(q)`` to the
+    pairs of ``q``, an element of a 2-color group."""
+    ells = []  # the ell of the group being checked
+    real_map_reduce = enumeration._map_reduce
+
+    def map_reduce(fold, ell, *rest):
+        ells[:] = [ell]
+        return real_map_reduce(fold, ell, *rest)
+
+    monkeypatch.setattr(enumeration, "_map_reduce", map_reduce)
+    for name, reads, shift, least in _STAT_SIDES[stat]:
+
+        def builder(sigma, real=getattr(enumeration, name), reads=reads, shift=shift,
+                    least=least):
+            side = real(sigma)
+
+            def pairs(padded):  # the colors, then an uncolored slot
+                found = side(padded)
+                if ells != [2] or not sigma:
+                    return found
+                q = reads(ColoredPermutation(2, sigma, padded[:-1]))
+                return found + [(k + shift, v) for k, v in extra(q) if k >= least]
+
+            return pairs
+
+        monkeypatch.setattr(enumeration, name, builder)
 
 
 @pytest.mark.parametrize(
@@ -246,16 +326,12 @@ def test_counterexample_independent_of_jobs(
     (384 elements, split in two partitions) is reported at its smallest
     failing index whatever the number of workers."""
     bad = {element_at(2, 4, i) for i in bad_indices}
-    real = getattr(enumeration, stat)
 
-    def broken(p):
-        found = real(p)
-        if p not in bad:
-            return found
-        return found | {(k, 0) for k in range(first_k, p.n + 1)}  # every k broken
+    def extra(q):  # every k broken
+        return [(k, 0) for k in range(first_k, q.n + 1)] if q in bad else []
 
     _force_pool(monkeypatch)
-    monkeypatch.setattr(enumeration, stat, broken)
+    _break_stat(monkeypatch, stat, extra)
     # e43 also sees a broken set when the rotated word is a bad element
     failing = bad | {rotate_left(q) for q in bad} if suite == "e43" else bad
     index = min(i for i, p in enumerate(group(2, 4)) if p in failing)
@@ -276,15 +352,38 @@ def test_counterexample_reports_smallest_failing_k(
     """A pair set broken at one k only is reported at that k, not at the
     first k the suite compares."""
     bad = element_at(2, 4, 256)  # 3 4 1 2; its left rotation comes later
-    real = getattr(enumeration, stat)
-
-    def broken(p):
-        return real(p) | {(broken_k, 0)} if p == bad else real(p)
 
     _force_pool(monkeypatch)
-    monkeypatch.setattr(enumeration, stat, broken)
+    _break_stat(monkeypatch, stat, lambda q: [(broken_k, 0)] if q == bad else [])
     expected = {"index": 256, "perm": str(bad), "k": reported_k}
     assert _failures(suite) == [(2, 4, expected)]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("n", range(6))
+def test_block_check_sides_match_spec(ell, n):
+    """Each side of the e22 and e43 block checks gives every element, each
+    pair once, the pairs that ``statistics.py`` states for that side."""
+    names = ("_skew_side", "_linear_side", "_circular_side", "_rotated_side")
+    for sigma, block in groupby(group(ell, n), attrgetter("sigma")):
+        sides = {name: getattr(enumeration, name)(sigma) for name in names}
+        for p in block:
+            first = {(v, v) for v in p.sigma[:1] if not p.colors[v - 1]}
+            rotated = set()
+            if n:
+                last = p.sigma[-1]
+                rotated = {(k + 1, v) for k, v in circular_pairs(rotate_right(p))}
+                rotated.discard((last, last))
+            spec = {
+                "_skew_side": skew_linear_pairs(p),
+                "_linear_side": linear_pairs(p) | first,
+                "_circular_side": {(k, v) for k, v in circular_pairs(p) if k},
+                "_rotated_side": rotated,
+            }
+            for name, expected in spec.items():
+                pairs = sides[name](p.colors + (0,))
+                assert len(set(pairs)) == len(pairs), (name, str(p))
+                assert set(pairs) == expected, (name, str(p))
 
 
 def _bumped(value, cell):
