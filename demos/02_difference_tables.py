@@ -17,11 +17,11 @@ for ell in (1, 2):
     print(f"g table, {ell} color(s):")
     table = build_table(ell, 5, "g")
     for n in range(6):
-        print(f"  n={n}:", *table.row(n))
+        print(f"  n={n}:", *table.rows[n])
     print()
 
 d2 = build_table(2, 5, "d")
-print("d table, 2 colors, row 5:", *d2.row(5))
+print("d table, 2 colors, row 5:", *d2.rows[5])
 print()
 
 print("three routes to the same numbers (2 colors):")

@@ -15,7 +15,7 @@ from wreathperm import (
     foata,
     format_cycles,
     isolated_to_increasing,
-    linear_successions,
+    linear_pairs,
     parse_cycles,
     parse_one_line,
     remove_max_succession,
@@ -30,7 +30,8 @@ image = colored_foata(pi)
 print("colored cycles-to-word on", pi)
 print("  image:", image)
 print("  2-circular successions of the source:", tuple(sorted(circular_successions(pi, 2))))
-print("  2-linear successions of the image:  ", tuple(sorted(linear_successions(image, 2))))
+print("  2-linear successions of the image:  ",
+      tuple(sorted(v for k, v in linear_pairs(image) if k == 2)))
 print("  inverse restores the source:", colored_foata_inverse(image) == pi)
 print()
 

@@ -25,10 +25,7 @@ from .statistics import (
     is_increasing_fixed,
     is_isolated_fixed,
     linear_pairs,
-    linear_successions,
     skew_linear_pairs,
-    skew_linear_successions,
-    successions_bounded,
 )
 from .tables import (
     DifferenceTable,
@@ -43,7 +40,6 @@ from .tables import (
 from .bijections import (
     ClassSignature,
     SuccessionDecomposition,
-    all_transpositions,
     class_core,
     class_representative,
     class_signature,
@@ -68,7 +64,6 @@ from .bijections import (
 )
 from .enumeration import (
     BudgetError,
-    CountDistribution,
     DEFAULT_BUDGET,
     bounded_matrix,
     distribution,

@@ -452,16 +452,6 @@ def isolate_inverse(
     return ColoredPermutation(p2.ell, tuple(sigma), tuple(colors))
 
 
-def all_transpositions(ell: int, n: int) -> ColoredPermutation:
-    """The uncolored product ``(1 2)(3 4)...(n-1 n)``; ``n`` must be even."""
-    if n % 2:
-        raise ValueError(f"defined only for even n, got {n}")
-    sigma = []
-    for t in range(1, n, 2):
-        sigma += [t + 1, t]
-    return ColoredPermutation(ell, tuple(sigma), (0,) * n)
-
-
 def _first_free_pair(p: ColoredPermutation) -> int:
     """Smallest odd ``t`` such that ``(t, t+1)`` is not an uncolored 2-cycle."""
     t = 1

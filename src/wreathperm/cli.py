@@ -94,12 +94,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    kind = _STATS[args.stat]
-    dist = distribution(
+    counts = distribution(
         args.colors,
         args.n,
         args.k,
-        kind,
+        _STATS[args.stat],
         jobs=args.jobs,
         budget=_resolve_budget(args),
     )
@@ -107,16 +106,16 @@ def _cmd_count(args) -> int:
         print(
             json.dumps(
                 {
-                    "ell": dist.ell,
-                    "n": dist.n,
-                    "k": dist.k,
+                    "ell": args.colors,
+                    "n": args.n,
+                    "k": args.k,
                     "stat": args.stat,
-                    "counts": list(dist.counts),
+                    "counts": list(counts),
                 }
             )
         )
     else:
-        print(" ".join(str(c) for c in dist.counts))
+        print(" ".join(str(c) for c in counts))
     return 0
 
 

@@ -98,10 +98,6 @@ class ColoredPermutation:
 
     # -- elementary access ------------------------------------------------
 
-    def color_of(self, value: int) -> int:
-        """Color exponent carried by ``value``."""
-        return self.colors[value - 1]
-
     def image(self, i: int) -> ColoredSymbol:
         """One-line letter at position ``i`` (1-based)."""
         v = self.sigma[i - 1]
@@ -145,9 +141,6 @@ class ColoredPermutation:
             (-self.colors[self.sigma[v] - 1]) % self.ell for v in range(self.n)
         )
         return ColoredPermutation(self.ell, inv, colors)
-
-    def __invert__(self) -> "ColoredPermutation":
-        return self.inverse()
 
     # -- cycle form ---------------------------------------------------------
 
@@ -241,7 +234,7 @@ def canonical_cycles(sigma: Sequence[int]) -> list[list[int]]:
 def rotate_right(p: ColoredPermutation) -> ColoredPermutation:
     """Rotate the one-line word right: ``w1..wn`` becomes ``wn w1..w(n-1)``."""
     if p.n == 0:
-        raise ValueError("cannot rotate the empty permutation")
+        raise DomainError("cannot rotate the empty permutation")
     sigma = (p.sigma[-1],) + p.sigma[:-1]
     return ColoredPermutation(p.ell, sigma, p.colors)
 
@@ -249,7 +242,7 @@ def rotate_right(p: ColoredPermutation) -> ColoredPermutation:
 def rotate_left(p: ColoredPermutation) -> ColoredPermutation:
     """Rotate the one-line word left: ``w1..wn`` becomes ``w2..wn w1``."""
     if p.n == 0:
-        raise ValueError("cannot rotate the empty permutation")
+        raise DomainError("cannot rotate the empty permutation")
     sigma = p.sigma[1:] + (p.sigma[0],)
     return ColoredPermutation(p.ell, sigma, p.colors)
 

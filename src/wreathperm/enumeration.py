@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, count, islice, product
 from typing import Iterator
@@ -168,22 +167,6 @@ def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
 # -- counting reductions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountDistribution:
-    """Exact counts of elements by statistic value: ``counts[m]`` elements
-    carry exactly ``m`` successions of the given kind."""
-
-    ell: int
-    n: int
-    k: int
-    kind: str
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.counts) != group_size(self.ell, self.n):
-            raise ValueError("distribution does not cover the whole group")
-
-
 # A kernel reads one underlying permutation ``sigma`` once and returns the key
 # function of its colorings: everything that depends on ``sigma`` alone is
 # worked out per block, and the returned function reads the colors of every
@@ -309,7 +292,11 @@ def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int | None) -
 
 
 def _count_keys(kernel, ell, n, jobs, budget) -> Counter:
-    return sum(_map_reduce(_tally, ell, n, kernel, jobs, budget), Counter())
+    """Merge the keys of every partition; they must count the whole group."""
+    keys = sum(_map_reduce(_tally, ell, n, kernel, jobs, budget), Counter())
+    if keys.total() != group_size(ell, n):
+        raise ValueError("distribution does not cover the whole group")
+    return keys
 
 
 def distribution(
@@ -320,8 +307,9 @@ def distribution(
     *,
     jobs: int = 1,
     budget: int | None = None,
-) -> CountDistribution:
-    """Exact distribution of one succession statistic over the whole group."""
+) -> tuple[int, ...]:
+    """Exact distribution of one succession statistic over the whole group:
+    ``counts[m]`` elements carry exactly ``m`` k-successions of ``kind``."""
     if kind not in _SUCCESSION_KERNELS:
         raise ValueError(f"unknown statistic kind {kind!r}")
     if kind == CIRCULAR and k < 0:
@@ -329,10 +317,8 @@ def distribution(
     if kind != CIRCULAR and k < 1:
         raise ValueError(f"{kind} statistic needs k >= 1, got {k}")
     if k > n:  # no k-successions at all
-        counts = (_check_budget(ell, n, budget),) + (0,) * n
-    else:
-        counts = distribution_matrix(ell, n, kind, jobs=jobs, budget=budget)[k]
-    return CountDistribution(ell, n, k, kind, counts)
+        return (_check_budget(ell, n, budget),) + (0,) * n
+    return distribution_matrix(ell, n, kind, jobs=jobs, budget=budget)[k]
 
 
 def distribution_matrix(
@@ -559,6 +545,11 @@ def verify_suite(
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     names = list(SUITES) if suite == "all" else [suite]
+    enumerated = [_ENUM_SUITES[name] for name in names if name != "rec"]
+    # group_size grows with ell and n, so sizing the largest group first
+    # refuses an over-budget range before anything is enumerated.
+    if max_ell >= 1 and any(first <= max_n - shrink for _, first, shrink in enumerated):
+        _check_budget(max_ell, max_n, budget)
     results: list[CheckResult] = []
     for name in names:
         if name == "rec":

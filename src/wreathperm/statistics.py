@@ -11,7 +11,7 @@ Each kind of succession is one rule over every ``k`` at once, stated as a
 * ``skew linear``: linear on the word with an uncolored ``0`` in front, so an
   uncolored first value ``v`` is also a ``v``-succession.
 
-The per-k functions filter those pairs and return the set of values.
+``circular_successions`` filters the circular pairs at one ``k``.
 """
 
 from __future__ import annotations
@@ -64,27 +64,6 @@ def linear_pairs(p: ColoredPermutation) -> frozenset[tuple[int, int]]:
 def skew_linear_pairs(p: ColoredPermutation) -> frozenset[tuple[int, int]]:
     """Linear pairs of the word with an uncolored ``0`` in front."""
     return _linear_pairs((0,) + p.sigma, (0,) + p.colors)
-
-
-def linear_successions(p: ColoredPermutation, k: int) -> frozenset[int]:
-    """Values at positions ``i >= 2`` equal to the previous letter plus ``k``."""
-    if k < 1:
-        raise ValueError(f"linear successions are defined only for k >= 1, got {k}")
-    return frozenset(v for j, v in linear_pairs(p) if j == k)
-
-
-def skew_linear_successions(p: ColoredPermutation, k: int) -> frozenset[int]:
-    """Linear successions of the word with an uncolored ``0`` in front."""
-    if k < 1:
-        raise ValueError(f"skew linear successions are defined only for k >= 1, got {k}")
-    return frozenset(v for j, v in skew_linear_pairs(p) if j == k)
-
-
-def successions_bounded(p: ColoredPermutation, m: int, k: int) -> bool:
-    """True iff every k-circular succession value is at most ``m``; needs ``k <= m``."""
-    if not 0 <= k <= m <= p.n:
-        raise ValueError(f"need 0 <= k <= m <= n, got k={k}, m={m}, n={p.n}")
-    return all(v <= m for v in circular_successions(p, k))
 
 
 def is_increasing_fixed(p: ColoredPermutation, m: int) -> bool:

@@ -45,9 +45,6 @@ class DifferenceTable:
             raise ValueError(f"entry ({n}, {m}) outside triangle of size {self.max_n}")
         return self.rows[n][m]
 
-    def row(self, n: int) -> tuple[int, ...]:
-        return self.rows[n]
-
 
 def build_table(ell: int, max_n: int, flavor: str) -> DifferenceTable:
     """Build a full triangle by the defining recurrence."""

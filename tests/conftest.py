@@ -11,6 +11,11 @@ def group(ell: int, n: int) -> tuple[ColoredPermutation, ...]:
     return tuple(enumerate_group(ell, n))
 
 
+def at_k(pairs, k: int) -> tuple[int, ...]:
+    """The sorted values of the ``(k, value)`` pairs at one ``k``."""
+    return tuple(sorted(v for j, v in pairs if j == k))
+
+
 @st.composite
 def colored_perms(draw, max_ell=4, max_n=6, min_n=0):
     ell = draw(st.integers(1, max_ell))

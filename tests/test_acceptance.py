@@ -21,6 +21,7 @@ from wreathperm import (
     build_table,
     bounded_matrix,
     check_recurrences,
+    circular_pairs,
     circular_successions,
     colored_foata,
     colored_foata_inverse,
@@ -44,12 +45,12 @@ from wreathperm import (
     isolated_insert,
     isolated_remove,
     isolated_to_increasing,
-    linear_successions,
+    linear_pairs,
     parse_cycles,
     parse_one_line,
     remove_max_succession,
     rotate_right,
-    skew_linear_successions,
+    skew_linear_pairs,
     succession_compose,
     succession_decompose,
 )
@@ -168,18 +169,10 @@ def _roundtrip_colored_foata():
             for p in group(ell, n):
                 out = colored_foata(p)
                 assert colored_foata_inverse(out) == p
-                for k in range(1, n + 1):
-                    assert (
-                        circular_successions(p, k)
-                        == linear_successions(out, k)
-                    )
+                assert {(k, v) for k, v in circular_pairs(p) if k} == linear_pairs(out)
                 if n:
-                    rot = rotate_right(p)
-                    for k in range(n + 1):
-                        assert (
-                            circular_successions(rot, k)
-                            == skew_linear_successions(out, k + 1)
-                        )
+                    shifted = {(k + 1, v) for k, v in circular_pairs(rotate_right(p))}
+                    assert shifted == skew_linear_pairs(out)
 
 
 def _roundtrip_max_succession():

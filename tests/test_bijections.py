@@ -10,8 +10,8 @@ from wreathperm import bijections
 from wreathperm import (
     ColoredPermutation,
     DomainError,
-    all_transpositions,
     build_table,
+    circular_pairs,
     circular_successions,
     class_core,
     class_representative,
@@ -33,19 +33,24 @@ from wreathperm import (
     isolated_insert,
     isolated_remove,
     isolated_to_increasing,
-    linear_successions,
+    linear_pairs,
     parse_cycles,
     parse_one_line,
     prefix_action,
     remove_max_succession,
     rotate_right,
     signature_insert,
-    skew_linear_successions,
+    skew_linear_pairs,
     succession_compose,
     succession_decompose,
 )
 
-from conftest import colored_perms, group
+from conftest import at_k, colored_perms, group
+
+
+def all_two_cycles(ell, n):
+    """The uncolored product ``(1 2)(3 4)...(n-1 n)`` for even ``n``."""
+    return parse_cycles("".join(f"({t} {t + 1})" for t in range(1, n, 2)), ell, n)
 
 
 def members(ell, n, predicate, *args):
@@ -140,7 +145,7 @@ class TestColoredFoata:
         out = colored_foata(p)
         assert str(out) == "1^2 3^3 9 2^2 4^2 8^3 6 5^1 7^1"
         assert colored_foata_inverse(out) == p
-        assert tuple(sorted(skew_linear_successions(out, 2))) == (4, 7)
+        assert at_k(skew_linear_pairs(out), 2) == (4, 7)
 
     def test_identity_image(self):
         for ell, n in [(1, 5), (3, 4)]:
@@ -153,17 +158,10 @@ class TestColoredFoata:
             for p in group(ell, n):
                 out = colored_foata(p)
                 assert colored_foata_inverse(out) == p
-                for k in range(n + 2):
-                    if k >= 1:
-                        assert circular_successions(p, k) == (
-                            linear_successions(out, k)
-                        )
+                assert {(k, v) for k, v in circular_pairs(p) if k} == linear_pairs(out)
                 if n >= 1:
-                    rot = rotate_right(p)
-                    for k in range(n + 1):
-                        assert circular_successions(rot, k) == (
-                            skew_linear_successions(out, k + 1)
-                        )
+                    shifted = {(k + 1, v) for k, v in circular_pairs(rotate_right(p))}
+                    assert shifted == skew_linear_pairs(out)
 
     def test_single_color_matches_plain(self):
         for p in group(1, 5):
@@ -511,7 +509,7 @@ class TestDerangementInsertion:
                     assert derangement_remove(out) == (eps, k, p)
                 target = {q for q in group(ell, n) if is_derangement(q)}
                 if n % 2 == 0:
-                    target.discard(all_transpositions(ell, n))
+                    target.discard(all_two_cycles(ell, n))
                     assert excluded == 0
                 else:
                     assert excluded == 1
@@ -522,9 +520,9 @@ class TestDerangementInsertion:
         for ell, n in itertools.product((1, 2, 3), range(1, 7)):
             with pytest.raises(DomainError) as exc:
                 if n % 2:
-                    derangement_insert(0, n, all_transpositions(ell, n - 1))
+                    derangement_insert(0, n, all_two_cycles(ell, n - 1))
                 else:
-                    derangement_remove(all_transpositions(ell, n))
+                    derangement_remove(all_two_cycles(ell, n))
             messages.add(str(exc.value))
         assert messages == {
             "excluded: the all-2-cycles derangement, as an image or with color 0 at anchor n"

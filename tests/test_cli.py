@@ -345,6 +345,12 @@ class TestBijection:
         assert code == 4
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("way", [[], ["--inverse"]])
+    def test_delta_on_empty_element_is_domain_error(self, capsys, way):
+        code = cli.main(["bijection", "--name", "delta", "--input", "", *way])
+        assert code == 4
+        assert capsys.readouterr().err == "error: cannot rotate the empty permutation\n"
+
 
 class TestVerify:
     def test_small_all_suite(self, capsys):
@@ -400,6 +406,31 @@ class TestVerify:
             "--budget", "1000",
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "suite,n_max,budget,expected",
+        [("t2", "12", "1000000", 3), ("rec", "2", "0", 0), ("t3", "1", "0", 2),
+         ("all", "1", "0", 3)],
+    )
+    def test_range_sized_before_enumerating(
+        self, capsys, monkeypatch, suite, n_max, budget, expected
+    ):
+        """The largest group of the range is sized first: a range that ends
+        over the budget enumerates nothing, and the others keep their codes."""
+
+        def enumerate_nothing(*args):
+            raise AssertionError("enumerated a group")
+
+        monkeypatch.setattr(enumeration, "_map_reduce", enumerate_nothing)
+        argv = ["verify", "--suite", suite, "--colors-max", "1", "--n-max", n_max]
+        assert cli.main([*argv, "--budget", budget]) == expected
+        if suite == "t2":
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                "error: the group with ell=1, n=12 exceeds the budget of 1000000"
+                " elements; the largest n that fits with ell=1 is 9\n"
+            )
 
 
 @pytest.mark.parametrize(

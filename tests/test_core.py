@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from wreathperm import (
     ColoredPermutation,
     ColoredSymbol,
+    DomainError,
     ParseError,
     format_cycles,
     format_one_line,
@@ -153,7 +154,7 @@ class TestCycles:
 class TestText:
     def test_parse_fixture(self, big):
         assert big.sigma == BIG_SIGMA
-        assert {v: big.color_of(v) for v in range(1, 12)} == BIG_COLORS
+        assert {v: big.colors[v - 1] for v in range(1, 12)} == BIG_COLORS
         assert format_one_line(big) == BIG_ONE_LINE
 
     def test_format_identity(self):
@@ -276,8 +277,9 @@ class TestRotations:
             assert q == p
 
     def test_empty_rotation(self):
-        with pytest.raises(ValueError):
-            rotate_right(ColoredPermutation.identity(1, 0))
+        for rotate in (rotate_right, rotate_left):
+            with pytest.raises(DomainError):
+                rotate(ColoredPermutation.identity(1, 0))
 
 
 @given(colored_perms())

@@ -25,18 +25,16 @@ from wreathperm import (
     group_size,
     is_increasing_fixed,
     is_isolated_fixed,
-    linear_successions,
     partition_bounds,
     report_json,
     rotate_left,
     rotate_right,
-    skew_linear_successions,
     verify_suite,
 )
 from wreathperm import circular_pairs, enumeration, linear_pairs, skew_linear_pairs
 from wreathperm import tables
 
-from conftest import group
+from conftest import at_k, group
 
 
 class TestStream:
@@ -164,8 +162,8 @@ def _spec_histograms(ell, n):
             matrices["circular"][k][len(circ)] += 1
             bounded[k][max(circ, default=0)] += 1
             if k:
-                matrices["linear"][k][len(linear_successions(p, k))] += 1
-                matrices["skewLinear"][k][len(skew_linear_successions(p, k))] += 1
+                matrices["linear"][k][len(at_k(linear_pairs(p), k))] += 1
+                matrices["skewLinear"][k][len(at_k(skew_linear_pairs(p), k))] += 1
         for m in range(width):
             families["increasing"][m] += is_increasing_fixed(p, m)
             families["isolated"][m] += is_isolated_fixed(p, m)
@@ -506,39 +504,30 @@ def test_recurrence_counterexample(monkeypatch, args, cell, expected):
 
 class TestDistribution:
     def test_fixed_point_counts(self):
-        dist = distribution(2, 2, 0, "circular")
-        assert dist.counts == (5, 2, 1)
+        assert distribution(2, 2, 0, "circular") == (5, 2, 1)
 
     def test_derangement_entry(self):
-        assert distribution(2, 3, 0, "circular").counts[0] == 29
-        assert distribution(1, 5, 0, "circular").counts[0] == 44
+        assert distribution(2, 3, 0, "circular")[0] == 29
+        assert distribution(1, 5, 0, "circular")[0] == 44
 
     def test_only_identity_fully_fixed(self):
         for ell, n in [(1, 4), (2, 3), (3, 3)]:
-            assert distribution(ell, n, 0, "circular").counts[n] == 1
+            assert distribution(ell, n, 0, "circular")[n] == 1
 
     def test_large_k_vacuous(self):
-        dist = distribution(2, 3, 3, "circular")
-        assert dist.counts == (48, 0, 0, 0)
+        assert distribution(2, 3, 3, "circular") == (48, 0, 0, 0)
 
     def test_matches_per_element_sets(self):
-        for kind, stat in [
-            ("circular", circular_successions),
-            ("linear", linear_successions),
-        ]:
+        for kind, pairs in [("circular", circular_pairs), ("linear", linear_pairs)]:
             for k in (1, 2):
-                dist = distribution(2, 3, k, kind)
                 counts = [0] * 4
                 for p in group(2, 3):
-                    counts[len(stat(p, k))] += 1
-                assert dist.counts == tuple(counts)
+                    counts[len(at_k(pairs(p), k))] += 1
+                assert distribution(2, 3, k, kind) == tuple(counts)
 
     def test_circular_linear_equidistributed(self):
         for k in (1, 2, 3):
-            assert (
-                distribution(2, 3, k, "circular").counts
-                == distribution(2, 3, k, "linear").counts
-            )
+            assert distribution(2, 3, k, "circular") == distribution(2, 3, k, "linear")
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -551,7 +540,7 @@ class TestDistribution:
     def test_matrix_consistent(self):
         matrix = distribution_matrix(2, 3, "circular")
         for k in range(4):
-            assert matrix[k] == distribution(2, 3, k, "circular").counts
+            assert matrix[k] == distribution(2, 3, k, "circular")
 
     def test_succession_free_counts_are_g_entries(self):
         for ell, n in [(2, 4), (3, 3)]:
@@ -560,12 +549,31 @@ class TestDistribution:
             for k in range(n + 1):
                 assert matrix[k][0] == g.entry(n, k)
 
+    def test_counts_must_cover_the_group(self, monkeypatch):
+        tally = enumeration._tally
+
+        def drop_one(*args):
+            counts = tally(*args)
+            counts[next(iter(counts))] -= 1
+            return counts
+
+        monkeypatch.setattr(enumeration, "_tally", drop_one)
+        calls = [
+            lambda: distribution(2, 3, 1, "circular"),
+            lambda: distribution_matrix(2, 3, "linear"),
+            lambda: bounded_matrix(2, 3),
+            lambda: family_counts(2, 3, "isolated"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^distribution does not cover the whole group$"):
+                call()
+
     def test_parallel_counts_match_serial(self):
         # group is large enough to engage the worker pool
         serial = distribution(3, 5, 0, "circular", jobs=1)
         parallel = distribution(3, 5, 0, "circular", jobs=2)
         assert serial == parallel
-        assert serial.counts[0] == build_table(3, 5, "g").entry(5, 0)
+        assert serial[0] == build_table(3, 5, "g").entry(5, 0)
 
 
 class TestVerifySuite:

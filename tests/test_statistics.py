@@ -2,20 +2,20 @@ import pytest
 
 from wreathperm import (
     ColoredPermutation,
+    circular_pairs,
     circular_successions,
     fixed_points,
     is_derangement,
     is_increasing_fixed,
     is_isolated_fixed,
-    linear_successions,
+    linear_pairs,
     parse_one_line,
     rotate_left,
     rotate_right,
-    skew_linear_successions,
-    successions_bounded,
+    skew_linear_pairs,
 )
 
-from conftest import group
+from conftest import at_k, group
 
 # size-9 elements with four colors used as statistic fixtures
 CIRC_FIXTURE = "1^1 5 9^2 6^1 8 7^1 3^3 4^2 2^1"
@@ -40,7 +40,7 @@ class TestCircular:
         for p in group(3, 3):
             for k in range(4):
                 for v in circular_successions(p, k):
-                    assert p.color_of(v) == 0
+                    assert p.colors[v - 1] == 0
 
     def test_negative_k(self):
         with pytest.raises(ValueError):
@@ -50,15 +50,11 @@ class TestCircular:
 class TestLinear:
     def test_fixture(self):
         p = parse_one_line(LIN_FIXTURE, 4, 9)
-        assert tuple(sorted(linear_successions(p, 2))) == (3, 9)
+        assert at_k(linear_pairs(p), 2) == (3, 9)
 
     def test_identity(self):
         e = ColoredPermutation.identity(3, 5)
-        assert tuple(sorted(linear_successions(e, 1))) == (2, 3, 4, 5)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            linear_successions(ColoredPermutation.identity(2, 2), 0)
+        assert linear_pairs(e) == {(1, 2), (1, 3), (1, 4), (1, 5)}
 
     def test_equidistribution_with_circular(self):
         # consequence of the colored cycles-to-word transport
@@ -66,54 +62,50 @@ class TestLinear:
 
         for k in (1, 2, 3):
             circ = Counter(len(circular_successions(p, k)) for p in group(2, 3))
-            lin = Counter(len(linear_successions(p, k)) for p in group(2, 3))
+            lin = Counter(len(at_k(linear_pairs(p), k)) for p in group(2, 3))
             assert circ == lin
 
 
 class TestSkewLinear:
     def test_fixture(self):
         p = parse_one_line(SKEW_FIXTURE, 4, 9)
-        assert tuple(sorted(skew_linear_successions(p, 2))) == (4, 7)
+        assert at_k(skew_linear_pairs(p), 2) == (4, 7)
 
     def test_boundary_value_joins(self):
         p = parse_one_line("2 1 3", 1)
-        assert 2 in skew_linear_successions(p, 2)
-        assert 2 not in linear_successions(p, 2)
+        assert (2, 2) in skew_linear_pairs(p)
+        assert (2, 2) not in linear_pairs(p)
 
     def test_identity(self):
         e = ColoredPermutation.identity(2, 4)
-        assert tuple(sorted(skew_linear_successions(e, 1))) == (1, 2, 3, 4)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            skew_linear_successions(ColoredPermutation.identity(2, 2), 0)
+        assert at_k(skew_linear_pairs(e), 1) == (1, 2, 3, 4)
 
     def test_relation_to_linear_exhaustive(self):
         for ell, n in [(1, 4), (2, 4), (3, 3)]:
             for p in group(ell, n):
-                for k in range(1, n + 1):
-                    expected = set(linear_successions(p, k))
-                    if p.sigma[0] == k and p.color_of(k) == 0:
-                        expected.add(k)
-                    assert set(skew_linear_successions(p, k)) == expected
+                expected = set(linear_pairs(p))
+                if n and p.colors[p.sigma[0] - 1] == 0:
+                    expected.add((p.sigma[0], p.sigma[0]))
+                assert skew_linear_pairs(p) == expected
+
+
+def bounded(p, m, k):
+    """Every k-circular succession value of ``p`` is at most ``m``."""
+    return all(v <= m for v in at_k(circular_pairs(p), k))
 
 
 class TestBounded:
     def test_fixed_points_within_one(self):
-        found = {str(p) for p in group(2, 2) if successions_bounded(p, 1, 0)}
+        found = {str(p) for p in group(2, 2) if bounded(p, 1, 0)}
         assert found == {"2 1", "1 2^1", "2^1 1", "2 1^1", "1^1 2^1", "2^1 1^1"}
 
     def test_no_one_succession(self):
-        found = {str(p) for p in group(2, 2) if successions_bounded(p, 1, 1)}
+        found = {str(p) for p in group(2, 2) if bounded(p, 1, 1)}
         assert found == {"1 2", "1^1 2", "1 2^1", "1^1 2^1", "2^1 1", "2^1 1^1"}
 
     def test_identity_trivial(self):
         e = ColoredPermutation.identity(2, 4)
-        assert successions_bounded(e, 4, 0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            successions_bounded(ColoredPermutation.identity(2, 3), 1, 2)
+        assert bounded(e, 4, 0)
 
     def test_rotation_shifts_k(self):
         # bounded k-successions correspond to bounded (k+1)-successions of
@@ -121,9 +113,7 @@ class TestBounded:
         for p in group(2, 4):
             for m in range(5):
                 for k in range(m):
-                    assert successions_bounded(p, m, k) == successions_bounded(
-                        rotate_left(p), m, k + 1
-                    )
+                    assert bounded(p, m, k) == bounded(rotate_left(p), m, k + 1)
 
     def test_shift_set_relation(self):
         # the (k+1)-succession set equals the k-set of the right rotation,

@@ -63,8 +63,8 @@ class TestBuildTable:
         assert [list(row) for row in table.rows] == expected
 
     def test_spot_values(self):
-        assert build_table(2, 5, "g").row(3) == (29, 34, 40, 48)
-        assert build_table(2, 5, "d").row(5) == (2329, 1281, 353, 65, 9, 1)
+        assert build_table(2, 5, "g").rows[3] == (29, 34, 40, 48)
+        assert build_table(2, 5, "d").rows[5] == (2329, 1281, 353, 65, 9, 1)
         assert build_table(1, 5, "g").entry(5, 0) == 44
 
     def test_single_entry(self):
@@ -181,7 +181,7 @@ class TestRecurrences:
 
     def test_one_color_column(self):
         # the single-color d table ends in the classic difference triangle row
-        assert build_table(1, 5, "d").row(5) == (44, 53, 32, 13, 4, 1)
+        assert build_table(1, 5, "d").rows[5] == (44, 53, 32, 13, 4, 1)
 
     def test_divisibility_direct(self):
         for ell in (2, 3):
