@@ -265,9 +265,8 @@ def _parse_token(tok: str, ell: int, pos: int) -> ColoredSymbol:
     if value < 1:
         raise ParseError(f"value must be >= 1, got {value}", pos)
     if color is not None and not 1 <= color <= ell - 1:
-        raise ParseError(
-            f"color exponent {color} not in [1, {ell - 1}] for {ell} colors", pos
-        )
+        need = f"not in [1, {ell - 1}] for {ell} colors" if ell > 1 else "needs at least 2 colors"
+        raise ParseError(f"color exponent {color} {need}", pos)
     return ColoredSymbol(value, color or 0)
 
 

@@ -120,7 +120,8 @@ def _iter_blocks(
 ) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]]:
     """Yield ``(sigma, colorings)`` for each run of the index range
     [start, stop) that shares one underlying permutation; the first and last
-    run may be part of a block."""
+    run may be part of a block.  A coloring is indexed by value: ``colors[v]``
+    is the color of ``v``, and the value ``0`` in front is uncolored."""
     if stop <= start:
         return
     radix = ell**n
@@ -129,7 +130,7 @@ def _iter_blocks(
     left = stop - start
     while True:
         take = min(radix - offset, left)
-        yield tuple(sigma), islice(product(range(ell), repeat=n), offset, offset + take)
+        yield tuple(sigma), islice(product((0,), *[range(ell)] * n), offset, offset + take)
         left -= take
         offset = 0
         if not left or not _next_sigma(sigma):
@@ -142,7 +143,7 @@ def enumerate_group(
     """Every element exactly once, in the fixed enumeration order."""
     size = _check_budget(ell, n, budget)
     for sigma, colorings in _iter_blocks(ell, n, 0, size):
-        yield from map(partial(ColoredPermutation, ell, sigma), colorings)
+        yield from (ColoredPermutation(ell, sigma, colors[1:]) for colors in colorings)
 
 
 def enumerate_range(
@@ -153,7 +154,7 @@ def enumerate_range(
     if not 0 <= start <= stop <= size:
         raise IndexError(f"range [{start}, {stop}) out of bounds for size {size}")
     for sigma, colorings in _iter_blocks(ell, n, start, stop):
-        yield from map(partial(ColoredPermutation, ell, sigma), colorings)
+        yield from (ColoredPermutation(ell, sigma, colors[1:]) for colors in colorings)
 
 
 def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
@@ -176,46 +177,57 @@ def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
 # key serves every k at once.  ``statistics.py`` is the readable spec of each.
 
 
+def _circular(word, shift=0):
+    """``(v, code)`` for each value ``v`` at a position ``i <= v``: a
+    ``(v - i + shift)``-circular succession when ``v`` is uncolored."""
+    w = len(word) + 1
+    return [(v, (v - i + shift) * w + v) for i, v in enumerate(word, 1) if v >= i]
+
+
+def _rises(word, w):
+    """``(a, b, code)`` for each adjacent ``a, b`` with ``b > a``: a
+    ``(b - a)``-linear succession of value ``b`` when ``a`` and ``b`` share a
+    color; ``w`` is the code's radix, ``n + 1`` also for a longer word."""
+    return [(a, b, (b - a) * w + b) for a, b in zip(word, word[1:]) if b > a]
+
+
+def _uncolored(candidates):
+    """Key the ``(v, code)`` candidates: the codes of the uncolored ``v``."""
+    return lambda colors: tuple([code for v, code in candidates if not colors[v]])
+
+
+def _equal_colored(candidates):
+    """Key the ``(a, b, code)`` candidates: the codes where ``a`` and ``b``
+    share a color."""
+    return lambda colors: tuple([code for a, b, code in candidates if colors[a] == colors[b]])
+
+
 def _circular_kernel(sigma):
-    """An uncolored value ``v`` at position ``i`` with ``v >= i`` is a
-    ``(v - i)``-circular succession."""
-    w = len(sigma) + 1
-    candidates = [(v - 1, (v - i) * w + v) for i, v in enumerate(sigma, 1) if v >= i]
-    return lambda colors: tuple([code for j, code in candidates if not colors[j]])
+    return _uncolored(_circular(sigma))
 
 
 def _linear_kernel(sigma):
-    """An adjacent equal-colored pair ``a, b`` with ``b > a`` is a
-    ``(b - a)``-linear succession."""
-    w = len(sigma) + 1
-    rises = [(a - 1, b - 1, (b - a) * w + b) for a, b in zip(sigma, sigma[1:]) if b > a]
-    return lambda colors: tuple([code for a, b, code in rises if colors[a] == colors[b]])
+    return _equal_colored(_rises(sigma, len(sigma) + 1))
 
 
 def _skew_linear_kernel(sigma):
-    """Linear successions, plus the first value ``v`` as a ``v``-succession
-    when it is uncolored."""
-    linear = _linear_kernel(sigma)
-    if not sigma:
-        return linear
-    v = sigma[0]
-    first = (v * (len(sigma) + 1) + v,)
-    return lambda colors: linear(colors) if colors[v - 1] else linear(colors) + first
+    """Linear successions of the word with an uncolored ``0`` in front."""
+    return _equal_colored(_rises((0,) + sigma, len(sigma) + 1))
 
 
 def _family_kernel(sigma, chain):
     """The ``m`` making an element a member of a family form the interval
     ``[max fixed point, h]``, ``h`` the number of leading uncolored values in
-    ``chain``, a sequence of value indices that depends on ``sigma`` alone."""
-    fixed = [v - 1 for v in range(len(sigma), 0, -1) if sigma[v - 1] == v]
+    ``chain``, a sequence of values that depends on ``sigma`` alone."""
+    fixed = [v for v in range(len(sigma), 0, -1) if sigma[v - 1] == v]
 
     def key(colors):
         h = 0
-        for j in chain:
-            if colors[j]:
+        for v in chain:
+            if colors[v]:
                 break
             h += 1
-        return next((j + 1 for j in fixed if not colors[j]), 0), h
+        return next((v for v in fixed if not colors[v]), 0), h
 
     return key
 
@@ -223,14 +235,14 @@ def _family_kernel(sigma, chain):
 def _increasing_kernel(sigma):
     """``h`` is the length of the uncolored increasing prefix."""
     rise = next((i for i in range(1, len(sigma)) if sigma[i] < sigma[i - 1]), len(sigma))
-    return _family_kernel(sigma, [v - 1 for v in sigma[:rise]])
+    return _family_kernel(sigma, sigma[:rise])
 
 
 def _isolated_kernel(sigma):
     """``h`` is the number of leading uncolored values, capped below the
     smallest second-smallest value of any cycle."""
     seconds = [sorted(c)[1] for c in sigma_cycles(sigma) if len(c) > 1]
-    return _family_kernel(sigma, range(min(seconds, default=len(sigma) + 1) - 1))
+    return _family_kernel(sigma, range(1, min(seconds, default=len(sigma) + 1)))
 
 
 _SUCCESSION_KERNELS = {
@@ -321,6 +333,20 @@ def distribution(
     return distribution_matrix(ell, n, kind, jobs=jobs, budget=budget)[k]
 
 
+def _expand(keys: Counter, width: int, fold) -> list[tuple[int, ...]]:
+    """``matrix[k][x]`` counts the elements whose k-succession values fold to
+    ``x``: ``x`` starts at 0 and becomes ``fold(x, v)`` for each value ``v``."""
+    matrix = [[0] * width for _ in range(width)]
+    for key, count in keys.items():
+        per_k = [0] * width
+        for code in key:
+            k, v = divmod(code, width)
+            per_k[k] = fold(per_k[k], v)
+        for k, x in enumerate(per_k):
+            matrix[k][x] += count
+    return [tuple(row) for row in matrix]
+
+
 def distribution_matrix(
     ell: int, n: int, kind: str, *, jobs: int = 1, budget: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -331,17 +357,8 @@ def distribution_matrix(
     if kind not in _SUCCESSION_KERNELS:
         raise ValueError(f"unknown statistic kind {kind!r}")
     keys = _count_keys(_SUCCESSION_KERNELS[kind], ell, n, jobs, budget)
-    width = n + 1
-    matrix = [[0] * width for _ in range(width)]
-    for key, count in keys.items():
-        per_k = [0] * width
-        for code in key:
-            per_k[code // width] += 1
-        for k, m in enumerate(per_k):
-            matrix[k][m] += count
-    if kind != CIRCULAR:
-        matrix[0] = [0] * width
-    return [tuple(row) for row in matrix]
+    matrix = _expand(keys, n + 1, lambda m, _: m + 1)
+    return matrix if kind == CIRCULAR else [(0,) * (n + 1)] + matrix[1:]
 
 
 def bounded_matrix(
@@ -349,17 +366,7 @@ def bounded_matrix(
 ) -> list[tuple[int, ...]]:
     """``matrix[k][v]``: elements whose largest k-circular succession is ``v``
     (``v = 0`` meaning none)."""
-    keys = _count_keys(_circular_kernel, ell, n, jobs, budget)
-    width = n + 1
-    matrix = [[0] * width for _ in range(width)]
-    for key, count in keys.items():
-        largest = [0] * width
-        for code in key:
-            k, v = divmod(code, width)
-            largest[k] = max(largest[k], v)
-        for k, v in enumerate(largest):
-            matrix[k][v] += count
-    return [tuple(row) for row in matrix]
+    return _expand(_count_keys(_circular_kernel, ell, n, jobs, budget), n + 1, max)
 
 
 def family_counts(
@@ -442,60 +449,47 @@ def _suite_family(family):
     return run
 
 
-def _equal_colored(candidates):
-    """The pairs of the ``(a, b, pair)`` candidates whose value indices ``a``
-    and ``b`` carry one color; the colors end with an uncolored slot at ``-1``."""
-    return lambda colors: [pair for a, b, pair in candidates if colors[a] == colors[b]]
-
-
-def _skew_side(sigma):
-    """Linear pairs of the word with an uncolored ``0`` in front."""
-    word = (0,) + sigma
-    return _equal_colored([(a - 1, b - 1, (b - a, b)) for a, b in zip(word, word[1:]) if b > a])
-
-
 def _linear_side(sigma):
-    """``(v, v)`` for an uncolored first value ``v``, then the linear pairs."""
-    first = [(-1, v - 1, (v, v)) for v in sigma[:1]]
-    rises = [(a - 1, b - 1, (b - a, b)) for a, b in zip(sigma, sigma[1:]) if b > a]
-    return _equal_colored(first + rises)
+    """The first value ``v`` as a ``v``-succession when uncolored, then the
+    linear successions."""
+    w = len(sigma) + 1
+    return _equal_colored([(0, v, v * w + v) for v in sigma[:1]] + _rises(sigma, w))
 
 
 def _circular_side(sigma):
-    """Circular pairs with ``k >= 1``."""
-    return _equal_colored([(-1, v - 1, (v - i, v)) for i, v in enumerate(sigma, 1) if v > i])
+    """Circular successions with ``k >= 1``."""
+    return _uncolored([(v, code) for v, code in _circular(sigma) if code > len(sigma)])
 
 
 def _rotated_side(sigma):
-    """Circular pairs of the word rotated right, ``k`` raised by one, less
-    ``(L, L)`` for the last letter ``L``, which the rotation puts in front."""
-    rotated = sigma[-1:] + sigma[:-1]
-    shifted = [(-1, v - 1, (v - i + 1, v)) for i, v in enumerate(rotated, 1) if v >= i]
-    return _equal_colored([c for c in shifted if c[2] != rotated[:1] * 2])
+    """Circular successions of the word rotated right, ``k`` raised by one,
+    less the first candidate: ``(L, L)`` for the last letter ``L``, which the
+    rotation puts in front."""
+    return _uncolored(_circular(sigma[-1:] + sigma[:-1], 1)[1:])
 
 
 def _sides_check(ell, sigma, got, expected, shift):
     """Compare two sides of an identity on each coloring of ``sigma``.  Each
-    side is built per block by its own definition (``statistics.py`` is the
+    side is built per block from its own word (``statistics.py`` is the
     spec), never from the other's candidates.  A failure reports the smallest
-    ``k`` (less ``shift``) where their pair sets differ."""
+    ``k`` (less ``shift``) where their codes differ."""
+    w = len(sigma) + 1
 
     def found(colors):
-        padded = colors + (0,)
-        a, b = got(padded), expected(padded)
-        diff = a != b and set(a) ^ set(b)  # sides list their pairs in one order
+        a, b = got(colors), expected(colors)
+        diff = a != b and set(a) ^ set(b)  # sides list their codes in one order
         if not diff:
             return None
-        k = min(k for k, _ in diff) - shift
-        return {"perm": str(ColoredPermutation(ell, sigma, colors)), "k": k}
+        perm = ColoredPermutation(ell, sigma, colors[1:])
+        return {"perm": str(perm), "k": min(diff) // w - shift}
 
     return found
 
 
 def _e22_check(ell, sigma):
-    """Skew linear pairs equal linear pairs, plus ``(v, v)`` for an uncolored
-    first value ``v``."""
-    return _sides_check(ell, sigma, _skew_side(sigma), _linear_side(sigma), 0)
+    """Skew linear successions equal linear ones, plus the first value ``v``
+    as a ``v``-succession when it is uncolored."""
+    return _sides_check(ell, sigma, _skew_linear_kernel(sigma), _linear_side(sigma), 0)
 
 
 def _e43_check(ell, sigma):

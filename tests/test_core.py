@@ -223,6 +223,18 @@ class TestText:
             parse_cycles(text, 2)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "parse,text,message",
+        [
+            (parse_one_line, "1^1 2", "color exponent 1 needs at least 2 colors (at offset 0)"),
+            (parse_cycles, "(1)(2^3)", "color exponent 3 needs at least 2 colors (at offset 4)"),
+        ],
+    )
+    def test_color_exponent_with_one_color_names_the_need(self, parse, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text, 1)
+        assert str(exc.value) == message
+
     def test_parse_length_mismatch(self):
         with pytest.raises(ParseError):
             parse_one_line("1 2", 2, 3)

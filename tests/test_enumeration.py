@@ -195,13 +195,14 @@ def test_kernel_keys_match_spec_per_element(ell, n):
     for sigma, block in groupby(group(ell, n), attrgetter("sigma")):
         kernels = {name: kernel(sigma) for name, kernel in _KERNELS.items()}
         for p in block:
+            colors = (0,) + p.colors  # indexed by value, value 0 uncolored
             for name, spec in pairs.items():
-                key = kernels[name](p.colors)
+                key = kernels[name](colors)
                 decoded = [divmod(code, width) for code in key]
                 assert len(set(decoded)) == len(decoded)
                 assert frozenset(decoded) == spec(p), (name, str(p))
             for name, spec in families.items():
-                low, high = kernels[name](p.colors)
+                low, high = kernels[name](colors)
                 members = [low <= m <= high for m in range(width)]
                 assert members == [spec(p, m) for m in range(width)], (name, str(p))
 
@@ -219,7 +220,7 @@ def test_ranges_cut_inside_blocks(ell, n):
         assert any(start % ell**n for start, _ in ranges)
     elements = [element_at(ell, n, i) for i in range(size)]  # each unranked on its own
     for name, kernel in _KERNELS.items():
-        keys = [kernel(p.sigma)(p.colors) for p in elements]
+        keys = [kernel(p.sigma)((0,) + p.colors) for p in elements]
         whole = Counter(keys)
         for parts in (1, 3, 7, 11):
             merged = Counter()
@@ -243,7 +244,7 @@ def test_first_failure_across_cut_blocks(ell, n):
     bad = {element_at(ell, n, i) for i in flagged}
 
     def check(sigma):
-        return lambda colors: {} if ColoredPermutation(ell, sigma, colors) in bad else None
+        return lambda colors: {} if ColoredPermutation(ell, sigma, colors[1:]) in bad else None
 
     cuts = sorted(rng.randrange(size + 1) for _ in range(20))
     ranges = [(0, size), *zip(cuts[::2], cuts[1::2])]
@@ -269,9 +270,9 @@ def _failures(suite):
 
 # The block-check sides that read each statistic: the side builder, the
 # element whose statistic it reads, how far it raises k, and the least k of
-# the statistic it keeps.
+# the statistic it keeps.  e22's skew side is the skew counting kernel.
 _STAT_SIDES = {
-    "skew_linear_pairs": [("_skew_side", lambda p: p, 0, 0)],
+    "skew_linear_pairs": [("_skew_linear_kernel", lambda p: p, 0, 0)],
     "circular_pairs": [
         ("_circular_side", lambda p: p, 0, 1),
         ("_rotated_side", rotate_right, 1, 0),
@@ -280,8 +281,8 @@ _STAT_SIDES = {
 
 
 def _break_stat(monkeypatch, stat, extra):
-    """Make every block-check side that reads ``stat`` add ``extra(q)`` to the
-    pairs of ``q``, an element of a 2-color group."""
+    """Make every block-check side that reads ``stat`` add the codes of the
+    pairs ``extra(q)`` to those of ``q``, an element of a 2-color group."""
     ells = []  # the ell of the group being checked
     real_map_reduce = enumeration._map_reduce
 
@@ -296,14 +297,15 @@ def _break_stat(monkeypatch, stat, extra):
                     least=least):
             side = real(sigma)
 
-            def pairs(padded):  # the colors, then an uncolored slot
-                found = side(padded)
+            def codes(colors):  # indexed by value, value 0 uncolored
+                found = side(colors)
                 if ells != [2] or not sigma:
                     return found
-                q = reads(ColoredPermutation(2, sigma, padded[:-1]))
-                return found + [(k + shift, v) for k, v in extra(q) if k >= least]
+                q = reads(ColoredPermutation(2, sigma, colors[1:]))
+                w = len(sigma) + 1
+                return found + tuple((k + shift) * w + v for k, v in extra(q) if k >= least)
 
-            return pairs
+            return codes
 
         monkeypatch.setattr(enumeration, name, builder)
 
@@ -361,8 +363,9 @@ def test_counterexample_reports_smallest_failing_k(
 @pytest.mark.parametrize("n", range(6))
 def test_block_check_sides_match_spec(ell, n):
     """Each side of the e22 and e43 block checks gives every element, each
-    pair once, the pairs that ``statistics.py`` states for that side."""
-    names = ("_skew_side", "_linear_side", "_circular_side", "_rotated_side")
+    pair once, the pairs that ``statistics.py`` states for that side.  e22's
+    skew side is the skew counting kernel, checked per element above."""
+    names = ("_linear_side", "_circular_side", "_rotated_side")
     for sigma, block in groupby(group(ell, n), attrgetter("sigma")):
         sides = {name: getattr(enumeration, name)(sigma) for name in names}
         for p in block:
@@ -373,13 +376,12 @@ def test_block_check_sides_match_spec(ell, n):
                 rotated = {(k + 1, v) for k, v in circular_pairs(rotate_right(p))}
                 rotated.discard((last, last))
             spec = {
-                "_skew_side": skew_linear_pairs(p),
                 "_linear_side": linear_pairs(p) | first,
                 "_circular_side": {(k, v) for k, v in circular_pairs(p) if k},
                 "_rotated_side": rotated,
             }
             for name, expected in spec.items():
-                pairs = sides[name](p.colors + (0,))
+                pairs = [divmod(code, n + 1) for code in sides[name]((0,) + p.colors)]
                 assert len(set(pairs)) == len(pairs), (name, str(p))
                 assert set(pairs) == expected, (name, str(p))
 
