@@ -6,6 +6,12 @@ base-``ell`` counter (leftmost digit most significant).  The stream can be
 cut into contiguous index ranges, so counting reductions parallelize with an
 exact integer merge and identical results at any worker count.
 
+The folds are bit-sliced: bit ``o`` of an int stands for the coloring at
+offset ``o`` of every block of ``ell^n`` elements sharing one underlying
+permutation, and each succession test (do two values share a color?) is one
+AND with a precomputed int.  Every element is still tested, as one bit, so
+the cost stays linear in the group size, divided by the machine word.
+
 A budget guard refuses group sizes above ``DEFAULT_BUDGET`` elements unless a
 larger budget is passed explicitly, and ``check_table_size`` refuses a
 difference table above ``TABLE_BIT_LIMIT`` bits.
@@ -17,7 +23,7 @@ import math
 import os
 from collections import Counter
 from functools import partial
-from itertools import accumulate, count, islice, product
+from itertools import accumulate, combinations, compress, islice, product
 from typing import Iterator
 
 from .core import ColoredPermutation, sigma_cycles
@@ -27,10 +33,12 @@ from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
 
 DEFAULT_BUDGET = 100_000_000
 TABLE_BIT_LIMIT = 2**33
+_TABLE_LIMIT = f"limit of {TABLE_BIT_LIMIT} bits (entries x bit length of ell^max_n * max_n!)"
 
-# Below this many elements a parallel run is pure overhead; counts merge
-# exactly either way, so results do not depend on the threshold.
-_PARALLEL_THRESHOLD = 10_000
+# Below this many blocks (n!) a pool costs more than it saves: on a 2-vCPU
+# host two workers lost 35-55 ms at n = 6, broke even at n = 7 and won from
+# n = 8.  Counts merge exactly either way, so results do not depend on it.
+_PARALLEL_THRESHOLD = 40_320
 
 SUITES = ("t2", "t3", "c7", "l45", "t9", "t11", "e22", "e43", "rec")
 
@@ -67,16 +75,35 @@ def _check_budget(ell: int, n: int, budget: int | None) -> int:
     return group_size(ell, n)
 
 
+def _table_bits(ell: int, max_n: int) -> int:
+    """Entries times the bit length of ``ell^max_n * max_n!``, a bound on
+    every entry of both flavors."""
+    return (max_n + 1) * (max_n + 2) // 2 * group_size(ell, max_n).bit_length()
+
+
 def check_table_size(ell: int, max_n: int) -> None:
-    """Refuse, before anything is built, a difference table whose entries
-    times the bit length of ``ell^max_n * max_n!`` (a bound on every entry of
-    both flavors) exceed ``TABLE_BIT_LIMIT``."""
+    """Refuse, before anything is built, a difference table whose
+    ``_table_bits`` exceed ``TABLE_BIT_LIMIT``."""
+    fits_at = lambda m: _table_bits(ell, m) <= TABLE_BIT_LIMIT
+    _refuse_past("table", ell, "max_n", max_n, fits_at, _TABLE_LIMIT)
 
-    def fits_at(m):
-        return (m + 1) * (m + 2) // 2 * group_size(ell, m).bit_length() <= TABLE_BIT_LIMIT
 
-    limit = f"limit of {TABLE_BIT_LIMIT} bits (entries x bit length of ell^max_n * max_n!)"
-    _refuse_past("table", ell, "max_n", max_n, fits_at, limit)
+def _refuse_sum(what: str, f, max_ell: int, limit: int, text: str) -> None:
+    """Raise ``BudgetError`` if ``f(1) + ... + f(max_ell)`` exceeds ``limit``,
+    for a nondecreasing ``f``.  Each run of equal values is found by doubling
+    a step, then halving it, and added at once: a huge range is never walked."""
+    total, ell = 0, 1
+    while ell <= max_ell:
+        value, last, step = f(ell), ell, 1
+        while step:
+            if last + step <= max_ell and f(last + step) == value:
+                last, step = last + step, 2 * step
+            else:
+                step //= 2
+        total += (last - ell + 1) * value
+        if total > limit:
+            raise BudgetError(f"the {what} sum to more than the {text}")
+        ell = last + 1
 
 
 def _unrank_sigma(n: int, rank: int) -> list[int]:
@@ -117,11 +144,10 @@ def _next_sigma(sigma: list[int]) -> bool:
 
 def _iter_blocks(
     ell: int, n: int, start: int, stop: int
-) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]]:
-    """Yield ``(sigma, colorings)`` for each run of the index range
-    [start, stop) that shares one underlying permutation; the first and last
-    run may be part of a block.  A coloring is indexed by value: ``colors[v]``
-    is the color of ``v``, and the value ``0`` in front is uncolored."""
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Yield ``(sigma, offset, take)`` for each run of the index range
+    [start, stop) that shares one underlying permutation: ``take`` colorings
+    from ``offset`` on.  The first and last run may be part of a block."""
     if stop <= start:
         return
     radix = ell**n
@@ -130,20 +156,24 @@ def _iter_blocks(
     left = stop - start
     while True:
         take = min(radix - offset, left)
-        yield tuple(sigma), islice(product((0,), *[range(ell)] * n), offset, offset + take)
+        yield tuple(sigma), offset, take
         left -= take
         offset = 0
         if not left or not _next_sigma(sigma):
             return
 
 
+def _elements(ell: int, n: int, start: int, stop: int) -> Iterator[ColoredPermutation]:
+    for sigma, offset, take in _iter_blocks(ell, n, start, stop):
+        colorings = islice(product(range(ell), repeat=n), offset, offset + take)
+        yield from (ColoredPermutation(ell, sigma, colors) for colors in colorings)
+
+
 def enumerate_group(
     ell: int, n: int, *, budget: int | None = None
 ) -> Iterator[ColoredPermutation]:
     """Every element exactly once, in the fixed enumeration order."""
-    size = _check_budget(ell, n, budget)
-    for sigma, colorings in _iter_blocks(ell, n, 0, size):
-        yield from (ColoredPermutation(ell, sigma, colors[1:]) for colors in colorings)
+    yield from _elements(ell, n, 0, _check_budget(ell, n, budget))
 
 
 def enumerate_range(
@@ -153,8 +183,7 @@ def enumerate_range(
     size = _check_budget(ell, n, budget)
     if not 0 <= start <= stop <= size:
         raise IndexError(f"range [{start}, {stop}) out of bounds for size {size}")
-    for sigma, colorings in _iter_blocks(ell, n, start, stop):
-        yield from (ColoredPermutation(ell, sigma, colors[1:]) for colors in colorings)
+    yield from _elements(ell, n, start, stop)
 
 
 def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
@@ -168,51 +197,49 @@ def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
 # -- counting reductions --------------------------------------------------------
 
 
-# A kernel reads one underlying permutation ``sigma`` once and returns the key
-# function of its colorings: everything that depends on ``sigma`` alone is
-# worked out per block, and the returned function reads the colors of every
-# element.  A partition is folded into a Counter of keys, and each public
-# function expands the merged keys into its histogram.  Succession keys hold
-# one code ``k * (n + 1) + v`` per k-succession with value ``v``, so a single
-# key serves every k at once.  ``statistics.py`` is the readable spec of each.
+# A kernel reads one underlying permutation ``sigma`` once and returns
+# ``(tests, key)``: ``tests`` lists pairs of values ``(a, b)``, ``a < b``,
+# each asking whether ``a`` and ``b`` share a color (``(0, v)``: is ``v``
+# uncolored), and ``key(outcomes)`` keys every coloring whose answers to
+# them are ``outcomes``.  A partition is folded into a Counter of keys, and
+# each public function expands the merged keys into its histogram.
+# Succession keys hold one code ``k * (n + 1) + v`` per k-succession with
+# value ``v``, so a single key serves every k at once.  ``statistics.py`` is
+# the readable spec of each.
 
 
 def _circular(word, shift=0):
-    """``(v, code)`` for each value ``v`` at a position ``i <= v``: a
+    """``((0, v), code)`` for each value ``v`` at a position ``i <= v``: a
     ``(v - i + shift)``-circular succession when ``v`` is uncolored."""
     w = len(word) + 1
-    return [(v, (v - i + shift) * w + v) for i, v in enumerate(word, 1) if v >= i]
+    return [((0, v), (v - i + shift) * w + v) for i, v in enumerate(word, 1) if v >= i]
 
 
 def _rises(word, w):
-    """``(a, b, code)`` for each adjacent ``a, b`` with ``b > a``: a
+    """``((a, b), code)`` for each adjacent ``a, b`` with ``b > a``: a
     ``(b - a)``-linear succession of value ``b`` when ``a`` and ``b`` share a
     color; ``w`` is the code's radix, ``n + 1`` also for a longer word."""
-    return [(a, b, (b - a) * w + b) for a, b in zip(word, word[1:]) if b > a]
+    return [((a, b), (b - a) * w + b) for a, b in zip(word, word[1:]) if b > a]
 
 
-def _uncolored(candidates):
-    """Key the ``(v, code)`` candidates: the codes of the uncolored ``v``."""
-    return lambda colors: tuple([code for v, code in candidates if not colors[v]])
-
-
-def _equal_colored(candidates):
-    """Key the ``(a, b, code)`` candidates: the codes where ``a`` and ``b``
-    share a color."""
-    return lambda colors: tuple([code for a, b, code in candidates if colors[a] == colors[b]])
+def _keyed(candidates):
+    """``(tests, key)`` of ``(test, code)`` candidates: the key is the codes
+    whose tests pass."""
+    codes = [code for _, code in candidates]
+    return [test for test, _ in candidates], lambda outcomes: tuple(compress(codes, outcomes))
 
 
 def _circular_kernel(sigma):
-    return _uncolored(_circular(sigma))
+    return _keyed(_circular(sigma))
 
 
 def _linear_kernel(sigma):
-    return _equal_colored(_rises(sigma, len(sigma) + 1))
+    return _keyed(_rises(sigma, len(sigma) + 1))
 
 
 def _skew_linear_kernel(sigma):
     """Linear successions of the word with an uncolored ``0`` in front."""
-    return _equal_colored(_rises((0,) + sigma, len(sigma) + 1))
+    return _keyed(_rises((0,) + sigma, len(sigma) + 1))
 
 
 def _family_kernel(sigma, chain):
@@ -220,16 +247,13 @@ def _family_kernel(sigma, chain):
     ``[max fixed point, h]``, ``h`` the number of leading uncolored values in
     ``chain``, a sequence of values that depends on ``sigma`` alone."""
     fixed = [v for v in range(len(sigma), 0, -1) if sigma[v - 1] == v]
+    cut = len(chain)
 
-    def key(colors):
-        h = 0
-        for v in chain:
-            if colors[v]:
-                break
-            h += 1
-        return next((v for v in fixed if not colors[v]), 0), h
+    def key(outcomes):
+        h = (outcomes[:cut] + (False,)).index(False)
+        return next(compress(fixed, outcomes[cut:]), 0), h
 
-    return key
+    return [(0, v) for v in (*chain, *fixed)], key
 
 
 def _increasing_kernel(sigma):
@@ -253,22 +277,74 @@ _SUCCESSION_KERNELS = {
 _FAMILY_KERNELS = {"increasing": _increasing_kernel, "isolated": _isolated_kernel}
 
 
+def _repeat(x, step, times):
+    """``times`` copies of ``x``, ``step`` bits apart, ORed by doubling."""
+    out = copies = 0
+    for digit in bin(times)[2:]:
+        out, copies = out | out << copies * step, 2 * copies
+        if digit == "1":
+            out, copies = out << step | x, copies + 1
+    return out
+
+
+def _same_color_bits(ell, n):
+    """``bits[a, b]``, ``0 <= a < b <= n``: bit ``o`` is set when the coloring
+    at offset ``o`` of a block gives ``a`` and ``b`` one color.  The color of
+    ``v`` is the base-``ell`` digit of weight ``w[v]``, and value 0 is
+    uncolored.  Each int is built in three repeats: ``b`` of color 0 and the
+    other values after ``a`` of any color; then ``a`` and ``b`` of one color,
+    each color in turn; then the values before ``a`` of any color.  The table takes at most
+    ``n (n + 1) / 2 * ell^n / 8`` bytes, under 20 MB within the default budget."""
+    w = [ell ** (n - v) for v in range(n + 1)]
+    bits = {}
+    for a, b in combinations(range(n + 1), 2):
+        same = _repeat((1 << w[b]) - 1, ell * w[b], ell ** (b - a - 1))
+        same = _repeat(same, w[a] + w[b], ell if a else 1)
+        bits[a, b] = _repeat(same, ell * w[a], ell ** (a - 1) if a else 1)
+    return bits
+
+
+def _block_cells(kernel, ell, n, start, stop):
+    """``(index of the block's offset 0, answer, cells)`` for each run of the
+    range, ``kernel(sigma)`` giving the tests and ``answer``.  The run's bits
+    are split by each test in turn into non-empty ``(outcomes, colorings)``
+    cells, ``outcomes[j]`` telling whether the colorings pass test ``j``."""
+    bits = _same_color_bits(ell, n)
+    index = start
+    for sigma, offset, take in _iter_blocks(ell, n, start, stop):
+        tests, answer = kernel(sigma)
+        cells = [((), ((1 << take) - 1) << offset)]
+        for test in tests:
+            split = []
+            for outcomes, colorings in cells:
+                inside = colorings & bits[test]
+                if inside:
+                    split.append(((*outcomes, True), inside))
+                if inside != colorings:
+                    split.append(((*outcomes, False), colorings ^ inside))
+            cells = split
+        yield index - offset, answer, cells
+        index += take
+
+
 def _tally(kernel, ell, n, start, stop) -> Counter:
-    """Count the elements of one index range by ``kernel(sigma)(colors)``."""
+    """Count the elements of one index range by the keys ``kernel`` gives."""
     counts = Counter()
-    for sigma, colorings in _iter_blocks(ell, n, start, stop):
-        counts.update(map(kernel(sigma), colorings))
+    for _, key, cells in _block_cells(kernel, ell, n, start, stop):
+        for outcomes, cell in cells:
+            counts[key(outcomes)] += cell.bit_count()
     return counts
 
 
 def _first_failure(check, ell, n, start, stop) -> dict | None:
-    """The counterexample of the lowest-index element that
-    ``check(sigma)(colors)`` rejects."""
-    indices = count(start)
-    for sigma, colorings in _iter_blocks(ell, n, start, stop):
-        for found, index in zip(map(check(sigma), colorings), indices):
-            if found is not None:
-                return {"index": index, **found}
+    """The counterexample of the lowest-index element whose cell
+    ``check(sigma)``'s verdict fails at some ``k``: a cell's lowest set bit."""
+    for base, verdict, cells in _block_cells(check, ell, n, start, stop):
+        failures = [(c & -c, k) for o, c in cells if (k := verdict(o)) is not None]
+        if failures:
+            lowest, k = min(failures)
+            index = base + lowest.bit_length() - 1
+            return {"index": index, "perm": str(element_at(ell, n, index)), "k": k}
     return None
 
 
@@ -289,7 +365,7 @@ def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int | None) -
     process pool when it pays), and return the results in index order."""
     size = _check_budget(ell, n, budget)
     workers = _pool_size(jobs, os.cpu_count() or 1, size)
-    if workers == 1 or size < _PARALLEL_THRESHOLD:
+    if workers == 1 or math.factorial(n) < _PARALLEL_THRESHOLD:
         return [_run_task((fold, ell, n, kernel, 0, size))]
     tasks = [
         (fold, ell, n, kernel, start, stop)
@@ -453,56 +529,55 @@ def _linear_side(sigma):
     """The first value ``v`` as a ``v``-succession when uncolored, then the
     linear successions."""
     w = len(sigma) + 1
-    return _equal_colored([(0, v, v * w + v) for v in sigma[:1]] + _rises(sigma, w))
+    return _keyed([((0, v), v * w + v) for v in sigma[:1]] + _rises(sigma, w))
 
 
 def _circular_side(sigma):
     """Circular successions with ``k >= 1``."""
-    return _uncolored([(v, code) for v, code in _circular(sigma) if code > len(sigma)])
+    return _keyed([(test, code) for test, code in _circular(sigma) if code > len(sigma)])
 
 
 def _rotated_side(sigma):
     """Circular successions of the word rotated right, ``k`` raised by one,
     less the first candidate: ``(L, L)`` for the last letter ``L``, which the
     rotation puts in front."""
-    return _uncolored(_circular(sigma[-1:] + sigma[:-1], 1)[1:])
+    return _keyed(_circular(sigma[-1:] + sigma[:-1], 1)[1:])
 
 
-def _sides_check(ell, sigma, got, expected, shift):
+def _sides_check(sigma, got, expected, shift):
     """Compare two sides of an identity on each coloring of ``sigma``.  Each
     side is built per block from its own word (``statistics.py`` is the
-    spec), never from the other's candidates.  A failure reports the smallest
-    ``k`` (less ``shift``) where their codes differ."""
+    spec), never from the other's candidates.  The verdict of a failing
+    cell is the smallest ``k`` (less ``shift``) where their codes differ."""
     w = len(sigma) + 1
+    (tests, key), (other_tests, other_key) = got(sigma), expected(sigma)
+    cut = len(tests)
 
-    def found(colors):
-        a, b = got(colors), expected(colors)
+    def verdict(outcomes):
+        a, b = key(outcomes[:cut]), other_key(outcomes[cut:])
         diff = a != b and set(a) ^ set(b)  # sides list their codes in one order
-        if not diff:
-            return None
-        perm = ColoredPermutation(ell, sigma, colors[1:])
-        return {"perm": str(perm), "k": min(diff) // w - shift}
+        return min(diff) // w - shift if diff else None
 
-    return found
+    return tests + other_tests, verdict
 
 
-def _e22_check(ell, sigma):
+def _e22_check(sigma):
     """Skew linear successions equal linear ones, plus the first value ``v``
     as a ``v``-succession when it is uncolored."""
-    return _sides_check(ell, sigma, _skew_linear_kernel(sigma), _linear_side(sigma), 0)
+    return _sides_check(sigma, _skew_linear_kernel, _linear_side, 0)
 
 
-def _e43_check(ell, sigma):
+def _e43_check(sigma):
     """Raising k by one matches rotating the word right, up to the value k+1
     of an uncolored last letter; a failure reports the unshifted k."""
-    return _sides_check(ell, sigma, _circular_side(sigma), _rotated_side(sigma), 1)
+    return _sides_check(sigma, _circular_side, _rotated_side, 1)
 
 
 def _suite_every_element(check):
-    """``check(ell, sigma)(colors)`` finds no counterexample in the group."""
+    """``check(sigma)`` finds no counterexample in the group."""
 
     def run(ell, n, jobs, budget):
-        parts = _map_reduce(_first_failure, ell, n, partial(check, ell), jobs, budget)
+        parts = _map_reduce(_first_failure, ell, n, check, jobs, budget)
         return next(filter(None, parts), None)
 
     return run
@@ -540,15 +615,24 @@ def verify_suite(
         raise ValueError(f"unknown suite {suite!r}")
     names = list(SUITES) if suite == "all" else [suite]
     enumerated = [_ENUM_SUITES[name] for name in names if name != "rec"]
-    # group_size grows with ell and n, so sizing the largest group first
-    # refuses an over-budget range before anything is enumerated.
-    if max_ell >= 1 and any(first <= max_n - shrink for _, first, shrink in enumerated):
+    # The whole range is sized before the first check: the largest group or
+    # table first, which names the largest n that fits and bounds n, then sums.
+    low = min((first for _, first, shrink in enumerated if first <= max_n - shrink), default=None)
+    if max_ell >= 1 and low is not None:
         _check_budget(max_ell, max_n, budget)
+        limit = DEFAULT_BUDGET if budget is None else budget
+        groups = lambda ell: sum(group_size(ell, n) for n in range(low, max_n + 1))
+        what = f"groups with ell <= {max_ell}, {low} <= n <= {max_n}"
+        _refuse_sum(what, groups, max_ell, limit, f"budget of {limit} elements")
+    rec = "rec" in names and max_n >= 2 and max_ell >= 1  # the identities reach back two rows
+    if rec:
+        check_table_size(max_ell, max_n)
+        what = f"rec tables with ell <= {max_ell}, max_n={max_n}"
+        _refuse_sum(what, partial(_table_bits, max_n=max_n), max_ell, TABLE_BIT_LIMIT, _TABLE_LIMIT)
     results: list[CheckResult] = []
     for name in names:
         if name == "rec":
-            if max_n >= 2 and max_ell >= 1:  # the identities reach back two rows
-                check_table_size(max_ell, max_n)
+            if rec:
                 for ell in range(1, max_ell + 1):
                     results.extend(check_recurrences(ell, max_n))
             continue

@@ -8,12 +8,14 @@ times for the criterion body.
 import itertools
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 
 import pytest
 
 import wreathperm.cli as cli
+from wreathperm import enumeration
 from wreathperm import (
     CIRCULAR,
     LINEAR,
@@ -307,7 +309,7 @@ def test_criterion_8_recurrence_suite():
                 assert result.passed, (ell, result.check, result.counterexample)
 
 
-def test_criterion_9_deterministic_reports(capsys):
+def test_criterion_9_deterministic_reports(capsys, monkeypatch):
     with criterion(9, "verify reports identical at any worker count", 60.0):
         args = ["verify", "--suite", "all", "--colors-max", "2", "--n-max", "4"]
         assert cli.main(args + ["--jobs", "1"]) == 0
@@ -317,7 +319,9 @@ def test_criterion_9_deterministic_reports(capsys):
         assert first == second
         payload = json.loads(first)
         assert payload and all(entry["status"] == "pass" for entry in payload)
-        # a group big enough to engage the worker pool must merge exactly
+        # counts merged from the worker pool are exact
+        monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         pooled = distribution_matrix(3, 5, CIRCULAR, jobs=2)
         serial = distribution_matrix(3, 5, CIRCULAR, jobs=1)
         assert pooled == serial

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from io import StringIO
@@ -431,6 +432,43 @@ class TestVerify:
                 "error: the group with ell=1, n=12 exceeds the budget of 1000000"
                 " elements; the largest n that fits with ell=1 is 9\n"
             )
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["--suite", "t2", "--colors-max", "9" * 20, "--n-max", "0"],
+             f"the groups with ell <= {'9' * 20}, 0 <= n <= 0 sum to more than the"
+             " budget of 100000000 elements"),
+            (["--suite", "rec", "--colors-max", "9" * 20, "--n-max", "2"],
+             f"the rec tables with ell <= {'9' * 20}, max_n=2 sum to more than the limit"
+             " of 8589934592 bits (entries x bit length of ell^max_n * max_n!)"),
+            # 2 + 3 + 4 elements at n <= 1; the largest group, 3, fits
+            (["--suite", "all", "--colors-max", "3", "--n-max", "1", "--budget", "8"],
+             "the groups with ell <= 3, 0 <= n <= 1 sum to more than the budget of 8 elements"),
+        ],
+    )
+    def test_range_refused_as_a_whole(self, capsys, monkeypatch, argv, err):
+        """A range whose groups, or rec tables, sum past the limit is refused
+        at once, before any group is enumerated or any table built, however
+        many colors it spans."""
+
+        def run_nothing(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(enumeration, "_map_reduce", run_nothing)
+        monkeypatch.setattr(enumeration, "check_recurrences", run_nothing)
+        start = time.perf_counter()
+        code = cli.main(["verify", *argv])
+        assert time.perf_counter() - start < 1
+        assert (code, *capsys.readouterr()) == (3, "", f"error: {err}\n")
+
+    def test_range_summing_to_the_budget_runs(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "--suite", "all", "--colors-max", "3", "--n-max", "1",
+            "--budget", "9",
+        )
+        # six suites check n = 0 and 1; t3 and c7 need n + 1 <= 1 and rec n >= 2
+        assert code == 0 and len(json.loads(out)) == 3 * 6 * 2
 
 
 @pytest.mark.parametrize(

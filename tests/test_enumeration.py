@@ -3,7 +3,7 @@ import math
 import os
 import random
 from collections import Counter
-from itertools import groupby
+from itertools import accumulate, groupby, product
 from operator import attrgetter
 
 import pytest
@@ -148,6 +148,23 @@ class TestStream:
         assert enumeration._pool_size(jobs, cpus, partitions) == workers
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_refuse_sum_matches_the_plain_sum(seed):
+    """The run-wise sum of a nondecreasing function, with runs of every
+    length, decides like the plain sum at and around its value."""
+    rng = random.Random(seed)
+    values = list(accumulate(rng.choice((0, 0, 0, 1, 7)) for _ in range(200)))
+    for max_ell in range(0, 201, 3):
+        total = sum(values[:max_ell])
+        for limit in range(max(total - 1, 0), total + 2):  # a limit is never negative
+            try:
+                enumeration._refuse_sum("sums", lambda ell: values[ell - 1], max_ell, limit, "")
+            except BudgetError:
+                assert total > limit, (max_ell, limit)
+            else:
+                assert total <= limit, (max_ell, limit)
+
+
 def _spec_histograms(ell, n):
     """Every counting histogram, built by calling the spec in ``statistics``
     on each element."""
@@ -182,77 +199,131 @@ def test_kernels_match_spec(ell, n):
 
 
 _KERNELS = {**enumeration._SUCCESSION_KERNELS, **enumeration._FAMILY_KERNELS}
+_PAIRS = {"circular": circular_pairs, "linear": linear_pairs, "skewLinear": skew_linear_pairs}
+_FAMILIES = {"increasing": is_increasing_fixed, "isolated": is_isolated_fixed}
+
+
+def _answer(kernel, colors):
+    """Ask ``kernel``'s tests of one coloring, indexed by value with value 0
+    uncolored, one pair of colors at a time, and key the answers."""
+    tests, key = kernel
+    return key(tuple(colors[a] == colors[b] for a, b in tests))
+
+
+def _decoded(name, key, n):
+    """A kernel's key as ``statistics.py`` states it: the ``(k, value)``
+    pairs, or whether the element is a member for each m."""
+    if name in _PAIRS:
+        decoded = [divmod(code, n + 1) for code in key]
+        assert len(set(decoded)) == len(decoded), (name, key)
+        return frozenset(decoded)
+    low, high = key
+    return tuple(low <= m <= high for m in range(n + 1))
+
+
+def _spec(name, p):
+    if name in _PAIRS:
+        return _PAIRS[name](p)
+    return tuple(_FAMILIES[name](p, m) for m in range(p.n + 1))
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("n", range(6))
 def test_kernel_keys_match_spec_per_element(ell, n):
     """Every element's own key, decoded, is its pair set or its family interval."""
-    pairs = {"circular": circular_pairs, "linear": linear_pairs,
-             "skewLinear": skew_linear_pairs}
-    families = {"increasing": is_increasing_fixed, "isolated": is_isolated_fixed}
-    width = n + 1
     for sigma, block in groupby(group(ell, n), attrgetter("sigma")):
         kernels = {name: kernel(sigma) for name, kernel in _KERNELS.items()}
         for p in block:
-            colors = (0,) + p.colors  # indexed by value, value 0 uncolored
-            for name, spec in pairs.items():
-                key = kernels[name](colors)
-                decoded = [divmod(code, width) for code in key]
-                assert len(set(decoded)) == len(decoded)
-                assert frozenset(decoded) == spec(p), (name, str(p))
-            for name, spec in families.items():
-                low, high = kernels[name](colors)
-                members = [low <= m <= high for m in range(width)]
-                assert members == [spec(p, m) for m in range(width)], (name, str(p))
+            for name, kernel in kernels.items():
+                key = _answer(kernel, (0,) + p.colors)
+                assert _decoded(name, key, n) == _spec(name, p), (name, str(p))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(6))
+def test_same_color_bits_match_colorings(ell, n):
+    """Bit ``o`` of each pair's int is set exactly when the coloring at
+    offset ``o`` gives both values one color."""
+    bits = enumeration._same_color_bits(ell, n)
+    colorings = list(product((0,), *[range(ell)] * n))
+    assert sorted(bits) == [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
+    for (a, b), same in bits.items():
+        expected = sum(1 << o for o, colors in enumerate(colorings) if colors[a] == colors[b])
+        assert same == expected, (a, b)
+
+
+def _cut_ranges(ell, n, rng, cuts):
+    """The whole group and random ranges, some starting inside a block."""
+    size = group_size(ell, n)
+    points = sorted(rng.randrange(size + 1) for _ in range(cuts))
+    ranges = [(0, size), *zip(points[::2], points[1::2]), (size // 3, size // 3 + 1)]
+    if ell > 1 and n > 0:
+        assert any(start % ell**n for start, _ in ranges)
+    return ranges
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("n", range(6))
 def test_ranges_cut_inside_blocks(ell, n):
     """Folding any index ranges, cut inside a block of one underlying
-    permutation or not, counts every element once under its own key."""
+    permutation or not, counts every element once under its own key: the
+    decoded keys are those ``statistics.py`` gives each element."""
     size = group_size(ell, n)
-    rng = random.Random(ell * 10 + n)
-    cuts = sorted(rng.randrange(size + 1) for _ in range(8))
-    ranges = list(zip(cuts[::2], cuts[1::2])) + [(size // 3, size // 3 + 1)]
-    if ell > 1 and n > 0:  # some range must start inside a block
-        assert any(start % ell**n for start, _ in ranges)
     elements = [element_at(ell, n, i) for i in range(size)]  # each unranked on its own
     for name, kernel in _KERNELS.items():
-        keys = [kernel(p.sigma)((0,) + p.colors) for p in elements]
-        whole = Counter(keys)
+        spec = [_spec(name, p) for p in elements]
         for parts in (1, 3, 7, 11):
             merged = Counter()
             for start, stop in partition_bounds(size, parts):
                 counts = enumeration._run_task((enumeration._tally, ell, n, kernel, start, stop))
                 assert sum(counts.values()) == stop - start
                 merged += counts
-            assert merged == whole, (name, parts)
-        for start, stop in ranges:
+            assert merged == enumeration._tally(kernel, ell, n, 0, size), (name, parts)
+        for start, stop in _cut_ranges(ell, n, random.Random(ell * 10 + n), 8):
             counts = enumeration._run_task((enumeration._tally, ell, n, kernel, start, stop))
-            assert counts == Counter(keys[start:stop]), (name, start, stop)
+            decoded = Counter()
+            for key, count in counts.items():
+                decoded[_decoded(name, key, n)] += count
+            assert decoded == Counter(spec[start:stop]), (name, start, stop)
 
 
-@pytest.mark.parametrize("ell,n", [(2, 3), (3, 3), (3, 4)])
-def test_first_failure_across_cut_blocks(ell, n):
-    """Folding a block check over any index range, cut inside a block or not,
-    reports the first element in the range that the check rejects."""
-    size = group_size(ell, n)
-    rng = random.Random(ell * 10 + n)
-    flagged = set(rng.sample(range(size), 5))
-    bad = {element_at(ell, n, i) for i in flagged}
+def _fewest_successions(target):
+    """A block check failing the elements with exactly ``target`` circular
+    successions, at the smallest such ``k`` (0 when there are none)."""
 
     def check(sigma):
-        return lambda colors: {} if ColoredPermutation(ell, sigma, colors[1:]) in bad else None
+        tests, key = enumeration._circular_kernel(sigma)
+        w = len(sigma) + 1
 
-    cuts = sorted(rng.randrange(size + 1) for _ in range(20))
-    ranges = [(0, size), *zip(cuts[::2], cuts[1::2])]
-    assert any(start % ell**n for start, _ in ranges)  # some range starts inside a block
-    for start, stop in ranges:
-        found = enumeration._run_task((enumeration._first_failure, ell, n, check, start, stop))
-        first = min((i for i in flagged if start <= i < stop), default=None)
-        assert found == (first if first is None else {"index": first}), (start, stop)
+        def verdict(outcomes):
+            codes = key(outcomes)
+            return min(codes, default=0) // w if len(codes) == target else None
+
+        return tests, verdict
+
+    return check
+
+
+@pytest.mark.parametrize("ell,n", list(product(range(1, 4), range(6))))
+def test_first_failure_across_cut_blocks(ell, n):
+    """Folding a block check over any index range, cut inside a block or not,
+    reports the first element in the range that the check rejects, with the
+    smallest failing k, as ``statistics.py`` finds it element by element."""
+    size = group_size(ell, n)
+    elements = [element_at(ell, n, i) for i in range(size)]
+    pairs = [circular_pairs(p) for p in elements]
+    rng = random.Random(ell * 10 + n)
+    for target in range(n + 2):
+        check = _fewest_successions(target)
+        for start, stop in _cut_ranges(ell, n, rng, 20):
+            found = enumeration._run_task((enumeration._first_failure, ell, n, check, start, stop))
+            first = next((i for i in range(start, stop) if len(pairs[i]) == target), None)
+            expected = first if first is None else {
+                "index": first,
+                "perm": str(elements[first]),
+                "k": min(pairs[first], default=(0, 0))[0],
+            }
+            assert found == expected, (target, start, stop)
 
 
 def _force_pool(monkeypatch):
@@ -282,7 +353,9 @@ _STAT_SIDES = {
 
 def _break_stat(monkeypatch, stat, extra):
     """Make every block-check side that reads ``stat`` add the codes of the
-    pairs ``extra(q)`` to those of ``q``, an element of a 2-color group."""
+    pairs ``extra(q)`` to those of ``q``, an element of a 2-color group.  The
+    side also asks whether each value is uncolored, which at 2 colors names
+    the coloring and so ``q``."""
     ells = []  # the ell of the group being checked
     real_map_reduce = enumeration._map_reduce
 
@@ -295,17 +368,19 @@ def _break_stat(monkeypatch, stat, extra):
 
         def builder(sigma, real=getattr(enumeration, name), reads=reads, shift=shift,
                     least=least):
-            side = real(sigma)
+            tests, key = real(sigma)
+            if ells != [2] or not sigma:
+                return tests, key
+            cut = len(tests)
 
-            def codes(colors):  # indexed by value, value 0 uncolored
-                found = side(colors)
-                if ells != [2] or not sigma:
-                    return found
-                q = reads(ColoredPermutation(2, sigma, colors[1:]))
+            def codes(outcomes):
+                colors = tuple(0 if uncolored else 1 for uncolored in outcomes[cut:])
+                q = reads(ColoredPermutation(2, sigma, colors))
                 w = len(sigma) + 1
-                return found + tuple((k + shift) * w + v for k, v in extra(q) if k >= least)
+                extra_codes = tuple((k + shift) * w + v for k, v in extra(q) if k >= least)
+                return key(outcomes[:cut]) + extra_codes
 
-            return codes
+            return tests + [(0, v) for v in range(1, len(sigma) + 1)], codes
 
         monkeypatch.setattr(enumeration, name, builder)
 
@@ -381,7 +456,7 @@ def test_block_check_sides_match_spec(ell, n):
                 "_rotated_side": rotated,
             }
             for name, expected in spec.items():
-                pairs = [divmod(code, n + 1) for code in sides[name]((0,) + p.colors)]
+                pairs = [divmod(code, n + 1) for code in _answer(sides[name], (0,) + p.colors)]
                 assert len(set(pairs)) == len(pairs), (name, str(p))
                 assert set(pairs) == expected, (name, str(p))
 
@@ -570,8 +645,8 @@ class TestDistribution:
             with pytest.raises(ValueError, match="^distribution does not cover the whole group$"):
                 call()
 
-    def test_parallel_counts_match_serial(self):
-        # group is large enough to engage the worker pool
+    def test_parallel_counts_match_serial(self, monkeypatch):
+        _force_pool(monkeypatch)
         serial = distribution(3, 5, 0, "circular", jobs=1)
         parallel = distribution(3, 5, 0, "circular", jobs=2)
         assert serial == parallel
