@@ -1,11 +1,10 @@
 """Command-line surface: tables, statistic counts, bijections, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
-budget or table size limit exceeded, 4 domain error (input outside a
-bijection's domain), 141 stdout closed by its reader (128 + SIGPIPE, as a
-shell reports it).  The environment variable ``WREATH_EULER_BUDGET``
-overrides the default element budget; an explicit ``--budget`` flag wins over
-both.
+budget, table size or verify row limit exceeded, 4 domain error (input outside
+a bijection's domain), 141 stdout closed by its reader (128 + SIGPIPE, as a
+shell reports it).  The environment variable ``WREATH_EULER_BUDGET`` overrides
+the default element budget; an explicit ``--budget`` flag wins over both.
 """
 
 from __future__ import annotations

@@ -12,9 +12,15 @@ permutation, and each succession test (do two values share a color?) is one
 AND with a precomputed int.  Every element is still tested, as one bit, so
 the cost stays linear in the group size, divided by the machine word.
 
+Each count is a tally of keys, then their expansion, which reads the keys from
+``source(fold, kernel, ell, n)``: ``_fold_group`` for a public count.  Within
+one ``verify_suite`` call every suite reads one cache of it, so each ``(kernel,
+ell, n)`` is tallied once per call; the cache is dropped when the call returns.
+
 A budget guard refuses group sizes above ``DEFAULT_BUDGET`` elements unless a
-larger budget is passed explicitly, and ``check_table_size`` refuses a
-difference table above ``TABLE_BIT_LIMIT`` bits.
+larger budget is passed explicitly, ``check_table_size`` refuses a difference
+table above ``TABLE_BIT_LIMIT`` bits, and ``verify_suite`` refuses a range of
+more than ``ROW_LIMIT`` (check, ell, n) rows.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, combinations, compress, islice, product
 from typing import Iterator
 
@@ -33,6 +39,7 @@ from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
 
 DEFAULT_BUDGET = 100_000_000
 TABLE_BIT_LIMIT = 2**33
+ROW_LIMIT = 10_000
 _TABLE_LIMIT = f"limit of {TABLE_BIT_LIMIT} bits (entries x bit length of ell^max_n * max_n!)"
 
 # Below this many blocks (n!) a pool costs more than it saves: on a 2-vCPU
@@ -379,12 +386,42 @@ def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int | None) -
         return list(pool.map(_run_task, tasks))
 
 
-def _count_keys(kernel, ell, n, jobs, budget) -> Counter:
-    """Merge the keys of every partition; they must count the whole group."""
-    keys = sum(_map_reduce(_tally, ell, n, kernel, jobs, budget), Counter())
+def _fold_group(jobs, budget, fold, kernel, ell, n):
+    """``fold`` over the whole group, merged: the first failure, or keys counting every element."""
+    parts = _map_reduce(fold, ell, n, kernel, jobs, budget)
+    if fold is _first_failure:
+        return next(filter(None, parts), None)
+    keys = sum(parts, Counter())
     if keys.total() != group_size(ell, n):
         raise ValueError("distribution does not cover the whole group")
     return keys
+
+
+def _succession_matrix(ell, n, kind, source, fold=lambda m, _: m + 1):
+    """``matrix[k][x]`` counts the elements whose k-succession values of
+    ``kind`` fold to ``x``: ``x`` starts at 0 and becomes ``fold(x, v)`` for
+    each value ``v``, by default their number."""
+    keys = source(_tally, _SUCCESSION_KERNELS[kind], ell, n)
+    width = n + 1
+    matrix = [[0] * width for _ in range(width)]
+    for key, count in keys.items():
+        per_k = [0] * width
+        for code in key:
+            k, v = divmod(code, width)
+            per_k[k] = fold(per_k[k], v)
+        for k, x in enumerate(per_k):
+            matrix[k][x] += count
+    matrix = [tuple(row) for row in matrix]
+    return matrix if kind == CIRCULAR else [(0,) * width] + matrix[1:]
+
+
+def _family_counts(ell, n, family, source):
+    keys = source(_tally, _FAMILY_KERNELS[family], ell, n)
+    counts = [0] * (n + 1)
+    for (low, high), count in keys.items():
+        for m in range(low, high + 1):
+            counts[m] += count
+    return tuple(counts)
 
 
 def distribution(
@@ -409,20 +446,6 @@ def distribution(
     return distribution_matrix(ell, n, kind, jobs=jobs, budget=budget)[k]
 
 
-def _expand(keys: Counter, width: int, fold) -> list[tuple[int, ...]]:
-    """``matrix[k][x]`` counts the elements whose k-succession values fold to
-    ``x``: ``x`` starts at 0 and becomes ``fold(x, v)`` for each value ``v``."""
-    matrix = [[0] * width for _ in range(width)]
-    for key, count in keys.items():
-        per_k = [0] * width
-        for code in key:
-            k, v = divmod(code, width)
-            per_k[k] = fold(per_k[k], v)
-        for k, x in enumerate(per_k):
-            matrix[k][x] += count
-    return [tuple(row) for row in matrix]
-
-
 def distribution_matrix(
     ell: int, n: int, kind: str, *, jobs: int = 1, budget: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -432,9 +455,7 @@ def distribution_matrix(
     """
     if kind not in _SUCCESSION_KERNELS:
         raise ValueError(f"unknown statistic kind {kind!r}")
-    keys = _count_keys(_SUCCESSION_KERNELS[kind], ell, n, jobs, budget)
-    matrix = _expand(keys, n + 1, lambda m, _: m + 1)
-    return matrix if kind == CIRCULAR else [(0,) * (n + 1)] + matrix[1:]
+    return _succession_matrix(ell, n, kind, partial(_fold_group, jobs, budget))
 
 
 def bounded_matrix(
@@ -442,7 +463,7 @@ def bounded_matrix(
 ) -> list[tuple[int, ...]]:
     """``matrix[k][v]``: elements whose largest k-circular succession is ``v``
     (``v = 0`` meaning none)."""
-    return _expand(_count_keys(_circular_kernel, ell, n, jobs, budget), n + 1, max)
+    return _succession_matrix(ell, n, CIRCULAR, partial(_fold_group, jobs, budget), max)
 
 
 def family_counts(
@@ -451,22 +472,16 @@ def family_counts(
     """Counts of m-increasing-fixed or m-isolated-fixed elements per ``m``."""
     if family not in _FAMILY_KERNELS:
         raise ValueError(f"unknown family {family!r}")
-    keys = _count_keys(_FAMILY_KERNELS[family], ell, n, jobs, budget)
-    counts = [0] * (n + 1)
-    for (low, high), count in keys.items():
-        for m in range(low, high + 1):
-            counts[m] += count
-    return tuple(counts)
+    return _family_counts(ell, n, family, partial(_fold_group, jobs, budget))
 
 
 # -- verification suites -----------------------------------------------------------
 
 
-def _suite_t2(ell, n, jobs, budget):
+def _suite_t2(ell, n, source):
     """Elements with k-successions bounded by m are counted by g[n][m], all k <= m."""
     g = build_table(ell, n, FLAVOR_G).rows
-    matrix = bounded_matrix(ell, n, jobs=jobs, budget=budget)
-    at_most = [list(accumulate(row)) for row in matrix]
+    at_most = [list(accumulate(row)) for row in _succession_matrix(ell, n, CIRCULAR, source, max)]
     return first_mismatch(
         ("k", "m", "count", "expected"),
         ((k, m) for k in range(n + 1) for m in range(k, n + 1)),
@@ -474,35 +489,23 @@ def _suite_t2(ell, n, jobs, budget):
     )
 
 
-def _suite_three_term(kind):
+def _suite_three_term(kind, ell, n, source):
     """``kind`` counts obey the circular three-term relation
     lhs[n+1][k+1][m] = c[n+1][k][m] + c[n][k][m] - c[n][k][m-1]."""
-
-    def run(ell, n, jobs, budget):
-        lhs = distribution_matrix(ell, n + 1, kind, jobs=jobs, budget=budget)
-        cur = (
-            lhs
-            if kind == CIRCULAR
-            else distribution_matrix(ell, n + 1, CIRCULAR, jobs=jobs, budget=budget)
-        )
-        prev = distribution_matrix(ell, n, CIRCULAR, jobs=jobs, budget=budget)
-        prev = [row + (0,) for row in prev]  # pad m = n+1 with zero
-        return first_mismatch(
-            ("k", "m", "lhs", "rhs"),
-            product(range(n + 1), range(n + 2)),
-            lambda k, m: (
-                lhs[k + 1][m],
-                cur[k][m] + prev[k][m] - (prev[k][m - 1] if m else 0),
-            ),
-        )
-
-    return run
+    lhs = _succession_matrix(ell, n + 1, kind, source)
+    cur = _succession_matrix(ell, n + 1, CIRCULAR, source)
+    prev = [row + (0,) for row in _succession_matrix(ell, n, CIRCULAR, source)]  # m = n+1 is 0
+    return first_mismatch(
+        ("k", "m", "lhs", "rhs"),
+        product(range(n + 1), range(n + 2)),
+        lambda k, m: (lhs[k + 1][m], cur[k][m] + prev[k][m] - (prev[k][m - 1] if m else 0)),
+    )
 
 
-def _suite_l45(ell, n, jobs, budget):
+def _suite_l45(ell, n, source):
     """c[k][m] = C(n-k, m) * g[n-m][k] for k <= n - m."""
     g = build_table(ell, n, FLAVOR_G).rows
-    matrix = distribution_matrix(ell, n, CIRCULAR, jobs=jobs, budget=budget)
+    matrix = _succession_matrix(ell, n, CIRCULAR, source)
     return first_mismatch(
         ("k", "m", "count", "expected"),
         ((k, m) for m in range(n + 1) for k in range(n - m + 1)),
@@ -510,19 +513,15 @@ def _suite_l45(ell, n, jobs, budget):
     )
 
 
-def _suite_family(family):
+def _suite_family(family, ell, n, source):
     """m-members of ``family`` are counted by d[n][m]."""
-
-    def run(ell, n, jobs, budget):
-        d = build_table(ell, n, FLAVOR_D).rows
-        counts = family_counts(ell, n, family, jobs=jobs, budget=budget)
-        return first_mismatch(
-            ("m", "count", "expected"),
-            ((m,) for m in range(n + 1)),
-            lambda m: (counts[m], d[n][m]),
-        )
-
-    return run
+    d = build_table(ell, n, FLAVOR_D).rows
+    counts = _family_counts(ell, n, family, source)
+    return first_mismatch(
+        ("m", "count", "expected"),
+        ((m,) for m in range(n + 1)),
+        lambda m: (counts[m], d[n][m]),
+    )
 
 
 def _linear_side(sigma):
@@ -573,27 +572,22 @@ def _e43_check(sigma):
     return _sides_check(sigma, _circular_side, _rotated_side, 1)
 
 
-def _suite_every_element(check):
+def _suite_every_element(check, ell, n, source):
     """``check(sigma)`` finds no counterexample in the group."""
-
-    def run(ell, n, jobs, budget):
-        parts = _map_reduce(_first_failure, ell, n, check, jobs, budget)
-        return next(filter(None, parts), None)
-
-    return run
+    return source(_first_failure, check, ell, n)
 
 
 # name -> (check, first n, how far below max_n the last n stops).  The
 # three-term suites compare sizes n and n+1, so they run for 1 <= n <= max_n - 1.
 _ENUM_SUITES = {
     "t2": (_suite_t2, 0, 0),
-    "t3": (_suite_three_term(CIRCULAR), 1, 1),
-    "c7": (_suite_three_term(LINEAR), 1, 1),
+    "t3": (partial(_suite_three_term, CIRCULAR), 1, 1),
+    "c7": (partial(_suite_three_term, LINEAR), 1, 1),
     "l45": (_suite_l45, 0, 0),
-    "t9": (_suite_family("increasing"), 0, 0),
-    "t11": (_suite_family("isolated"), 0, 0),
-    "e22": (_suite_every_element(_e22_check), 0, 0),
-    "e43": (_suite_every_element(_e43_check), 0, 0),
+    "t9": (partial(_suite_family, "increasing"), 0, 0),
+    "t11": (partial(_suite_family, "isolated"), 0, 0),
+    "e22": (partial(_suite_every_element, _e22_check), 0, 0),
+    "e43": (partial(_suite_every_element, _e43_check), 0, 0),
 }
 
 
@@ -629,6 +623,12 @@ def verify_suite(
         check_table_size(max_ell, max_n)
         what = f"rec tables with ell <= {max_ell}, max_n={max_n}"
         _refuse_sum(what, partial(_table_bits, max_n=max_n), max_ell, TABLE_BIT_LIMIT, _TABLE_LIMIT)
+    per_ell = sum(max(0, max_n + 1 - shrink - first) for _, first, shrink in enumerated)
+    rows = max_ell * (per_ell + 9 * rec)  # rec has nine identities per ell
+    if rows > ROW_LIMIT:
+        what = f"(check, ell, n) rows of suite {suite} with ell <= {max_ell}, n <= {max_n}"
+        raise BudgetError(f"the {rows} {what} exceed the limit of {ROW_LIMIT}")
+    source = cache(partial(_fold_group, jobs, budget))  # one fold per (fold, kernel, ell, n)
     results: list[CheckResult] = []
     for name in names:
         if name == "rec":
@@ -640,5 +640,5 @@ def verify_suite(
         for ell in range(1, max_ell + 1):
             for n in range(first, max_n + 1 - shrink):
                 params = {"max_ell": max_ell, "max_n": max_n}
-                results.append(check_result(name, ell, n, params, run(ell, n, jobs, budget)))
+                results.append(check_result(name, ell, n, params, run(ell, n, source)))
     return results

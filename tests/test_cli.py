@@ -445,6 +445,13 @@ class TestVerify:
             # 2 + 3 + 4 elements at n <= 1; the largest group, 3, fits
             (["--suite", "all", "--colors-max", "3", "--n-max", "1", "--budget", "8"],
              "the groups with ell <= 3, 0 <= n <= 1 sum to more than the budget of 8 elements"),
+            # within the budget (10^8 groups of one element), over the row limit
+            (["--suite", "t2", "--colors-max", "100000000", "--n-max", "0"],
+             "the 100000000 (check, ell, n) rows of suite t2 with ell <= 100000000, n <= 0"
+             " exceed the limit of 10000"),
+            (["--suite", "t2", "--colors-max", "2000000", "--n-max", "0"],
+             "the 2000000 (check, ell, n) rows of suite t2 with ell <= 2000000, n <= 0"
+             " exceed the limit of 10000"),
         ],
     )
     def test_range_refused_as_a_whole(self, capsys, monkeypatch, argv, err):
@@ -461,6 +468,13 @@ class TestVerify:
         code = cli.main(["verify", *argv])
         assert time.perf_counter() - start < 1
         assert (code, *capsys.readouterr()) == (3, "", f"error: {err}\n")
+
+    def test_range_at_the_row_limit_runs(self, capsys):
+        """A range of exactly ``ROW_LIMIT`` rows runs; one more row is refused."""
+        argv = ["verify", "--suite", "t2", "--n-max", "0", "--colors-max"]
+        code, out = run_cli(capsys, *argv, "10000")
+        assert code == 0 and len(json.loads(out)) == enumeration.ROW_LIMIT == 10_000
+        assert run_cli(capsys, *argv, "10001") == (3, "")
 
     def test_range_summing_to_the_budget_runs(self, capsys):
         code, out = run_cli(

@@ -488,6 +488,14 @@ def _bump(monkeypatch, module, name, args, cell):
     monkeypatch.setattr(module, name, bumped)
 
 
+# The expansion behind each public count, with the same leading arguments.
+_EXPANSIONS = {
+    "bounded_matrix": "_succession_matrix",
+    "distribution_matrix": "_succession_matrix",
+    "family_counts": "_family_counts",
+}
+
+
 @pytest.mark.parametrize(
     "suite,name,args,cell,expected",
     [
@@ -516,10 +524,41 @@ def _bump(monkeypatch, module, name, args, cell):
 )
 def test_table_suite_counterexample(monkeypatch, suite, name, args, cell, expected):
     """A count or table entry off by one fails exactly the checks that read
-    it, each at its first disagreeing index."""
+    it, each at its first disagreeing index.  A count is bumped where its
+    keys are expanded, the point its public function and the suites share."""
     _force_pool(monkeypatch)
-    _bump(monkeypatch, enumeration, name, args, cell)
+    _bump(monkeypatch, enumeration, _EXPANSIONS.get(name, name), args, cell)
     assert _failures(suite) == expected
+
+
+def test_each_tally_runs_once_per_call(monkeypatch):
+    """One ``verify_suite`` call tallies each ``(kernel, ell, n)`` once,
+    however many suites read its keys."""
+    tallies = []
+    real_map_reduce = enumeration._map_reduce
+
+    def map_reduce(fold, ell, n, kernel, *rest):
+        if fold is enumeration._tally:
+            tallies.append((kernel, ell, n))
+        return real_map_reduce(fold, ell, n, kernel, *rest)
+
+    monkeypatch.setattr(enumeration, "_map_reduce", map_reduce)
+    for _ in range(2):  # the second call tallies them all again: nothing outlives a call
+        tallies.clear()
+        assert all(r.passed for r in verify_suite("all", 2, 4))
+        # circular at n <= 4, linear at 2 <= n <= 4 and each family at n <= 4, for ell <= 2
+        assert len(tallies) == len(set(tallies)) == 2 * (5 + 3 + 5 + 5)
+
+
+@pytest.mark.parametrize("fault", [None, ("_succession_matrix", (2, 3, "circular"), (1, 1))])
+def test_all_is_every_suite_in_turn(monkeypatch, fault):
+    """The ``all`` report is the nine single-suite reports concatenated, with
+    and without a count off by one that several suites read."""
+    if fault:
+        _bump(monkeypatch, enumeration, *fault)
+    suites = [r for suite in enumeration.SUITES for r in verify_suite(suite, 2, 4)]
+    assert verify_suite("all", 2, 4) == suites
+    assert all(r.passed for r in suites) == (fault is None)
 
 
 def _rec_failures():
