@@ -53,16 +53,6 @@ from .statistics import (
 # -- shared helpers -----------------------------------------------------------
 
 
-def _from_word(symbols: Sequence[ColoredSymbol], ell: int) -> ColoredPermutation:
-    n = len(symbols)
-    sigma = [0] * n
-    colors = [0] * n
-    for i, sym in enumerate(symbols):
-        sigma[i] = sym.value
-        colors[sym.value - 1] = sym.color
-    return ColoredPermutation(ell, tuple(sigma), tuple(colors))
-
-
 def _with_letter(p: ColoredPermutation, i: int, v: int) -> ColoredPermutation:
     """Put the uncolored value ``v`` at position ``i``; values ``>= v`` move up."""
     sigma = [x + (x >= v) for x in p.sigma]
@@ -268,10 +258,10 @@ def prefix_action(tau: ColoredPermutation, p: ColoredPermutation) -> ColoredPerm
         raise DomainError(f"acting group size {m} exceeds n={p.n}")
     if any(v > m for v in fixed_points(p)):
         raise DomainError(f"fixed points must lie in [{m}]")
-    tinv = tau.inverse()
-    word = [p.apply(tinv.image(i)) for i in range(1, m + 1)]
-    word.extend(p.image(i) for i in range(m + 1, p.n + 1))
-    return _from_word(word, p.ell)
+    t = ColoredPermutation(  # tau, extended by the identity on m+1..n
+        p.ell, tau.sigma + tuple(range(m + 1, p.n + 1)), tau.colors + (0,) * (p.n - m)
+    )
+    return p * t.inverse()  # p after t^{-1}
 
 
 @dataclass(frozen=True)
@@ -411,14 +401,12 @@ def isolate_forward(
     """
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if p.n == n - 1:
-        if not is_isolated_fixed(p, m - 1):
-            raise DomainError(f"input is not {m - 1}-isolated-fixed")
-        return 0, m, _with_letter(p, m, m)
-    if p.n != n:
+    if p.n not in (n - 1, n):
         raise DomainError(f"input size must be {n - 1} or {n}, got {p.n}")
     if not is_isolated_fixed(p, m - 1):
         raise DomainError(f"input is not {m - 1}-isolated-fixed")
+    if p.n == n - 1:
+        return 0, m, _with_letter(p, m, m)
     sigma, colors = list(p.sigma), list(p.colors)
     alpha, x = m, sigma[m - 1]
     while x != m:

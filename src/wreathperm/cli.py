@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
 budget, table size or verify row limit exceeded, 4 domain error (input outside
 a bijection's domain), 141 stdout closed by its reader (128 + SIGPIPE, as a
-shell reports it).  The environment variable ``WREATH_EULER_BUDGET`` overrides
-the default element budget; an explicit ``--budget`` flag wins over both.
+shell reports it).  ``--budget`` (on ``count`` and ``verify``) is the one
+override of the element budget, ``DEFAULT_BUDGET`` (10^8) by default.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .core import (
 )
 from . import bijections as bij
 from .enumeration import (
+    DEFAULT_BUDGET,
     SUITES,
     BudgetError,
     check_table_size,
@@ -56,16 +57,6 @@ def _at_least(low: int):
 
 
 _jobs, _budget = _at_least(1), _at_least(0)
-
-
-def _resolve_budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("WREATH_EULER_BUDGET")
-    try:
-        return _budget(env) if env else None
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"WREATH_EULER_BUDGET: {exc}") from None
 
 
 def _cmd_table(args) -> int:
@@ -99,7 +90,7 @@ def _cmd_count(args) -> int:
         args.k,
         _STATS[args.stat],
         jobs=args.jobs,
-        budget=_resolve_budget(args),
+        budget=args.budget,
     )
     if args.format == "json":
         print(
@@ -193,7 +184,7 @@ def _cmd_verify(args) -> int:
         args.colors_max,
         args.n_max,
         jobs=args.jobs,
-        budget=_resolve_budget(args),
+        budget=args.budget,
     )
     if not results:
         raise ValueError(
@@ -226,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.add_argument("--jobs", type=_jobs, default=1)
-    c.add_argument("--budget", type=_budget, default=None)
+    c.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     c.set_defaults(func=_cmd_count)
 
     b = sub.add_parser("bijection", help="apply a named bijection to one element")
@@ -246,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--colors-max", type=int, required=True)
     v.add_argument("--n-max", type=int, required=True)
     v.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
-    v.add_argument("--budget", type=_budget, default=None)
+    v.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     v.set_defaults(func=_cmd_verify)
     return parser
 

@@ -17,23 +17,25 @@ Each count is a tally of keys, then their expansion, which reads the keys from
 one ``verify_suite`` call every suite reads one cache of it, so each ``(kernel,
 ell, n)`` is tallied once per call; the cache is dropped when the call returns.
 
-A budget guard refuses group sizes above ``DEFAULT_BUDGET`` elements unless a
-larger budget is passed explicitly, ``check_table_size`` refuses a difference
-table above ``TABLE_BIT_LIMIT`` bits, and ``verify_suite`` refuses a range of
-more than ``ROW_LIMIT`` (check, ell, n) rows.
+A budget guard refuses a group of more than ``budget`` elements, by default
+``DEFAULT_BUDGET``; ``check_table_size`` refuses a difference table above
+``TABLE_BIT_LIMIT`` bits or Python's int-to-str digit limit.  ``verify_suite``
+sizes its range cheapest first: at most ``ROW_LIMIT`` (check, ell, n) rows,
+then its largest group and table, then the sum of its groups and of its tables.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import Counter
 from functools import cache, partial
 from itertools import accumulate, combinations, compress, islice, product
 from typing import Iterator
 
 from .core import ColoredPermutation, sigma_cycles
-from .reporting import CheckResult, check_result, first_mismatch
+from .reporting import CheckResult, first_mismatch
 from .statistics import CIRCULAR, LINEAR, SKEW_LINEAR
 from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
 
@@ -73,12 +75,11 @@ def _refuse_past(what: str, ell: int, name: str, n: int, fits_at, limit: str) ->
         raise BudgetError(f"the {what} with ell={ell}, {name}={n} exceeds the {limit}; {hint}")
 
 
-def _check_budget(ell: int, n: int, budget: int | None) -> int:
+def _check_budget(ell: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     if ell < 1 or n < 0:  # the sizes given, not the first one the loop would size
         raise ValueError(f"need ell >= 1 and n >= 0, got ell={ell}, n={n}")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    text = f"budget of {limit} elements"
-    _refuse_past("group", ell, "n", n, lambda m: group_size(ell, m) <= limit, text)
+    text = f"budget of {budget} elements"
+    _refuse_past("group", ell, "n", n, lambda m: group_size(ell, m) <= budget, text)
     return group_size(ell, n)
 
 
@@ -90,27 +91,13 @@ def _table_bits(ell: int, max_n: int) -> int:
 
 def check_table_size(ell: int, max_n: int) -> None:
     """Refuse, before anything is built, a difference table whose
-    ``_table_bits`` exceed ``TABLE_BIT_LIMIT``."""
-    fits_at = lambda m: _table_bits(ell, m) <= TABLE_BIT_LIMIT
-    _refuse_past("table", ell, "max_n", max_n, fits_at, _TABLE_LIMIT)
-
-
-def _refuse_sum(what: str, f, max_ell: int, limit: int, text: str) -> None:
-    """Raise ``BudgetError`` if ``f(1) + ... + f(max_ell)`` exceeds ``limit``,
-    for a nondecreasing ``f``.  Each run of equal values is found by doubling
-    a step, then halving it, and added at once: a huge range is never walked."""
-    total, ell = 0, 1
-    while ell <= max_ell:
-        value, last, step = f(ell), ell, 1
-        while step:
-            if last + step <= max_ell and f(last + step) == value:
-                last, step = last + step, 2 * step
-            else:
-                step //= 2
-        total += (last - ell + 1) * value
-        if total > limit:
-            raise BudgetError(f"the {what} sum to more than the {text}")
-        ell = last + 1
+    ``_table_bits`` exceed ``TABLE_BIT_LIMIT``, or whose entry bound
+    ``ell^max_n * max_n!`` has more digits than Python converts an int to."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    over = 10**digits if digits else math.inf
+    fits_at = lambda m: _table_bits(ell, m) <= TABLE_BIT_LIMIT and group_size(ell, m) < over
+    printable = f" or of {digits} digits (Python's int-to-str limit)" if digits else ""
+    _refuse_past("table", ell, "max_n", max_n, fits_at, _TABLE_LIMIT + printable)
 
 
 def _unrank_sigma(n: int, rank: int) -> list[int]:
@@ -177,14 +164,14 @@ def _elements(ell: int, n: int, start: int, stop: int) -> Iterator[ColoredPermut
 
 
 def enumerate_group(
-    ell: int, n: int, *, budget: int | None = None
+    ell: int, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> Iterator[ColoredPermutation]:
     """Every element exactly once, in the fixed enumeration order."""
     yield from _elements(ell, n, 0, _check_budget(ell, n, budget))
 
 
 def enumerate_range(
-    ell: int, n: int, start: int, stop: int, *, budget: int | None = None
+    ell: int, n: int, start: int, stop: int, *, budget: int = DEFAULT_BUDGET
 ) -> Iterator[ColoredPermutation]:
     """The sub-stream with enumeration indices in ``[start, stop)``."""
     size = _check_budget(ell, n, budget)
@@ -367,7 +354,7 @@ def _run_task(args):
     return fold(kernel, ell, n, start, stop)
 
 
-def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int | None) -> list:
+def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int = DEFAULT_BUDGET) -> list:
     """Partition the whole group, fold ``kernel`` over each partition (in a
     process pool when it pays), and return the results in index order."""
     size = _check_budget(ell, n, budget)
@@ -431,7 +418,7 @@ def distribution(
     kind: str,
     *,
     jobs: int = 1,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, ...]:
     """Exact distribution of one succession statistic over the whole group:
     ``counts[m]`` elements carry exactly ``m`` k-successions of ``kind``."""
@@ -447,7 +434,7 @@ def distribution(
 
 
 def distribution_matrix(
-    ell: int, n: int, kind: str, *, jobs: int = 1, budget: int | None = None
+    ell: int, n: int, kind: str, *, jobs: int = 1, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """Distributions for every ``k`` at once: ``matrix[k][m]`` exact counts.
 
@@ -459,7 +446,7 @@ def distribution_matrix(
 
 
 def bounded_matrix(
-    ell: int, n: int, *, jobs: int = 1, budget: int | None = None
+    ell: int, n: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """``matrix[k][v]``: elements whose largest k-circular succession is ``v``
     (``v = 0`` meaning none)."""
@@ -467,7 +454,7 @@ def bounded_matrix(
 
 
 def family_counts(
-    ell: int, n: int, family: str, *, jobs: int = 1, budget: int | None = None
+    ell: int, n: int, family: str, *, jobs: int = 1, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, ...]:
     """Counts of m-increasing-fixed or m-isolated-fixed elements per ``m``."""
     if family not in _FAMILY_KERNELS:
@@ -597,7 +584,7 @@ def verify_suite(
     max_n: int,
     *,
     jobs: int = 1,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[CheckResult]:
     """Run one named check suite (or ``all``) over ``ell <= max_ell``,
     enumerating groups of size up to ``max_n`` letters.
@@ -609,36 +596,40 @@ def verify_suite(
         raise ValueError(f"unknown suite {suite!r}")
     names = list(SUITES) if suite == "all" else [suite]
     enumerated = [_ENUM_SUITES[name] for name in names if name != "rec"]
-    # The whole range is sized before the first check: the largest group or
-    # table first, which names the largest n that fits and bounds n, then sums.
-    low = min((first for _, first, shrink in enumerated if first <= max_n - shrink), default=None)
-    if max_ell >= 1 and low is not None:
-        _check_budget(max_ell, max_n, budget)
-        limit = DEFAULT_BUDGET if budget is None else budget
-        groups = lambda ell: sum(group_size(ell, n) for n in range(low, max_n + 1))
-        what = f"groups with ell <= {max_ell}, {low} <= n <= {max_n}"
-        _refuse_sum(what, groups, max_ell, limit, f"budget of {limit} elements")
-    rec = "rec" in names and max_n >= 2 and max_ell >= 1  # the identities reach back two rows
-    if rec:
-        check_table_size(max_ell, max_n)
-        what = f"rec tables with ell <= {max_ell}, max_n={max_n}"
-        _refuse_sum(what, partial(_table_bits, max_n=max_n), max_ell, TABLE_BIT_LIMIT, _TABLE_LIMIT)
+    rec = "rec" in names and max_n >= 2  # the identities reach back two rows
     per_ell = sum(max(0, max_n + 1 - shrink - first) for _, first, shrink in enumerated)
     rows = max_ell * (per_ell + 9 * rec)  # rec has nine identities per ell
+    # The whole range is sized before the first check, cheapest first: its
+    # rows, which bound max_ell; then its largest group or table, which names
+    # the largest n that fits and bounds n; then the sums over the range.
     if rows > ROW_LIMIT:
         what = f"(check, ell, n) rows of suite {suite} with ell <= {max_ell}, n <= {max_n}"
         raise BudgetError(f"the {rows} {what} exceed the limit of {ROW_LIMIT}")
+    if rows <= 0:  # no (check, ell, n) in range, however many ells it spans
+        return []
+    ells = range(1, max_ell + 1)
+    low = min((first for _, first, shrink in enumerated if first <= max_n - shrink), default=None)
+    if low is not None:
+        _check_budget(max_ell, max_n, budget)
+        if sum(group_size(ell, n) for ell in ells for n in range(low, max_n + 1)) > budget:
+            what = f"groups with ell <= {max_ell}, {low} <= n <= {max_n}"
+            raise BudgetError(f"the {what} sum to more than the budget of {budget} elements")
+    if rec:
+        check_table_size(max_ell, max_n)
+        if sum(_table_bits(ell, max_n) for ell in ells) > TABLE_BIT_LIMIT:
+            what = f"rec tables with ell <= {max_ell}, max_n={max_n}"
+            raise BudgetError(f"the {what} sum to more than the {_TABLE_LIMIT}")
     source = cache(partial(_fold_group, jobs, budget))  # one fold per (fold, kernel, ell, n)
     results: list[CheckResult] = []
     for name in names:
         if name == "rec":
             if rec:
-                for ell in range(1, max_ell + 1):
+                for ell in ells:
                     results.extend(check_recurrences(ell, max_n))
             continue
         run, first, shrink = _ENUM_SUITES[name]
-        for ell in range(1, max_ell + 1):
+        for ell in ells:
             for n in range(first, max_n + 1 - shrink):
                 params = {"max_ell": max_ell, "max_n": max_n}
-                results.append(check_result(name, ell, n, params, run(ell, n, source)))
+                results.append(CheckResult(name, ell, n, params, run(ell, n, source)))
     return results

@@ -1,6 +1,6 @@
 """The one place where a comparison becomes a check result: ``first_mismatch``
-finds the first index point whose two sides differ, ``check_result`` makes that
-a pass or a fail, and ``report_json`` renders the results canonically."""
+finds the first index point whose two sides differ, a ``CheckResult`` fails
+exactly when it holds one, and ``report_json`` renders the results canonically."""
 
 from __future__ import annotations
 
@@ -16,12 +16,15 @@ class CheckResult:
     ell: int
     n: int | None
     params: dict
-    status: str  # "pass" | "fail"
-    counterexample: dict | None = None
+    counterexample: dict | None
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.counterexample is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def as_dict(self) -> dict:
         d = {
@@ -45,12 +48,6 @@ def first_mismatch(names, points, sides) -> dict | None:
         if lhs != rhs:
             return dict(zip(names, (*point, str(lhs), str(rhs))))
     return None
-
-
-def check_result(check, ell, n, params, counterexample) -> CheckResult:
-    """A pass without a counterexample, a fail carrying it otherwise."""
-    status = "pass" if counterexample is None else "fail"
-    return CheckResult(check, ell, n, params, status, counterexample)
 
 
 def report_json(results: list[CheckResult]) -> str:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .reporting import CheckResult, check_result, first_mismatch
+from .reporting import CheckResult, first_mismatch
 
 FLAVOR_G = "g"
 FLAVOR_D = "d"
@@ -208,6 +208,6 @@ def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
     ]
     params = {"max_n": max_n}
     return [
-        check_result(check, ell, None, params, first_mismatch(names, points, sides))
+        CheckResult(check, ell, None, params, first_mismatch(names, points, sides))
         for check, names, points, sides in identities
     ]

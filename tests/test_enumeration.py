@@ -3,7 +3,7 @@ import math
 import os
 import random
 from collections import Counter
-from itertools import accumulate, groupby, product
+from itertools import groupby, product
 from operator import attrgetter
 
 import pytest
@@ -146,23 +146,6 @@ class TestStream:
     )
     def test_pool_size(self, jobs, cpus, partitions, workers):
         assert enumeration._pool_size(jobs, cpus, partitions) == workers
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_refuse_sum_matches_the_plain_sum(seed):
-    """The run-wise sum of a nondecreasing function, with runs of every
-    length, decides like the plain sum at and around its value."""
-    rng = random.Random(seed)
-    values = list(accumulate(rng.choice((0, 0, 0, 1, 7)) for _ in range(200)))
-    for max_ell in range(0, 201, 3):
-        total = sum(values[:max_ell])
-        for limit in range(max(total - 1, 0), total + 2):  # a limit is never negative
-            try:
-                enumeration._refuse_sum("sums", lambda ell: values[ell - 1], max_ell, limit, "")
-            except BudgetError:
-                assert total > limit, (max_ell, limit)
-            else:
-                assert total <= limit, (max_ell, limit)
 
 
 def _spec_histograms(ell, n):
