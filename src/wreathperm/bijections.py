@@ -34,6 +34,7 @@ difference tables of :mod:`wreathperm.tables`, sets as in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .core import (
@@ -155,12 +156,9 @@ def foata(sigma: Sequence[int]) -> tuple[int, ...]:
 def foata_inverse(word: Sequence[int]) -> tuple[int, ...]:
     """Cut the word after each right-to-left maximum; each block is a cycle."""
     _check_permutation(word)
-    n = len(word)
-    sigma = [0] * n
+    sigma = [0] * len(word)
     block: list[int] = []
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_max[i] = max(word[i], suffix_max[i + 1])
+    suffix_max = list(accumulate(reversed(word), max))[::-1]
     for i, v in enumerate(word):
         block.append(v)
         if v == suffix_max[i]:

@@ -1,10 +1,12 @@
 """Exhaustive iteration over the colored groups and brute-force verification.
 
-Elements are enumerated in a fixed order: underlying permutations
-lexicographically, and for each permutation the color-by-value vector as a
-base-``ell`` counter (leftmost digit most significant).  The stream can be
-cut into contiguous index ranges, so counting reductions parallelize with an
-exact integer merge and identical results at any worker count.
+Elements are enumerated in a fixed order: underlying permutations in the
+lexicographic order ``itertools.permutations`` gives sorted input, and for
+each the color-by-value vector as a base-``ell`` counter (leftmost digit most
+significant).  The stream can be cut into contiguous index ranges, so counting
+reductions parallelize with an exact integer merge and identical results at
+any worker count; a range starting at permutation rank ``r`` skips ``r``
+permutations in C.  ``element_at`` unranks an index on its own.
 
 The folds are bit-sliced: bit ``o`` of an int stands for the coloring at
 offset ``o`` of every block of ``ell^n`` elements sharing one underlying
@@ -31,7 +33,7 @@ import os
 import sys
 from collections import Counter
 from functools import cache, partial
-from itertools import accumulate, combinations, compress, islice, product
+from itertools import accumulate, combinations, compress, islice, permutations, product
 from typing import Iterator
 
 from .core import ColoredPermutation, sigma_cycles
@@ -120,22 +122,6 @@ def element_at(ell: int, n: int, index: int) -> ColoredPermutation:
     return ColoredPermutation(ell, tuple(_unrank_sigma(n, rank)), colors)
 
 
-def _next_sigma(sigma: list[int]) -> bool:
-    """Advance to the lexicographic successor in place; False after the last."""
-    n = len(sigma)
-    i = n - 2
-    while i >= 0 and sigma[i] >= sigma[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = n - 1
-    while sigma[j] <= sigma[i]:
-        j -= 1
-    sigma[i], sigma[j] = sigma[j], sigma[i]
-    sigma[i + 1 :] = reversed(sigma[i + 1 :])
-    return True
-
-
 def _iter_blocks(
     ell: int, n: int, start: int, stop: int
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -145,16 +131,12 @@ def _iter_blocks(
     if stop <= start:
         return
     radix = ell**n
-    rank, offset = divmod(start, radix)
-    sigma = _unrank_sigma(n, rank)
-    left = stop - start
-    while True:
-        take = min(radix - offset, left)
-        yield tuple(sigma), offset, take
-        left -= take
-        offset = 0
-        if not left or not _next_sigma(sigma):
-            return
+    first = start // radix
+    # the range bounds the ranks: islice refuses a stop past sys.maxsize
+    sigmas = islice(permutations(range(1, n + 1)), first, None)
+    for rank, sigma in zip(range(first, -(-stop // radix)), sigmas):
+        offset = max(start - rank * radix, 0)
+        yield sigma, offset, min(stop - rank * radix, radix) - offset
 
 
 def _elements(ell: int, n: int, start: int, stop: int) -> Iterator[ColoredPermutation]:

@@ -58,12 +58,20 @@ class TestStream:
         keys = [(p.sigma, p.colors) for p in elems]
         assert keys == sorted(keys)
 
-    def test_element_at(self):
-        elems = list(enumerate_group(3, 3))
-        for i, p in enumerate(elems):
-            assert element_at(3, 3, i) == p
+    @pytest.mark.parametrize("ell,n", list(product(range(1, 4), range(6))))
+    def test_element_at(self, ell, n):
+        """The streamed ranges, whole, cut inside a block, empty at the end or
+        inside the last block, match unranking each index on its own."""
+        size = group_size(ell, n)
+        unranked = [element_at(ell, n, i) for i in range(size)]
+        assert list(enumerate_group(ell, n)) == unranked
+        last = size - ell**n  # offset 0 of the last block
+        ranges = _cut_ranges(ell, n, random.Random(ell * 10 + n), 8)
+        for start, stop in [*ranges, (size, size), (last + ell**n // 3, size - ell**n // 4)]:
+            streamed = list(enumerate_range(ell, n, start, stop))
+            assert streamed == unranked[start:stop], (start, stop)
         with pytest.raises(IndexError):
-            element_at(3, 3, len(elems))
+            element_at(ell, n, size)
 
     def test_partitions_cover_stream(self):
         full = list(enumerate_group(2, 4))
