@@ -6,7 +6,8 @@ each the color-by-value vector as a base-``ell`` counter (leftmost digit most
 significant).  The stream can be cut into contiguous index ranges, so counting
 reductions parallelize with an exact integer merge and identical results at
 any worker count; a range starting at permutation rank ``r`` skips ``r``
-permutations in C.  ``element_at`` unranks an index on its own.
+permutations in C (``BudgetError`` past ``sys.maxsize``).  ``element_at``
+unranks an index on its own.
 
 The folds are bit-sliced: bit ``o`` of an int stands for the coloring at
 offset ``o`` of every block of ``ell^n`` elements sharing one underlying
@@ -55,7 +56,7 @@ SUITES = ("t2", "t3", "c7", "l45", "t9", "t11", "e22", "e43", "rec")
 
 
 class BudgetError(RuntimeError):
-    """The requested enumeration exceeds the configured element budget."""
+    """The requested enumeration exceeds the element budget or the ranks the stream can skip."""
 
 
 def group_size(ell: int, n: int) -> int:
@@ -132,6 +133,8 @@ def _iter_blocks(
         return
     radix = ell**n
     first = start // radix
+    if first > sys.maxsize:  # the most items islice can skip
+        raise BudgetError(f"the range starts at permutation rank {first}, past {sys.maxsize}")
     # the range bounds the ranks: islice refuses a stop past sys.maxsize
     sigmas = islice(permutations(range(1, n + 1)), first, None)
     for rank, sigma in zip(range(first, -(-stop // radix)), sigmas):

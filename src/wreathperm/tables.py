@@ -124,20 +124,24 @@ def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
     """Validate every recurrence, boundary, and divisibility identity.
 
     Returns one pass/fail result per identity; a failure carries the first
-    counterexample.  Each row reads 0 one place past its diagonal, the only
-    place beyond it an identity reaches, and only with a zero coefficient.
+    counterexample.  Identities are only evaluated at index points where all
+    referenced entries exist (terms with a zero coefficient are dropped
+    before their entry is fetched).
     """
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
-    g = [row + (0,) for row in build_table(ell, max_n, FLAVOR_G).rows]
-    d = [row + (0,) for row in build_table(ell, max_n, FLAVOR_D).rows]
+    g = build_table(ell, max_n, FLAVOR_G).rows
+    d = build_table(ell, max_n, FLAVOR_D).rows
     # scale[m] = ell^m * m!, one multiplication per m
     scale = list(accumulate(range(1, max_n + 1), lambda s, m: s * ell * m, initial=1))
+
+    def term(coef, rows, n, m):
+        return coef * rows[n][m] if coef else 0
 
     def two_prev_rows(t):
         return lambda n, m: (
             t[n][m],
-            (ell * n - 1) * t[n - 1][m] + ell * (n - m - 1) * t[n - 2][m],
+            (ell * n - 1) * t[n - 1][m] + term(ell * (n - m - 1), t, n - 2, m),
         )
 
     two_prev = [(n, m) for n in range(2, max_n + 1) for m in range(n)]
@@ -162,14 +166,14 @@ def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
             diag,
             lambda n, m: (
                 g[n][m],
-                ell * (n - m) * g[n - 1][m] + ell * m * g[n - 1][m - 1],
+                term(ell * (n - m), g, n - 1, m) + ell * m * g[n - 1][m - 1],
             ),
         ),
         (
             "d_rec_prev_row_diag",
             nm,
             diag,
-            lambda n, m: (d[n][m], ell * (n - m) * d[n - 1][m] + d[n - 1][m - 1]),
+            lambda n, m: (d[n][m], term(ell * (n - m), d, n - 1, m) + d[n - 1][m - 1]),
         ),
         (
             "g_rec_three_term",

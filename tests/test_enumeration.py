@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import sys
 from collections import Counter
 from itertools import groupby, product
 from operator import attrgetter
@@ -90,6 +91,13 @@ class TestStream:
         with pytest.raises(BudgetError):
             distribution(5, 12, 0, "circular")
 
+
+    def test_start_past_skippable_ranks(self):
+        """The stream skips to a range's first permutation, and refuses a rank
+        past ``sys.maxsize`` with the module's own error."""
+        start = sys.maxsize + 1
+        with pytest.raises(BudgetError, match=f"rank {start}, past"):
+            next(enumerate_range(1, 21, start, start + 1, budget=math.factorial(21)))
 
     def test_budget_error_names_largest_fitting_n(self):
         with pytest.raises(BudgetError, match="largest n that fits with ell=2 is 4"):
