@@ -33,6 +33,7 @@ difference tables of :mod:`wreathperm.tables`, sets as in
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -208,24 +209,29 @@ class SuccessionDecomposition:
 
 
 def succession_decompose(p: ColoredPermutation, k: int) -> SuccessionDecomposition:
-    """Remove every k-circular succession, largest position first."""
-    if not 0 <= k <= p.n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={p.n}")
+    """Remove every k-circular succession; larger values close the gaps."""
+    sigma, colors, n = p.sigma, p.colors, len(p.sigma)
+    if not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     positions = tuple(
-        i
-        for i, v in enumerate(p.sigma, start=1)
-        if v == i + k and p.colors[v - 1] == 0
+        i for i, v in enumerate(sigma, 1) if v == i + k and colors[v - 1] == 0
     )
-    reduced = p
-    for i in reversed(positions):
-        reduced = _without_letter(reduced, i)
+    if not positions:
+        return SuccessionDecomposition(positions, p)
+    gone = [i + k for i in positions]  # increasing; each sits only at its position
+    reduced = ColoredPermutation(
+        p.ell,
+        tuple(v - bisect(gone, v) for v in sigma if v not in gone),
+        tuple(c for v, c in enumerate(colors, 1) if v not in gone),
+    )
     return SuccessionDecomposition(positions, reduced)
 
 
 def succession_compose(
     positions: Sequence[int], reduced: ColoredPermutation, k: int
 ) -> ColoredPermutation:
-    """Re-insert successions at the given positions, smallest first."""
+    """Put the uncolored value ``i + k`` at each position ``i``; the core's
+    letters fill the other positions, renumbered to skip those values."""
     n = reduced.n + len(positions)
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -234,9 +240,15 @@ def succession_compose(
         raise DomainError(f"positions must be distinct, increasing, within [1, {n - k}]")
     if k <= reduced.n and circular_successions(reduced, k):
         raise DomainError("the core must have no k-circular succession")
-    for i in pos:
-        reduced = _with_letter(reduced, i, i + k)
-    return reduced
+    if not pos:
+        return reduced
+    gone = [i + k for i in pos]
+    kept = [v for v in range(1, n + 1) if v not in gone]  # the core's r becomes kept[r - 1]
+    sigma, colors = [kept[v - 1] for v in reduced.sigma], list(reduced.colors)
+    for v in gone:  # increasing, so each earlier insertion stays in place
+        sigma.insert(v - k - 1, v)
+        colors.insert(v - 1, 0)
+    return ColoredPermutation(reduced.ell, tuple(sigma), tuple(colors))
 
 
 # -- prefix action and its classes ------------------------------------------------
@@ -254,12 +266,15 @@ def prefix_action(tau: ColoredPermutation, p: ColoredPermutation) -> ColoredPerm
         raise DomainError("color counts differ")
     if m > p.n:
         raise DomainError(f"acting group size {m} exceeds n={p.n}")
-    if any(v > m for v in fixed_points(p)):
+    if fixed_points(p, m):
         raise DomainError(f"fixed points must lie in [{m}]")
-    t = ColoredPermutation(  # tau, extended by the identity on m+1..n
-        p.ell, tau.sigma + tuple(range(m + 1, p.n + 1)), tau.colors + (0,) * (p.n - m)
-    )
-    return p * t.inverse()  # p after t^{-1}
+    # p after tau^{-1}, tau extended by the identity on m+1..n: the value v at
+    # a position j <= m moves to position t = tau(j), and v's color drops by t's
+    sigma, colors = list(p.sigma), list(p.colors)
+    for t, v in zip(tau.sigma, p.sigma):
+        sigma[t - 1] = v
+        colors[v - 1] = (colors[v - 1] - tau.colors[t - 1]) % p.ell
+    return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
 
 
 @dataclass(frozen=True)
@@ -285,47 +300,65 @@ def _check_m(p: ColoredPermutation, m: int) -> None:
 
 def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
     _check_m(p, m)
-    if any(v > m for v in fixed_points(p)):
+    if fixed_points(p, m):
         raise DomainError(f"fixed points must lie in [{m}]")
+    sigma, colors, n = p.sigma, p.colors, len(p.sigma)
+    seen = bytearray(n + 1)
     words = []
     for i in range(1, m + 1):
         w = []
-        x = p.sigma[i - 1]
+        x = sigma[i - 1]
         while x > m:
-            w.append(ColoredSymbol(x, p.colors[x - 1]))
-            x = p.sigma[x - 1]
+            seen[x] = 1
+            w.append(ColoredSymbol(x, colors[x - 1]))
+            x = sigma[x - 1]
         words.append(tuple(w))
-    omega = tuple(
-        cyc for cyc in p.cycles() if all(sym.value > m for sym in cyc)
-    )
-    return ClassSignature(p.ell, p.n, m, tuple(words), omega)
+    omega = []
+    for top in range(n, m, -1):  # an unseen value is the maximum of its cycle
+        x, cyc = top, []
+        while not seen[top]:
+            x = sigma[x - 1]
+            seen[x] = 1
+            cyc.append(ColoredSymbol(x, colors[x - 1]))
+        if cyc:
+            omega.append(tuple(cyc))
+    return ClassSignature(p.ell, n, m, tuple(words), tuple(omega))
 
 
 def class_core(p: ColoredPermutation, m: int) -> ColoredPermutation:
     """The element on ``[m]`` left after erasing the signature's words and cycles."""
     _check_m(p, m)
-    sigma = []
+    sigma, core = p.sigma, []
     for i in range(1, m + 1):
-        x = p.sigma[i - 1]
+        x = sigma[i - 1]
         while x > m:
-            x = p.sigma[x - 1]
-        sigma.append(x)
-    return ColoredPermutation(p.ell, tuple(sigma), p.colors[:m])
+            x = sigma[x - 1]
+        core.append(x)
+    return ColoredPermutation(p.ell, tuple(core), p.colors[:m])
 
 
 def signature_insert(tau: ColoredPermutation, sig: ClassSignature) -> ColoredPermutation:
     """Graft the signature's words onto ``tau``'s cycles and append ``omega``."""
-    if tau.ell != sig.ell or tau.n != sig.m:
-        raise DomainError(f"need an element on [{sig.m}] with {sig.ell} colors")
-    cycles: list[list[ColoredSymbol]] = []
-    for cyc in tau.cycles():
-        letters: list[ColoredSymbol] = []
-        for sym in cyc:
-            letters.append(sym)
-            letters.extend(sig.words[sym.value - 1])
-        cycles.append(letters)
-    cycles.extend(list(c) for c in sig.omega)
-    return ColoredPermutation.from_cycles(cycles, sig.ell, sig.n)
+    m, n = sig.m, sig.n
+    if tau.ell != sig.ell or tau.n != m or len(sig.words) != m:
+        raise DomainError(f"need an element on [{m}] with {sig.ell} colors and {m} words")
+    arcs = []  # (value, color, image) for every letter
+    for i, word in enumerate(sig.words, 1):
+        v, c = i, tau.colors[i - 1]
+        for s in word:
+            arcs.append((v, c, s.value))
+            v, c = s.value, s.color
+        arcs.append((v, c, tau.sigma[i - 1]))
+    for cyc in sig.omega:
+        if not cyc:
+            raise ValueError("invalid signature: empty omega cycle")
+        arcs += [(s.value, s.color, t.value) for s, t in zip(cyc, cyc[1:] + cyc[:1])]
+    if sorted(v for v, _, _ in arcs) != list(range(1, n + 1)):
+        raise ValueError(f"invalid signature: its letters are not 1..{n}, each once")
+    sigma, colors = [0] * n, [0] * n
+    for v, c, image in arcs:
+        sigma[v - 1], colors[v - 1] = image, c
+    return ColoredPermutation(sig.ell, tuple(sigma), tuple(colors))
 
 
 def class_representative(p: ColoredPermutation, m: int) -> ColoredPermutation:

@@ -16,7 +16,7 @@ Each kind of succession is one rule over every ``k`` at once, stated as a
 
 from __future__ import annotations
 
-from .core import ColoredPermutation, sigma_cycles
+from .core import ColoredPermutation
 
 CIRCULAR = "circular"
 LINEAR = "linear"
@@ -39,9 +39,13 @@ def circular_successions(p: ColoredPermutation, k: int) -> frozenset[int]:
     return frozenset(v for j, v in circular_pairs(p) if j == k)
 
 
-def fixed_points(p: ColoredPermutation) -> frozenset[int]:
-    """Values fixed by ``p`` (uncolored and in place)."""
-    return circular_successions(p, 0)
+def fixed_points(p: ColoredPermutation, above: int = 0) -> frozenset[int]:
+    """Values above ``above`` fixed by ``p`` (uncolored and in place); with
+    ``above = 0``, the 0-circular successions."""
+    sigma, colors = p.sigma, p.colors
+    return frozenset(
+        v for v in range(above + 1, len(sigma) + 1) if sigma[v - 1] == v and not colors[v - 1]
+    )
 
 
 def is_derangement(p: ColoredPermutation) -> bool:
@@ -73,22 +77,24 @@ def is_increasing_fixed(p: ColoredPermutation, m: int) -> bool:
     for i in range(m):
         if p.colors[p.sigma[i] - 1] != 0:
             return False
-    if any(v > m for v in fixed_points(p)):
+    if fixed_points(p, m):
         return False
     return all(p.sigma[i - 1] < p.sigma[i] for i in range(1, m))
 
 
 def is_isolated_fixed(p: ColoredPermutation, m: int) -> bool:
     """Values ``1..m`` uncolored, fixed points within ``[m]``, and no cycle
-    meeting ``[m]`` twice."""
-    if not 0 <= m <= p.n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={p.n}")
-    for v in range(1, m + 1):
-        if p.colors[v - 1] != 0:
-            return False
-    if any(v > m for v in fixed_points(p)):
+    meeting ``[m]`` twice: the first value ``<= m`` after each ``v <= m`` on
+    its cycle is ``v`` itself."""
+    sigma = p.sigma
+    if not 0 <= m <= len(sigma):
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={len(sigma)}")
+    if any(p.colors[:m]) or fixed_points(p, m):
         return False
-    for cyc in sigma_cycles(p.sigma):
-        if sum(1 for v in cyc if v <= m) > 1:
+    for v in range(1, m + 1):
+        x = sigma[v - 1]
+        while x > m:
+            x = sigma[x - 1]
+        if x != v:
             return False
     return True

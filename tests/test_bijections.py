@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given
 
 from wreathperm import bijections
+from wreathperm.bijections import ClassSignature
+from wreathperm.core import ColoredSymbol
 from wreathperm import (
     ColoredPermutation,
     DomainError,
@@ -356,6 +359,91 @@ class TestClassSignature:
             class_signature(parse_one_line("1 2 3", 2), 1)
         with pytest.raises(DomainError):
             class_representative(parse_one_line("2 1", 2), -1)
+
+    # Each case spoils the signature of (1 3)(2)(4) with m = 2, n = 4, 2 colors;
+    # a letter is a value or a (value, color) pair.
+    @pytest.mark.parametrize("error, words, omega", [
+        (DomainError, [[3]], [[4]]),  # fewer than m words
+        (ValueError, [[9], []], [[4]]),  # a letter above n
+        (ValueError, [[3], [3]], [[4]]),  # a repeated value
+        (ValueError, [[3], []], []),  # a missing value
+        (ValueError, [[(3, 2)], []], [[4]]),  # a color >= ell
+        (ValueError, [[3], []], [[4], []]),  # an empty omega cycle
+    ])
+    def test_malformed_signature(self, error, words, omega):
+        def letters(seq):
+            return tuple(ColoredSymbol(*x) if isinstance(x, tuple) else ColoredSymbol(x) for x in seq)
+
+        good = ClassSignature(2, 4, 2, (letters([3]), ()), (letters([4]),))
+        assert signature_insert(ColoredPermutation.identity(2, 2), good) == parse_cycles("(1 3)(2)(4)", 2, 4)
+        sig = dataclasses.replace(
+            good, words=tuple(map(letters, words)), omega=tuple(map(letters, omega))
+        )
+        with pytest.raises(ValueError) as info:
+            signature_insert(ColoredPermutation.identity(2, 2), sig)
+        assert type(info.value) is error
+
+
+def _signature_by_cycles(p, cycles, m):
+    """``class_signature`` of ``p`` in its domain, with ``omega`` read off
+    ``cycles = p.cycles()``."""
+    words = []
+    for i in range(1, m + 1):
+        w, x = [], p.sigma[i - 1]
+        while x > m:
+            w.append(ColoredSymbol(x, p.colors[x - 1]))
+            x = p.sigma[x - 1]
+        words.append(tuple(w))
+    omega = tuple(cyc for cyc in cycles if all(sym.value > m for sym in cyc))
+    return ClassSignature(p.ell, p.n, m, tuple(words), omega)
+
+
+def _insert_by_cycles(tau, sig):
+    """``signature_insert`` through ``tau.cycles()`` and ``from_cycles``."""
+    cycles = [
+        [x for sym in cyc for x in (sym, *sig.words[sym.value - 1])] for cyc in tau.cycles()
+    ]
+    return ColoredPermutation.from_cycles(cycles + list(sig.omega), sig.ell, sig.n)
+
+
+def _core_by_cycles(cycles, ell, m):
+    """``class_core``: the cycles with every value above ``m`` erased."""
+    kept = [[sym for sym in cyc if sym.value <= m] for cyc in cycles]
+    return ColoredPermutation.from_cycles([c for c in kept if c], ell, m)
+
+
+def _raises_domain_error(func, *args):
+    try:
+        func(*args)
+    except DomainError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("ell, n", [(ell, n) for ell in (1, 2, 3) for n in range(6)])
+def test_prefix_class_maps_match_cycle_references(ell, n):
+    """The prefix-class maps agree with their statements through cycle form;
+    ``signature_insert`` does so for every ``tau`` at two colors up to n = 4."""
+    representatives = {}  # signature -> its representative, by cycles
+    for p in group(ell, n):
+        cycles = p.cycles()
+        top = max(fixed_points(p), default=0)
+        for m in range(n + 1):
+            assert class_core(p, m) == _core_by_cycles(cycles, ell, m), (str(p), m)
+            if m < top:
+                assert _raises_domain_error(class_signature, p, m), (str(p), m)
+                assert _raises_domain_error(class_representative, p, m), (str(p), m)
+                continue
+            sig = _signature_by_cycles(p, cycles, m)
+            assert class_signature(p, m) == sig, (str(p), m)
+            if sig not in representatives:
+                tau = ColoredPermutation.identity(ell, m)
+                representatives[sig] = _insert_by_cycles(tau, sig)
+            assert class_representative(p, m) == representatives[sig], (str(p), m)
+    if ell <= 2 and n <= 4:
+        for sig in representatives:
+            for tau in group(ell, sig.m):
+                assert signature_insert(tau, sig) == _insert_by_cycles(tau, sig), (str(tau), sig)
 
 
 class TestIsolateStep:

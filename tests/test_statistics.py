@@ -1,9 +1,13 @@
+from itertools import groupby
+from operator import attrgetter
+
 import pytest
 
 from wreathperm import (
     ColoredPermutation,
     circular_pairs,
     circular_successions,
+    enumerate_group,
     fixed_points,
     is_derangement,
     is_increasing_fixed,
@@ -14,6 +18,7 @@ from wreathperm import (
     rotate_right,
     skew_linear_pairs,
 )
+from wreathperm.core import sigma_cycles
 
 from conftest import at_k, group
 
@@ -41,6 +46,11 @@ class TestCircular:
             for k in range(4):
                 for v in circular_successions(p, k):
                     assert p.colors[v - 1] == 0
+
+    def test_fixed_points_above(self):
+        for p in group(2, 5):
+            for m in range(6):
+                assert fixed_points(p, m) == {v for v in fixed_points(p) if v > m}
 
     def test_negative_k(self):
         with pytest.raises(ValueError):
@@ -169,3 +179,22 @@ class TestIsolatedFixed:
         for ell, n in [(2, 3), (3, 2)]:
             members = [p for p in group(ell, n) if is_isolated_fixed(p, n)]
             assert members == [ColoredPermutation.identity(ell, n)]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("n", range(7))
+def test_predicates_match_definitions(ell, n):
+    """``fixed_points`` is the circular rule at ``k = 0``, and
+    ``is_isolated_fixed`` is its docstring read off the cycles: ``1..m``
+    uncolored, no fixed point above ``m``, no cycle meeting ``[m]`` twice."""
+    span = range(n + 1)
+    for sigma, block in groupby(enumerate_group(ell, n), attrgetter("sigma")):
+        cycles = sigma_cycles(sigma)
+        meets_once = [all(sum(v <= m for v in c) <= 1 for c in cycles) for m in span]
+        for p in block:
+            fixed = fixed_points(p)
+            assert fixed == circular_successions(p, 0), str(p)
+            low = max(fixed, default=0)
+            high = next((i for i, c in enumerate(p.colors) if c), n)  # leading 0 colors
+            spec = [low <= m <= high and meets_once[m] for m in span]
+            assert [is_isolated_fixed(p, m) for m in span] == spec, str(p)
