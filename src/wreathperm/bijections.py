@@ -43,6 +43,8 @@ from .core import (
     ColoredSymbol,
     DomainError,
     canonical_cycles,
+    from_arcs,
+    is_permutation,
 )
 from .statistics import (
     circular_successions,
@@ -55,19 +57,28 @@ from .statistics import (
 # -- shared helpers -----------------------------------------------------------
 
 
-def _with_letter(p: ColoredPermutation, i: int, v: int) -> ColoredPermutation:
-    """Put the uncolored value ``v`` at position ``i``; values ``>= v`` move up."""
-    sigma = [x + (x >= v) for x in p.sigma]
-    sigma.insert(i - 1, v)
-    colors = p.colors[: v - 1] + (0,) + p.colors[v - 1 :]
-    return ColoredPermutation(p.ell, tuple(sigma), colors)
+def _with_letters(p: ColoredPermutation, letters: Sequence[tuple[int, int]]) -> ColoredPermutation:
+    """Put the uncolored value ``v`` at position ``i`` for each ``(i, v)``,
+    increasing in both; the other values are renumbered to skip them."""
+    if not letters:
+        return p
+    new = {v for _, v in letters}
+    kept = [v for v in range(1, p.n + len(new) + 1) if v not in new]  # r becomes kept[r - 1]
+    sigma, colors = [kept[v - 1] for v in p.sigma], list(p.colors)
+    for i, v in letters:  # increasing, so each earlier insertion stays in place
+        sigma.insert(i - 1, v)
+        colors.insert(v - 1, 0)
+    return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
 
 
-def _without_letter(p: ColoredPermutation, i: int) -> ColoredPermutation:
-    """Delete position ``i``; values larger than the deleted one move down."""
-    v = p.sigma[i - 1]
-    sigma = tuple(x - (x > v) for x in p.sigma[: i - 1] + p.sigma[i:])
-    return ColoredPermutation(p.ell, sigma, p.colors[: v - 1] + p.colors[v:])
+def _without_letters(p: ColoredPermutation, positions: Sequence[int]) -> ColoredPermutation:
+    """Delete the letters at ``positions``; larger values close the gaps."""
+    if not positions:
+        return p
+    gone = sorted(p.sigma[i - 1] for i in positions)
+    sigma = tuple(v - bisect(gone, v) for v in p.sigma if v not in gone)
+    colors = tuple(c for v, c in enumerate(p.colors, 1) if v not in gone)
+    return ColoredPermutation(p.ell, sigma, colors)
 
 
 def _swap(sigma: list[int], a: int, b: int) -> None:
@@ -116,7 +127,7 @@ def remove_max_succession(
         raise DomainError(
             f"largest {k}-circular succession must be exactly {m + 1}"
         )
-    return _without_letter(p, m + 1 - k)
+    return _without_letters(p, [m + 1 - k])
 
 
 def insert_max_succession(
@@ -133,14 +144,14 @@ def insert_max_succession(
         raise DomainError(f"need m <= n, got m={m}, n={p.n}")
     if any(v > m for v in circular_successions(p, k)):
         raise DomainError(f"all {k}-circular successions must lie in [{m}]")
-    return _with_letter(p, m + 1 - k, m + 1)
+    return _with_letters(p, [(m + 1 - k, m + 1)])
 
 
 # -- cycles-to-word maps --------------------------------------------------------
 
 
 def _check_permutation(word: Sequence[int]) -> None:
-    if sorted(word) != list(range(1, len(word) + 1)):
+    if not is_permutation(word, len(word)):
         raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
 
 
@@ -210,21 +221,10 @@ class SuccessionDecomposition:
 
 def succession_decompose(p: ColoredPermutation, k: int) -> SuccessionDecomposition:
     """Remove every k-circular succession; larger values close the gaps."""
-    sigma, colors, n = p.sigma, p.colors, len(p.sigma)
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    positions = tuple(
-        i for i, v in enumerate(sigma, 1) if v == i + k and colors[v - 1] == 0
-    )
-    if not positions:
-        return SuccessionDecomposition(positions, p)
-    gone = [i + k for i in positions]  # increasing; each sits only at its position
-    reduced = ColoredPermutation(
-        p.ell,
-        tuple(v - bisect(gone, v) for v in sigma if v not in gone),
-        tuple(c for v, c in enumerate(colors, 1) if v not in gone),
-    )
-    return SuccessionDecomposition(positions, reduced)
+    if not 0 <= k <= p.n:
+        raise DomainError(f"need 0 <= k <= n, got k={k}, n={p.n}")
+    positions = tuple(i for i, v in enumerate(p.sigma, 1) if v == i + k and p.colors[v - 1] == 0)
+    return SuccessionDecomposition(positions, _without_letters(p, positions))
 
 
 def succession_compose(
@@ -240,15 +240,7 @@ def succession_compose(
         raise DomainError(f"positions must be distinct, increasing, within [1, {n - k}]")
     if k <= reduced.n and circular_successions(reduced, k):
         raise DomainError("the core must have no k-circular succession")
-    if not pos:
-        return reduced
-    gone = [i + k for i in pos]
-    kept = [v for v in range(1, n + 1) if v not in gone]  # the core's r becomes kept[r - 1]
-    sigma, colors = [kept[v - 1] for v in reduced.sigma], list(reduced.colors)
-    for v in gone:  # increasing, so each earlier insertion stays in place
-        sigma.insert(v - k - 1, v)
-        colors.insert(v - 1, 0)
-    return ColoredPermutation(reduced.ell, tuple(sigma), tuple(colors))
+    return _with_letters(reduced, [(i, i + k) for i in pos])
 
 
 # -- prefix action and its classes ------------------------------------------------
@@ -353,12 +345,7 @@ def signature_insert(tau: ColoredPermutation, sig: ClassSignature) -> ColoredPer
         if not cyc:
             raise ValueError("invalid signature: empty omega cycle")
         arcs += [(s.value, s.color, t.value) for s, t in zip(cyc, cyc[1:] + cyc[:1])]
-    if sorted(v for v, _, _ in arcs) != list(range(1, n + 1)):
-        raise ValueError(f"invalid signature: its letters are not 1..{n}, each once")
-    sigma, colors = [0] * n, [0] * n
-    for v, c, image in arcs:
-        sigma[v - 1], colors[v - 1] = image, c
-    return ColoredPermutation(sig.ell, tuple(sigma), tuple(colors))
+    return from_arcs(sig.ell, n, arcs, "signature")
 
 
 def class_representative(p: ColoredPermutation, m: int) -> ColoredPermutation:
@@ -437,7 +424,7 @@ def isolate_forward(
     if not is_isolated_fixed(p, m - 1):
         raise DomainError(f"input is not {m - 1}-isolated-fixed")
     if p.n == n - 1:
-        return 0, m, _with_letter(p, m, m)
+        return 0, m, _with_letters(p, [(m, m)])
     sigma, colors = list(p.sigma), list(p.colors)
     alpha, x = m, sigma[m - 1]
     while x != m:
@@ -464,7 +451,7 @@ def isolate_inverse(
     if not is_isolated_fixed(p2, m):
         raise DomainError(f"image is not {m}-isolated-fixed")
     if alpha == m and eps == 0 and p2.sigma[m - 1] == m:
-        return _without_letter(p2, m)
+        return _without_letters(p2, [m])
     sigma, colors = list(p2.sigma), list(p2.colors)
     colors[m - 1] = eps
     _swap(sigma, sigma.index(alpha) + 1, sigma.index(m) + 1)
@@ -587,7 +574,7 @@ def isolated_insert(
     if not is_isolated_fixed(p, m):
         raise DomainError(f"input is not {m}-isolated-fixed")
     if alpha == n and rho == 0 and p.sigma[0] == 1:
-        return _without_letter(p, 1)
+        return _without_letters(p, [1])
     sigma, colors = list(p.sigma) + [n], list(p.colors) + [rho]
     if alpha < n:
         _swap(sigma, sigma.index(alpha) + 1, n)
@@ -605,7 +592,7 @@ def isolated_remove(
     if p2.n == n - 2:
         if not is_isolated_fixed(p2, m - 1):
             raise DomainError(f"image is not {m - 1}-isolated-fixed")
-        return 0, n, _with_letter(p2, 1, 1)
+        return 0, n, _with_letters(p2, [(1, 1)])
     if p2.n != n:
         raise DomainError(f"image size must be {n} or {n - 2}, got {p2.n}")
     if not is_isolated_fixed(p2, m):

@@ -74,11 +74,8 @@ class ColoredPermutation:
         n = len(self.sigma)
         if len(self.colors) != n:
             raise ValueError("sigma and colors must have equal length")
-        seen = bytearray(n)
-        for v in self.sigma:
-            if not 1 <= v <= n or seen[v - 1]:
-                raise ValueError(f"sigma is not a permutation of 1..{n}")
-            seen[v - 1] = 1
+        if not is_permutation(self.sigma, n):
+            raise ValueError(f"sigma is not a permutation of 1..{n}")
         for c in self.colors:
             if not 0 <= c < self.ell:
                 raise ValueError(f"color exponent {c} not in [0, {self.ell})")
@@ -90,8 +87,6 @@ class ColoredPermutation:
     @classmethod
     def identity(cls, ell: int, n: int) -> "ColoredPermutation":
         """The neutral element: sigma = (1..n), all colors 0."""
-        if ell < 1:
-            raise ValueError(f"number of colors must be >= 1, got {ell}")
         if n < 0:
             raise ValueError(f"size must be >= 0, got {n}")
         return cls(ell, tuple(range(1, n + 1)), (0,) * n)
@@ -159,44 +154,47 @@ class ColoredPermutation:
 
     @classmethod
     def from_cycles(
-        cls,
-        cycles: Iterable[Iterable[ColoredSymbol]],
-        ell: int,
-        n: int,
+        cls, cycles: Iterable[Iterable[ColoredSymbol]], ell: int, n: int
     ) -> "ColoredPermutation":
         """Rebuild an element from cycles of colored letters.
 
         The cycle supports must partition ``[1..n]``; each letter fixes the
         color of its value and the successor of the previous value.
         """
-        if ell < 1:
-            raise ValueError(f"number of colors must be >= 1, got {ell}")
-        sigma = [0] * n
-        colors = [0] * n
-        seen = [False] * n
-        for cyc in cycles:
-            letters = list(cyc)
-            if not letters:
+        arcs = []
+        for cyc in map(list, cycles):
+            if not cyc:
                 raise ValueError("invalid cycles: empty cycle")
-            for sym in letters:
-                v = sym.value
-                if not 1 <= v <= n:
-                    raise ValueError(f"invalid cycles: value {v} not in [1, {n}]")
-                if seen[v - 1]:
-                    raise ValueError(f"invalid cycles: value {v} repeated")
-                seen[v - 1] = True
-                if not 0 <= sym.color < ell:
-                    raise ValueError(f"invalid cycles: color {sym.color} not in [0, {ell})")
-                colors[v - 1] = sym.color
-            for a, b in zip(letters, letters[1:] + letters[:1]):
-                sigma[a.value - 1] = b.value
-        if not all(seen):
-            missing = [v + 1 for v, s in enumerate(seen) if not s]
-            raise ValueError(f"invalid cycles: values {missing} missing")
-        return cls(ell, tuple(sigma), tuple(colors))
+            arcs += [(a.value, a.color, b.value) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+        return from_arcs(ell, n, arcs, "cycles")
 
     def __str__(self) -> str:
         return format_one_line(self)
+
+
+def is_permutation(values: Sequence[int], n: int) -> bool:
+    """Whether ``values`` holds each of ``1..n`` exactly once."""
+    if len(values) != n:
+        return False
+    seen = bytearray(n + 1)
+    for v in values:
+        if not 1 <= v <= n or seen[v]:
+            return False
+        seen[v] = 1
+    return True
+
+
+def from_arcs(ell: int, n: int, arcs: list[tuple[int, int, int]], what: str) -> ColoredPermutation:
+    """The element that colors each ``value`` of an arc ``(value, color, image)``
+    by ``color`` and maps it to ``image``; ``what`` names the arcs' source."""
+    if n < 0:
+        raise ValueError(f"size must be >= 0, got {n}")
+    if not is_permutation([v for v, _, _ in arcs], n):
+        raise ValueError(f"invalid {what}: its letters are not 1..{n}, each once")
+    sigma, colors = [0] * n, [0] * n
+    for v, c, image in arcs:
+        sigma[v - 1], colors[v - 1] = image, c
+    return ColoredPermutation(ell, tuple(sigma), tuple(colors))
 
 
 def sigma_cycles(sigma: Sequence[int]) -> list[list[int]]:

@@ -369,10 +369,10 @@ def _fold_group(jobs, budget, fold, kernel, ell, n):
     return keys
 
 
-def _succession_matrix(ell, n, kind, source, fold=lambda m, _: m + 1):
+def _succession_matrix(ell, n, kind, source, combine=lambda m, _: m + 1):
     """``matrix[k][x]`` counts the elements whose k-succession values of
-    ``kind`` fold to ``x``: ``x`` starts at 0 and becomes ``fold(x, v)`` for
-    each value ``v``, by default their number."""
+    ``kind`` combine to ``x``: ``x`` starts at 0 and becomes ``combine(x, v)``
+    for each value ``v``, by default their number."""
     keys = source(_tally, _SUCCESSION_KERNELS[kind], ell, n)
     width = n + 1
     matrix = [[0] * width for _ in range(width)]
@@ -380,7 +380,7 @@ def _succession_matrix(ell, n, kind, source, fold=lambda m, _: m + 1):
         per_k = [0] * width
         for code in key:
             k, v = divmod(code, width)
-            per_k[k] = fold(per_k[k], v)
+            per_k[k] = combine(per_k[k], v)
         for k, x in enumerate(per_k):
             matrix[k][x] += count
     matrix = [tuple(row) for row in matrix]

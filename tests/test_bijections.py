@@ -383,6 +383,11 @@ class TestClassSignature:
             signature_insert(ColoredPermutation.identity(2, 2), sig)
         assert type(info.value) is error
 
+    def test_negative_size_signature(self):
+        sig = ClassSignature(2, -3, 0, (), ())
+        with pytest.raises(ValueError, match=r"^size must be >= 0, got -3$"):
+            signature_insert(ColoredPermutation.identity(2, 0), sig)
+
 
 def _signature_by_cycles(p, cycles, m):
     """``class_signature`` of ``p`` in its domain, with ``omega`` read off

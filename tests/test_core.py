@@ -142,13 +142,22 @@ class TestCycles:
             assert parse_cycles(format_cycles(p), 3, 4) == p
             assert parse_one_line(format_one_line(p), 3, 4) == p
 
-    def test_from_cycles_errors(self):
-        with pytest.raises(ValueError):
-            ColoredPermutation.from_cycles(
-                [[ColoredSymbol(1), ColoredSymbol(1)]], 2, 2
-            )
-        with pytest.raises(ValueError):
-            ColoredPermutation.from_cycles([[ColoredSymbol(1)]], 2, 2)
+    # A letter is a value or a (value, color) pair; two colors throughout.
+    @pytest.mark.parametrize("cycles, n, message", [
+        ([[1, 3]], 2, "invalid cycles: its letters are not 1..2, each once"),
+        ([[1, 1]], 2, "invalid cycles: its letters are not 1..2, each once"),
+        ([[1]], 2, "invalid cycles: its letters are not 1..2, each once"),
+        ([[(1, 2)], [2]], 2, "color exponent 2 not in [0, 2)"),
+        ([[1], []], 1, "invalid cycles: empty cycle"),
+        # writing these arcs unchecked would give the valid element (1)
+        ([[1], [1]], 1, "invalid cycles: its letters are not 1..1, each once"),
+        ([], -1, "size must be >= 0, got -1"),
+    ], ids=["above-n", "repeated", "missing", "color", "empty", "twice", "negative-size"])
+    def test_from_cycles_errors(self, cycles, n, message):
+        letters = [[ColoredSymbol(*x) if isinstance(x, tuple) else ColoredSymbol(x) for x in cyc]
+                   for cyc in cycles]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ColoredPermutation.from_cycles(letters, 2, n)
 
 
 class TestText:
