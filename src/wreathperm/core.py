@@ -42,6 +42,9 @@ class ColoredSymbol:
     color: int = 0
 
     def __post_init__(self):
+        if type(self.value) is not int or type(self.color) is not int:  # a float or a bool
+            field, x = ("color", self.color) if type(self.value) is int else ("value", self.value)
+            raise TypeError(f"symbol {field}: {x!r} is not an int")
         if self.value < 1:
             raise ValueError(f"symbol value must be >= 1, got {self.value}")
         if self.color < 0:
@@ -69,6 +72,11 @@ class ColoredPermutation:
             object.__setattr__(self, "sigma", tuple(self.sigma))
         if not isinstance(self.colors, tuple):
             object.__setattr__(self, "colors", tuple(self.colors))
+        # one pass in C over every field; the loop below only names the first that fails
+        if type(self.ell) is not int or not {int}.issuperset(map(type, self.sigma + self.colors)):
+            for field, xs in ("ell", [self.ell]), ("sigma", self.sigma), ("colors", self.colors):
+                if bad := [x for x in xs if type(x) is not int]:  # a float or a bool
+                    raise TypeError(f"{field}: {bad[0]!r} is not an int")
         if self.ell < 1:
             raise ValueError(f"number of colors must be >= 1, got {self.ell}")
         n = len(self.sigma)

@@ -52,8 +52,6 @@ _TABLE_LIMIT = f"limit of {TABLE_BIT_LIMIT} bits (entries x bit length of ell^ma
 # n = 8.  Counts merge exactly either way, so results do not depend on it.
 _PARALLEL_THRESHOLD = 40_320
 
-SUITES = ("t2", "t3", "c7", "l45", "t9", "t11", "e22", "e43", "rec")
-
 
 class BudgetError(RuntimeError):
     """The requested enumeration exceeds the element budget or the ranks the stream can skip."""
@@ -549,18 +547,22 @@ def _suite_every_element(check, ell, n, source):
     return source(_first_failure, check, ell, n)
 
 
-# name -> (check, first n, how far below max_n the last n stops).  The
-# three-term suites compare sizes n and n+1, so they run for 1 <= n <= max_n - 1.
-_ENUM_SUITES = {
-    "t2": (_suite_t2, 0, 0),
-    "t3": (partial(_suite_three_term, CIRCULAR), 1, 1),
-    "c7": (partial(_suite_three_term, LINEAR), 1, 1),
-    "l45": (_suite_l45, 0, 0),
-    "t9": (partial(_suite_family, "increasing"), 0, 0),
-    "t11": (partial(_suite_family, "isolated"), 0, 0),
-    "e22": (partial(_suite_every_element, _e22_check), 0, 0),
-    "e43": (partial(_suite_every_element, _e43_check), 0, 0),
+# name -> (run, first n, how far below max_n the last n stops, table rows): a run
+# with table rows returns them for every n at one ell, sized in table bits; any
+# other returns the counterexample at one n.  t3 and c7 compare n and n+1 letters.
+_SUITES = {
+    "t2": (_suite_t2, 0, 0, 0),
+    "t3": (partial(_suite_three_term, CIRCULAR), 1, 1, 0),
+    "c7": (partial(_suite_three_term, LINEAR), 1, 1, 0),
+    "l45": (_suite_l45, 0, 0, 0),
+    "t9": (partial(_suite_family, "increasing"), 0, 0, 0),
+    "t11": (partial(_suite_family, "isolated"), 0, 0, 0),
+    "e22": (partial(_suite_every_element, _e22_check), 0, 0, 0),
+    "e43": (partial(_suite_every_element, _e43_check), 0, 0, 0),
+    # nine identities that reach back two rows; check_recurrences is read per call
+    "rec": (lambda ell, max_n, source: check_recurrences(ell, max_n), 2, 0, 9),
 }
+SUITES = tuple(_SUITES)
 
 
 def verify_suite(
@@ -579,11 +581,11 @@ def verify_suite(
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    names = list(SUITES) if suite == "all" else [suite]
-    enumerated = [_ENUM_SUITES[name] for name in names if name != "rec"]
-    rec = "rec" in names and max_n >= 2  # the identities reach back two rows
-    per_ell = sum(max(0, max_n + 1 - shrink - first) for _, first, shrink in enumerated)
-    rows = max_ell * (per_ell + 9 * rec)  # rec has nine identities per ell
+    chosen = SUITES if suite == "all" else (suite,)
+    # each suite with a row in range: first <= max_n - shrink
+    plan = {s: _SUITES[s] for s in chosen if _SUITES[s][1] <= max_n - _SUITES[s][2]}
+    per_ell = (table or max_n - shrink - first + 1 for _, first, shrink, table in plan.values())
+    rows = max_ell * sum(per_ell)
     # The whole range is sized before the first check, cheapest first: its
     # rows, which bound max_ell; then its largest group or table, which names
     # the largest n that fits and bounds n; then the sums over the range.
@@ -593,28 +595,25 @@ def verify_suite(
     if rows <= 0:  # no (check, ell, n) in range, however many ells it spans
         return []
     ells = range(1, max_ell + 1)
-    low = min((first for _, first, shrink in enumerated if first <= max_n - shrink), default=None)
+    low = min((first for _, first, _, table in plan.values() if not table), default=None)
     if low is not None:
         _check_budget(max_ell, max_n, budget)
         if sum(group_size(ell, n) for ell in ells for n in range(low, max_n + 1)) > budget:
             what = f"groups with ell <= {max_ell}, {low} <= n <= {max_n}"
             raise BudgetError(f"the {what} sum to more than the budget of {budget} elements")
-    if rec:
+    if any(table for *_, table in plan.values()):
         check_table_size(max_ell, max_n)
         if sum(_table_bits(ell, max_n) for ell in ells) > TABLE_BIT_LIMIT:
             what = f"rec tables with ell <= {max_ell}, max_n={max_n}"
             raise BudgetError(f"the {what} sum to more than the {_TABLE_LIMIT}")
     source = cache(partial(_fold_group, jobs, budget))  # one fold per (fold, kernel, ell, n)
     results: list[CheckResult] = []
-    for name in names:
-        if name == "rec":
-            if rec:
-                for ell in ells:
-                    results.extend(check_recurrences(ell, max_n))
-            continue
-        run, first, shrink = _ENUM_SUITES[name]
+    for name, (run, first, shrink, table) in plan.items():
         for ell in ells:
-            for n in range(first, max_n + 1 - shrink):
-                params = {"max_ell": max_ell, "max_n": max_n}
-                results.append(CheckResult(name, ell, n, params, run(ell, n, source)))
+            if table:
+                results += run(ell, max_n, source)
+            else:
+                for n in range(first, max_n + 1 - shrink):
+                    params = {"max_ell": max_ell, "max_n": max_n}
+                    results.append(CheckResult(name, ell, n, params, run(ell, n, source)))
     return results

@@ -144,6 +144,12 @@ def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
             (ell * n - 1) * t[n - 1][m] + term(ell * (n - m - 1), t, n - 2, m),
         )
 
+    def prev_row_diag(t, diag_coef):
+        return lambda n, m: (
+            t[n][m],
+            term(ell * (n - m), t, n - 1, m) + diag_coef(m) * t[n - 1][m - 1],
+        )
+
     two_prev = [(n, m) for n in range(2, max_n + 1) for m in range(n)]
     diag = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
     inner = [(n, m) for n in range(2, max_n + 1) for m in range(1, n)]
@@ -160,21 +166,8 @@ def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
     identities = [
         ("g_rec_two_prev_rows", nm, two_prev, two_prev_rows(g)),
         ("d_rec_two_prev_rows", nm, two_prev, two_prev_rows(d)),
-        (
-            "g_rec_prev_row_diag",
-            nm,
-            diag,
-            lambda n, m: (
-                g[n][m],
-                term(ell * (n - m), g, n - 1, m) + ell * m * g[n - 1][m - 1],
-            ),
-        ),
-        (
-            "d_rec_prev_row_diag",
-            nm,
-            diag,
-            lambda n, m: (d[n][m], term(ell * (n - m), d, n - 1, m) + d[n - 1][m - 1]),
-        ),
+        ("g_rec_prev_row_diag", nm, diag, prev_row_diag(g, lambda m: ell * m)),
+        ("d_rec_prev_row_diag", nm, diag, prev_row_diag(d, lambda m: 1)),
         (
             "g_rec_three_term",
             nm,

@@ -38,6 +38,41 @@ class TestSymbol:
         with pytest.raises(ValueError, match="symbol value must be >= 1, got 0"):
             ColoredSymbol(0)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((1.5, 0.5), "symbol value: 1.5 is not an int"),
+            ((1, 0.5), "symbol color: 0.5 is not an int"),
+            ((True,), "symbol value: True is not an int"),
+            ((2, False), "symbol color: False is not an int"),
+        ],
+    )
+    def test_non_int_fields_rejected(self, args, message):
+        """Only an ``int`` itself is a value or a color: not a float, not a ``bool``."""
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            ColoredSymbol(*args)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2, (1,), (0.5,)), "colors: 0.5 is not an int"),
+        ((2.5, (1, 2), (2, 0)), "ell: 2.5 is not an int"),
+        ((2, (1, 2), (True, 0)), "colors: True is not an int"),
+        ((True, (1,), (0,)), "ell: True is not an int"),
+        # a float in sigma, whichever way the permutation test would have failed on it
+        ((2, (1.0, 2), (0, 0)), "sigma: 1.0 is not an int"),
+        ((2, (1, 2.5), (0, 0)), "sigma: 2.5 is not an int"),
+        ((2, (0.5, 1), (0, 0)), "sigma: 0.5 is not an int"),
+        ((2, (False, 1), (0, 0)), "sigma: False is not an int"),
+    ],
+)
+def test_element_refuses_non_int_fields(args, message):
+    """``ell``, each value of ``sigma`` and each color must be an ``int``
+    itself; the ``TypeError`` names the field."""
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        ColoredPermutation(*args)
+
 
 class TestGroupStructure:
     def test_identity(self):

@@ -560,6 +560,41 @@ def test_all_is_every_suite_in_turn(monkeypatch, fault):
     assert all(r.passed for r in suites) == (fault is None)
 
 
+def test_rec_reads_check_recurrences_at_each_call(monkeypatch):
+    """The ``rec`` suite calls the module's ``check_recurrences`` when it runs,
+    once per ell, so a wrapper installed after import sees every call."""
+    calls = []
+    real = enumeration.check_recurrences
+
+    def counting(ell, max_n):
+        calls.append((ell, max_n))
+        return real(ell, max_n)
+
+    monkeypatch.setattr(enumeration, "check_recurrences", counting)
+    assert len(verify_suite("rec", 2, 3)) == 2 * 9
+    assert calls == [(1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("suite", [*enumeration.SUITES, "all"])
+@pytest.mark.parametrize("max_ell,max_n", [(2, 4), (3, 2), (2, 1), (1, 0)])
+def test_sized_rows_equal_the_results(monkeypatch, suite, max_ell, max_n):
+    """The rows ``verify_suite`` sizes before the first check are the results
+    it returns: at a ``ROW_LIMIT`` of that many it runs, at one less it refuses."""
+    results = verify_suite(suite, max_ell, max_n)
+    monkeypatch.setattr(enumeration, "ROW_LIMIT", len(results))
+    assert verify_suite(suite, max_ell, max_n) == results
+    monkeypatch.setattr(enumeration, "ROW_LIMIT", len(results) - 1)
+    with pytest.raises(BudgetError, match=f"^the {len(results)} \\(check, ell, n\\) rows "):
+        verify_suite(suite, max_ell, max_n)
+
+
+@pytest.mark.parametrize("max_ell,max_n,rows", [(2, 4, 90), (3, 2, 87), (2, 1, 24), (1, 0, 6)])
+def test_all_rows_per_range(max_ell, max_n, rows):
+    """Per ell, six suites check each ``0 <= n <= max_n``, ``t3`` and ``c7``
+    each ``1 <= n <= max_n - 1``, and ``rec`` nine identities once ``max_n >= 2``."""
+    assert len(verify_suite("all", max_ell, max_n)) == rows
+
+
 def _rec_failures():
     """``(check, ell, counterexample)`` of each failed identity of the ``rec``
     suite up to 4 letters and 2 colors, the same at one and two workers."""
