@@ -151,6 +151,9 @@ def insert_max_succession(
 
 
 def _check_permutation(word: Sequence[int]) -> None:
+    if not {int}.issuperset(map(type, word)):  # a float, a bool or a str
+        bad = next(x for x in word if type(x) is not int)
+        raise TypeError(f"word: {bad!r} is not an int")
     if not is_permutation(word, len(word)):
         raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
 
@@ -295,7 +298,7 @@ def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
     if fixed_points(p, m):
         raise DomainError(f"fixed points must lie in [{m}]")
     sigma, colors, n = p.sigma, p.colors, len(p.sigma)
-    seen = bytearray(n + 1)
+    seen = bytearray(b"\1" * (m + 1) + bytes(n - m))  # 1..m; the words add the rest of their cycles
     words = []
     for i in range(1, m + 1):
         w = []
@@ -305,16 +308,9 @@ def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
             w.append(ColoredSymbol(x, colors[x - 1]))
             x = sigma[x - 1]
         words.append(tuple(w))
-    omega = []
-    for top in range(n, m, -1):  # an unseen value is the maximum of its cycle
-        x, cyc = top, []
-        while not seen[top]:
-            x = sigma[x - 1]
-            seen[x] = 1
-            cyc.append(ColoredSymbol(x, colors[x - 1]))
-        if cyc:
-            omega.append(tuple(cyc))
-    return ClassSignature(p.ell, n, m, tuple(words), tuple(omega))
+    omega = canonical_cycles(sigma, seen)  # the cycles that avoid [m]
+    omega = tuple(tuple(ColoredSymbol(v, colors[v - 1]) for v in cyc) for cyc in omega)
+    return ClassSignature(p.ell, n, m, tuple(words), omega)
 
 
 def class_core(p: ColoredPermutation, m: int) -> ColoredPermutation:

@@ -150,10 +150,10 @@ class ColoredPermutation:
     def cycles(self) -> tuple[tuple[ColoredSymbol, ...], ...]:
         """Canonical cycle factorization.
 
-        Each cycle is rotated so its maximum value comes last, and cycles are
-        listed in decreasing order of their maxima.  Every letter carries the
-        color of its own value; the image of a value is the next letter in
-        its cycle (value and that letter's color).
+        Each cycle ends at its maximum value, and cycles are listed in
+        decreasing order of their maxima.  Every letter carries the color of
+        its own value; the image of a value is the next letter in its cycle
+        (value and that letter's color).
         """
         return tuple(
             tuple(ColoredSymbol(v, self.colors[v - 1]) for v in cyc)
@@ -181,15 +181,8 @@ class ColoredPermutation:
 
 
 def is_permutation(values: Sequence[int], n: int) -> bool:
-    """Whether ``values`` holds each of ``1..n`` exactly once."""
-    if len(values) != n:
-        return False
-    seen = bytearray(n + 1)
-    for v in values:
-        if not 1 <= v <= n or seen[v]:
-            return False
-        seen[v] = 1
-    return True
+    """Whether the ints ``values`` hold each of ``1..n`` exactly once."""
+    return len(values) == n and sorted(values) == list(range(1, n + 1))
 
 
 def from_arcs(ell: int, n: int, arcs: list[tuple[int, int, int]], what: str) -> ColoredPermutation:
@@ -205,32 +198,21 @@ def from_arcs(ell: int, n: int, arcs: list[tuple[int, int, int]], what: str) -> 
     return ColoredPermutation(ell, tuple(sigma), tuple(colors))
 
 
-def sigma_cycles(sigma: Sequence[int]) -> list[list[int]]:
-    """Cycles of a plain permutation given in one-line form (1-based values)."""
-    n = len(sigma)
-    seen = [False] * n
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start - 1]:
-            continue
-        cyc = []
-        v = start
-        while not seen[v - 1]:
-            seen[v - 1] = True
-            cyc.append(v)
-            v = sigma[v - 1]
-        cycles.append(cyc)
-    return cycles
-
-
-def canonical_cycles(sigma: Sequence[int]) -> list[list[int]]:
-    """Cycles of ``sigma``, each rotated so its maximum comes last, listed in
-    decreasing order of their maxima."""
+def canonical_cycles(sigma: Sequence[int], seen: bytearray | None = None) -> list[list[int]]:
+    """Cycles of ``sigma``, each ending at its maximum, listed in decreasing
+    order of their maxima.  ``seen[v]`` (``v`` in ``1..n``) marks the values
+    of whole cycles to leave out; the walk marks the rest in it."""
+    if seen is None:
+        seen = bytearray(len(sigma) + 1)
     out = []
-    for cyc in sigma_cycles(sigma):
-        t = cyc.index(max(cyc))
-        out.append(cyc[t + 1 :] + cyc[: t + 1])
-    out.sort(key=lambda cyc: -cyc[-1])
+    for top in range(len(sigma), 0, -1):  # an unseen value is the maximum of its cycle
+        x, cyc = top, []
+        while not seen[top]:
+            x = sigma[x - 1]
+            seen[x] = 1
+            cyc.append(x)
+        if cyc:
+            out.append(cyc)
     return out
 
 

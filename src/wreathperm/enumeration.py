@@ -37,7 +37,7 @@ from functools import cache, partial
 from itertools import accumulate, combinations, compress, islice, permutations, product
 from typing import Iterator
 
-from .core import ColoredPermutation, sigma_cycles
+from .core import ColoredPermutation, canonical_cycles
 from .reporting import CheckResult, first_mismatch
 from .statistics import CIRCULAR, LINEAR, SKEW_LINEAR
 from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
@@ -242,7 +242,7 @@ def _increasing_kernel(sigma):
 def _isolated_kernel(sigma):
     """``h`` is the number of leading uncolored values, capped below the
     smallest second-smallest value of any cycle."""
-    seconds = [sorted(c)[1] for c in sigma_cycles(sigma) if len(c) > 1]
+    seconds = [sorted(c)[1] for c in canonical_cycles(sigma) if len(c) > 1]
     return _family_kernel(sigma, range(1, min(seconds, default=len(sigma) + 1)))
 
 

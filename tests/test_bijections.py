@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -121,6 +122,17 @@ class TestFoata:
         ident = tuple(range(1, n + 1))
         assert foata(ident) == tuple(range(n, 0, -1))
         assert foata_inverse(foata(ident)) == ident
+
+    # a bool would be read as an int and come back as itself: foata((True, 2)) == (2, True)
+    @pytest.mark.parametrize("func", [foata, foata_inverse])
+    @pytest.mark.parametrize("word, message", [
+        ((True, 2), "word: True is not an int"),
+        ((1.0, 2), "word: 1.0 is not an int"),
+        (("a", 1), "word: 'a' is not an int"),
+    ], ids=["bool", "float", "str"])
+    def test_non_int_letters_rejected(self, func, word, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            func(word)
 
     def test_exhaustive_roundtrip_s6(self):
         for sigma in itertools.permutations(range(1, 7)):

@@ -1,3 +1,4 @@
+import itertools
 import re
 from datetime import timedelta
 
@@ -17,6 +18,7 @@ from wreathperm import (
     rotate_left,
     rotate_right,
 )
+from wreathperm.core import canonical_cycles
 
 from conftest import colored_perms, group
 
@@ -193,6 +195,46 @@ class TestCycles:
                    for cyc in cycles]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ColoredPermutation.from_cycles(letters, 2, n)
+
+
+def _cycles_by_rotation(sigma):
+    """The canonical cycles as first stated: the cycles in order of their
+    least values, each rotated to end at its maximum, then sorted by maxima."""
+    n = len(sigma)
+    seen = [False] * n
+    cycles = []
+    for start in range(1, n + 1):
+        if seen[start - 1]:
+            continue
+        cyc = []
+        v = start
+        while not seen[v - 1]:
+            seen[v - 1] = True
+            cyc.append(v)
+            v = sigma[v - 1]
+        cycles.append(cyc)
+    out = []
+    for cyc in cycles:
+        t = cyc.index(max(cyc))
+        out.append(cyc[t + 1 :] + cyc[: t + 1])
+    out.sort(key=lambda cyc: -cyc[-1])
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_canonical_cycles_match_rotation(n):
+    """The walk from each unseen maximum gives the rotated and sorted cycles;
+    with the values of some cycles marked in ``seen``, it gives the rest."""
+    for sigma in itertools.permutations(range(1, n + 1)):
+        expected = _cycles_by_rotation(sigma)
+        assert canonical_cycles(sigma) == expected, sigma
+        for chosen in itertools.product([False, True], repeat=len(expected)):
+            seen = bytearray(n + 1)
+            for v in itertools.chain(*itertools.compress(expected, chosen)):
+                seen[v] = 1
+            rest = list(itertools.compress(expected, [not c for c in chosen]))
+            assert canonical_cycles(sigma, seen) == rest, (sigma, chosen)
+            assert seen == bytearray([0]) + bytearray([1]) * n, (sigma, chosen)
 
 
 class TestText:

@@ -18,7 +18,7 @@ from wreathperm import (
     rotate_right,
     skew_linear_pairs,
 )
-from wreathperm.core import sigma_cycles
+from wreathperm.core import canonical_cycles
 
 from conftest import at_k, group
 
@@ -189,7 +189,7 @@ def test_predicates_match_definitions(ell, n):
     uncolored, no fixed point above ``m``, no cycle meeting ``[m]`` twice."""
     span = range(n + 1)
     for sigma, block in groupby(enumerate_group(ell, n), attrgetter("sigma")):
-        cycles = sigma_cycles(sigma)
+        cycles = canonical_cycles(sigma)
         meets_once = [all(sum(v <= m for v in c) <= 1 for c in cycles) for m in span]
         for p in block:
             fixed = fixed_points(p)
