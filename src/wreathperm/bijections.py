@@ -34,9 +34,8 @@ difference tables of :mod:`wreathperm.tables`, sets as in
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     ColoredPermutation,
@@ -214,8 +213,7 @@ def colored_foata_inverse(p2: ColoredPermutation) -> ColoredPermutation:
 # -- succession peeling ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuccessionDecomposition:
+class SuccessionDecomposition(NamedTuple):
     """Positions of the k-circular successions plus the succession-free core."""
 
     positions: tuple[int, ...]
@@ -272,8 +270,7 @@ def prefix_action(tau: ColoredPermutation, p: ColoredPermutation) -> ColoredPerm
     return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
 
 
-@dataclass(frozen=True)
-class ClassSignature:
+class ClassSignature(NamedTuple):
     """Invariant of the prefix-action classes.
 
     ``words[i-1]`` is the run of letters strictly between ``i`` and the next

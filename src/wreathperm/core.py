@@ -18,7 +18,6 @@ cycle: the value of that letter wearing that letter's own color.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -34,28 +33,66 @@ class DomainError(ValueError):
     """A partial map was applied outside its stated domain."""
 
 
-@dataclass(frozen=True, slots=True)
-class ColoredSymbol:
+class _Value:
+    """An immutable value: its fields are the subclass's ``__slots__``, set
+    once by its validating ``__init__`` and returned in that order by its
+    ``_fields()``.  Values are equal when their types and fields are, hash as
+    the tuple of their fields, print in the dataclass format, and pickle or
+    copy through ``__init__``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class ColoredSymbol(_Value):
     """A value with a color exponent: ``(v, j)`` stands for ``zeta^j * v``."""
 
-    value: int
-    color: int = 0
+    __slots__ = ("value", "color")
 
-    def __post_init__(self):
-        if type(self.value) is not int or type(self.color) is not int:  # a float or a bool
-            field, x = ("color", self.color) if type(self.value) is int else ("value", self.value)
+    def __init__(self, value: int, color: int = 0):
+        if type(value) is not int or type(color) is not int:  # a float or a bool
+            field, x = ("color", color) if type(value) is int else ("value", value)
             raise TypeError(f"symbol {field}: {x!r} is not an int")
-        if self.value < 1:
-            raise ValueError(f"symbol value must be >= 1, got {self.value}")
-        if self.color < 0:
-            raise ValueError(f"color exponent must be >= 0, got {self.color}")
+        if value < 1:
+            raise ValueError(f"symbol value must be >= 1, got {value}")
+        if color < 0:
+            raise ValueError(f"color exponent must be >= 0, got {color}")
+        _set_value(self, value)
+        _set_color(self, color)
+
+    def _fields(self) -> tuple[int, int]:
+        return self.value, self.color
 
     def __str__(self) -> str:
         return f"{self.value}^{self.color}" if self.color else str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
-class ColoredPermutation:
+# The slots' own setters: they pass by the refusing __setattr__, faster than
+# object.__setattr__ with a field name.
+_set_value, _set_color = ColoredSymbol.value.__set__, ColoredSymbol.color.__set__
+
+
+class ColoredPermutation(_Value):
     """Element of the colored permutation group on ``[1..n]`` with ``ell`` colors.
 
     ``sigma[i-1]`` is the image of position ``i``; ``colors[v-1]`` is the
@@ -63,30 +100,34 @@ class ColoredPermutation:
     position ``i`` is therefore ``ColoredSymbol(sigma[i-1], colors[sigma[i-1]-1])``.
     """
 
-    ell: int
-    sigma: tuple[int, ...]
-    colors: tuple[int, ...]
+    __slots__ = ("ell", "sigma", "colors")
 
-    def __post_init__(self):
-        if not isinstance(self.sigma, tuple):
-            object.__setattr__(self, "sigma", tuple(self.sigma))
-        if not isinstance(self.colors, tuple):
-            object.__setattr__(self, "colors", tuple(self.colors))
+    def __init__(self, ell: int, sigma: Sequence[int], colors: Sequence[int]):
+        if not isinstance(sigma, tuple):
+            sigma = tuple(sigma)
+        if not isinstance(colors, tuple):
+            colors = tuple(colors)
         # one pass in C over every field; the loop below only names the first that fails
-        if type(self.ell) is not int or not {int}.issuperset(map(type, self.sigma + self.colors)):
-            for field, xs in ("ell", [self.ell]), ("sigma", self.sigma), ("colors", self.colors):
+        if type(ell) is not int or not {int}.issuperset(map(type, sigma + colors)):
+            for field, xs in ("ell", [ell]), ("sigma", sigma), ("colors", colors):
                 if bad := [x for x in xs if type(x) is not int]:  # a float or a bool
                     raise TypeError(f"{field}: {bad[0]!r} is not an int")
-        if self.ell < 1:
-            raise ValueError(f"number of colors must be >= 1, got {self.ell}")
-        n = len(self.sigma)
-        if len(self.colors) != n:
+        if ell < 1:
+            raise ValueError(f"number of colors must be >= 1, got {ell}")
+        n = len(sigma)
+        if len(colors) != n:
             raise ValueError("sigma and colors must have equal length")
-        if not is_permutation(self.sigma, n):
+        if not is_permutation(sigma, n):
             raise ValueError(f"sigma is not a permutation of 1..{n}")
-        for c in self.colors:
-            if not 0 <= c < self.ell:
-                raise ValueError(f"color exponent {c} not in [0, {self.ell})")
+        for c in colors:
+            if not 0 <= c < ell:
+                raise ValueError(f"color exponent {c} not in [0, {ell})")
+        _set_ell(self, ell)
+        _set_sigma(self, sigma)
+        _set_colors(self, colors)
+
+    def _fields(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        return self.ell, self.sigma, self.colors
 
     @property
     def n(self) -> int:
@@ -178,6 +219,12 @@ class ColoredPermutation:
 
     def __str__(self) -> str:
         return format_one_line(self)
+
+
+_set_ell, _set_sigma, _set_colors = (
+    ColoredPermutation.ell.__set__, ColoredPermutation.sigma.__set__,
+    ColoredPermutation.colors.__set__,
+)
 
 
 def is_permutation(values: Sequence[int], n: int) -> bool:

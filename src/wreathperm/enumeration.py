@@ -516,18 +516,21 @@ def _rotated_side(sigma):
 def _sides_check(sigma, got, expected, shift):
     """Compare two sides of an identity on each coloring of ``sigma``.  Each
     side is built per block from its own word (``statistics.py`` is the
-    spec), never from the other's candidates.  The verdict of a failing
-    cell is the smallest ``k`` (less ``shift``) where their codes differ."""
+    spec), never from the other's candidates.  Sides that ask the same
+    tests in one order (e22's) split the block once and read the same
+    outcomes.  The verdict of a failing cell is the smallest ``k`` (less
+    ``shift``) where their codes differ."""
     w = len(sigma) + 1
     (tests, key), (other_tests, other_key) = got(sigma), expected(sigma)
     cut = len(tests)
+    shared = tests == other_tests
 
     def verdict(outcomes):
-        a, b = key(outcomes[:cut]), other_key(outcomes[cut:])
+        a, b = key(outcomes[:cut]), other_key(outcomes[0 if shared else cut:])
         diff = a != b and set(a) ^ set(b)  # sides list their codes in one order
         return min(diff) // w - shift if diff else None
 
-    return tests + other_tests, verdict
+    return (tests if shared else tests + other_tests), verdict
 
 
 def _e22_check(sigma):

@@ -5,11 +5,10 @@ exactly when it holds one, and ``report_json`` renders the results canonically."
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named identity check at one parameter point."""
 
     check: str

@@ -18,8 +18,8 @@ All arithmetic is exact arbitrary-precision integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .reporting import CheckResult, first_mismatch
 
@@ -28,8 +28,7 @@ FLAVOR_D = "d"
 FLAVORS = (FLAVOR_G, FLAVOR_D)
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
+class DifferenceTable(NamedTuple):
     """Triangular array ``rows[n][m]`` for ``0 <= m <= n <= max_n``."""
 
     ell: int

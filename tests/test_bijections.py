@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -388,8 +387,8 @@ class TestClassSignature:
 
         good = ClassSignature(2, 4, 2, (letters([3]), ()), (letters([4]),))
         assert signature_insert(ColoredPermutation.identity(2, 2), good) == parse_cycles("(1 3)(2)(4)", 2, 4)
-        sig = dataclasses.replace(
-            good, words=tuple(map(letters, words)), omega=tuple(map(letters, omega))
+        sig = good._replace(
+            words=tuple(map(letters, words)), omega=tuple(map(letters, omega))
         )
         with pytest.raises(ValueError) as info:
             signature_insert(ColoredPermutation.identity(2, 2), sig)

@@ -535,6 +535,20 @@ def test_no_pool_module_without_a_pool():
     assert out.decode().splitlines()[-1] == "[]"
 
 
+def test_no_dataclasses_or_inspect_on_the_cli_path():
+    """A table, a count and a verify run load neither ``dataclasses`` nor
+    ``inspect``, whose imports would dominate the start-up of one CLI call."""
+    code = (
+        "import sys, wreathperm.cli as cli\n"
+        "cli.main(['table', '--flavor', 'g', '--colors', '2', '--max-n', '5'])\n"
+        "cli.main(['count', '--colors', '2', '--n', '3', '--stat', 'lin', '--k', '1'])\n"
+        "cli.main(['verify', '--suite', 'rec', '--colors-max', '1', '--n-max', '3'])\n"
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))\n"
+    )
+    out, _ = _python("-c", code, stdout=subprocess.PIPE).communicate(timeout=60)
+    assert out.decode().splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize(
     "args,flag",
     [

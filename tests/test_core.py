@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 from datetime import timedelta
 
@@ -7,16 +9,23 @@ import pytest
 from hypothesis import given, settings
 
 from wreathperm import (
+    CheckResult,
+    ClassSignature,
     ColoredPermutation,
     ColoredSymbol,
+    DifferenceTable,
     DomainError,
     ParseError,
+    SuccessionDecomposition,
+    build_table,
+    class_signature,
     format_cycles,
     format_one_line,
     parse_cycles,
     parse_one_line,
     rotate_left,
     rotate_right,
+    succession_decompose,
 )
 from wreathperm.core import canonical_cycles
 
@@ -421,3 +430,104 @@ def test_parse_arbitrary_text(parse, text, ell, n):
         surplus = counts and int(counts[2]) > int(counts[1])
         if surplus or _AT_STRAY_TEXT.match(str(exc)):
             assert not text[exc.position].isspace()
+
+
+# -- value types ------------------------------------------------------------------
+
+# Each value type: a fresh instance on every call, its fields and its exact repr.
+_VALUES = {
+    "symbol": (lambda: ColoredSymbol(3, 1), ("value", "color"), "ColoredSymbol(value=3, color=1)"),
+    "element": (
+        lambda: ColoredPermutation(2, (2, 1), (1, 0)),
+        ("ell", "sigma", "colors"),
+        "ColoredPermutation(ell=2, sigma=(2, 1), colors=(1, 0))",
+    ),
+    "check": (
+        lambda: CheckResult("t2", 1, 2, {"max_ell": 1, "max_n": 2}, None),
+        ("check", "ell", "n", "params", "counterexample"),
+        "CheckResult(check='t2', ell=1, n=2, params={'max_ell': 1, 'max_n': 2}, "
+        "counterexample=None)",
+    ),
+    "table": (
+        lambda: build_table(2, 2, "g"),
+        ("ell", "flavor", "rows"),
+        "DifferenceTable(ell=2, flavor='g', rows=((1,), (1, 2), (5, 6, 8)))",
+    ),
+    "decomposition": (
+        lambda: succession_decompose(parse_one_line("2 3 1", 1), 1),
+        ("positions", "reduced"),
+        "SuccessionDecomposition(positions=(1, 2), "
+        "reduced=ColoredPermutation(ell=1, sigma=(1,), colors=(0,)))",
+    ),
+    "signature": (
+        lambda: class_signature(parse_one_line("1 3 2^1", 2), 1),
+        ("ell", "n", "m", "words", "omega"),
+        "ClassSignature(ell=2, n=3, m=1, words=((),), "
+        "omega=((ColoredSymbol(value=2, color=1), ColoredSymbol(value=3, color=0)),))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_copies_are_equal(name):
+    """Pickling and both copies give an equal value of the same type."""
+    make, _, _ = _VALUES[name]
+    value = make()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_fields_are_read_only(name):
+    make, fields, _ = _VALUES[name]
+    value = make()
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert make() == value
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_equal_values_hash_equal(name):
+    make, _, _ = _VALUES[name]
+    a, b = make(), make()
+    assert a == b and a is not b
+    if name == "check":  # its params are a dict, so a check result has no hash
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_repr(name):
+    make, _, text = _VALUES[name]
+    assert repr(make()) == text
+
+
+def test_elements_and_symbols_are_not_tuples():
+    """An element or a symbol equals only its own type, never the tuple of its fields."""
+    assert ColoredPermutation(2, (2, 1), (1, 0)) != (2, (2, 1), (1, 0))
+    assert ColoredSymbol(3, 1) != (3, 1)
+    assert ColoredSymbol(1) != ColoredPermutation(1, (1,), (0,))
+
+
+def test_values_by_keyword():
+    assert ColoredSymbol(value=3, color=1) == ColoredSymbol(3, 1)
+    assert ColoredSymbol(3).color == 0
+    assert ColoredPermutation(ell=2, sigma=(2, 1), colors=(1, 0)) == _VALUES["element"][0]()
+    keyword = {
+        "check": lambda: CheckResult(
+            check="t2", ell=1, n=2, params={"max_ell": 1, "max_n": 2}, counterexample=None),
+        "table": lambda: DifferenceTable(ell=2, flavor="g", rows=((1,), (1, 2), (5, 6, 8))),
+        "decomposition": lambda: SuccessionDecomposition(
+            positions=(1, 2), reduced=ColoredPermutation(1, (1,), (0,))),
+        "signature": lambda: ClassSignature(
+            ell=2, n=3, m=1, words=((),),
+            omega=((ColoredSymbol(2, 1), ColoredSymbol(3, 0)),)),
+    }
+    for name, make in keyword.items():
+        assert make() == _VALUES[name][0](), name

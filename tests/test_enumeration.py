@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import random
@@ -481,7 +480,7 @@ def _bump(monkeypatch, module, name, args, cell):
         if a[: len(args)] != args:
             return out
         if isinstance(out, DifferenceTable):
-            return dataclasses.replace(out, rows=_bumped(out.rows, cell))
+            return out._replace(rows=_bumped(out.rows, cell))
         return _bumped(out, cell)
 
     monkeypatch.setattr(module, name, bumped)

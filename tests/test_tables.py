@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -203,7 +202,7 @@ class TestRecurrences:
         def strict(*args):
             table = real(*args)
             rows = _NoWrap(_NoWrap(row) for row in table.rows)
-            return dataclasses.replace(table, rows=rows)
+            return table._replace(rows=rows)
 
         monkeypatch.setattr(tables, "build_table", strict)
         for (ell, n), results in expected.items():
