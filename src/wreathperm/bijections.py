@@ -67,7 +67,7 @@ def _with_letters(p: ColoredPermutation, letters: Sequence[tuple[int, int]]) -> 
     for i, v in letters:  # increasing, so each earlier insertion stays in place
         sigma.insert(i - 1, v)
         colors.insert(v - 1, 0)
-    return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
+    return ColoredPermutation(p.ell, sigma, colors)
 
 
 def _without_letters(p: ColoredPermutation, positions: Sequence[int]) -> ColoredPermutation:
@@ -93,7 +93,7 @@ def _without_max(ell: int, sigma: list[int], colors: list[int]) -> ColoredPermut
     """Cut the largest value out of its cycle and drop it."""
     n = len(sigma)
     _swap(sigma, sigma.index(n) + 1, n)
-    return ColoredPermutation(ell, tuple(sigma[:-1]), tuple(colors[:-1]))
+    return ColoredPermutation(ell, sigma[:-1], colors[:-1])
 
 
 def _pair_with_max(sigma: list[int], colors: list[int], x: int) -> None:
@@ -197,7 +197,7 @@ def colored_foata(p: ColoredPermutation) -> ColoredPermutation:
         for a, b in zip(seg, seg[1:]):
             colors[b - 1] = (colors[a - 1] + colors[b - 1]) % p.ell
         word.extend(seg)
-    return ColoredPermutation(p.ell, tuple(word), tuple(colors))
+    return ColoredPermutation(p.ell, word, colors)
 
 
 def colored_foata_inverse(p2: ColoredPermutation) -> ColoredPermutation:
@@ -207,7 +207,7 @@ def colored_foata_inverse(p2: ColoredPermutation) -> ColoredPermutation:
     for seg in canonical_cycles(sigma):
         for a, b in zip(seg, seg[1:]):
             colors[b - 1] = (p2.colors[b - 1] - p2.colors[a - 1]) % p2.ell
-    return ColoredPermutation(p2.ell, sigma, tuple(colors))
+    return ColoredPermutation(p2.ell, sigma, colors)
 
 
 # -- succession peeling ----------------------------------------------------------
@@ -267,7 +267,7 @@ def prefix_action(tau: ColoredPermutation, p: ColoredPermutation) -> ColoredPerm
     for t, v in zip(tau.sigma, p.sigma):
         sigma[t - 1] = v
         colors[v - 1] = (colors[v - 1] - tau.colors[t - 1]) % p.ell
-    return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
+    return ColoredPermutation(p.ell, sigma, colors)
 
 
 class ClassSignature(NamedTuple):
@@ -319,7 +319,7 @@ def class_core(p: ColoredPermutation, m: int) -> ColoredPermutation:
         while x > m:
             x = sigma[x - 1]
         core.append(x)
-    return ColoredPermutation(p.ell, tuple(core), p.colors[:m])
+    return ColoredPermutation(p.ell, core, p.colors[:m])
 
 
 def signature_insert(tau: ColoredPermutation, sig: ClassSignature) -> ColoredPermutation:
@@ -367,7 +367,7 @@ def isolated_to_increasing(p: ColoredPermutation, m: int) -> ColoredPermutation:
         colors[p.sigma[i] - 1] = 0
     for i in range(m):
         colors[i] = p.colors[p.sigma[i] - 1]
-    return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
+    return ColoredPermutation(p.ell, sigma, colors)
 
 
 def increasing_to_isolated(p2: ColoredPermutation, m: int) -> ColoredPermutation:
@@ -390,7 +390,7 @@ def increasing_to_isolated(p2: ColoredPermutation, m: int) -> ColoredPermutation
         sigma[i - 1] = x
         colors[x - 1] = p2.colors[i - 1]
     colors[:m] = [0] * m
-    return ColoredPermutation(p2.ell, tuple(sigma), tuple(colors))
+    return ColoredPermutation(p2.ell, sigma, colors)
 
 
 # -- the three counting recurrences, realized bijectively --------------------------
@@ -424,7 +424,7 @@ def isolate_forward(
         alpha, x = min(alpha, x), sigma[x - 1]
     eps, colors[m - 1] = colors[m - 1], 0
     _swap(sigma, sigma.index(m) + 1, sigma.index(alpha) + 1)
-    return eps, alpha, ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
+    return eps, alpha, ColoredPermutation(p.ell, sigma, colors)
 
 
 def isolate_inverse(
@@ -448,7 +448,7 @@ def isolate_inverse(
     sigma, colors = list(p2.sigma), list(p2.colors)
     colors[m - 1] = eps
     _swap(sigma, sigma.index(alpha) + 1, sigma.index(m) + 1)
-    return ColoredPermutation(p2.ell, tuple(sigma), tuple(colors))
+    return ColoredPermutation(p2.ell, sigma, colors)
 
 
 def _first_free_pair(p: ColoredPermutation) -> int:
@@ -505,7 +505,7 @@ def derangement_insert(
         else:
             # A colored 1-cycle t is its own predecessor, so it lands here too.
             _pair_with_max(sigma, colors, sigma.index(t) + 1)
-    return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
+    return ColoredPermutation(p.ell, sigma, colors)
 
 
 def derangement_remove(
@@ -573,7 +573,7 @@ def isolated_insert(
         _swap(sigma, sigma.index(alpha) + 1, n)
     elif rho == 0:
         _pair_with_max(sigma, colors, sigma[0])
-    return ColoredPermutation(p.ell, tuple(sigma), tuple(colors))
+    return ColoredPermutation(p.ell, sigma, colors)
 
 
 def isolated_remove(

@@ -17,7 +17,6 @@ import sys
 from .core import (
     ColoredPermutation,
     DomainError,
-    ParseError,
     format_cycles,
     format_one_line,
     parse_cycles,
@@ -68,15 +67,7 @@ def _cmd_table(args) -> int:
         for n, row in enumerate(table.rows):
             write("".join(f"{n},{m},{value}\n" for m, value in enumerate(row)))
     elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "ell": table.ell,
-                    "flavor": table.flavor,
-                    "rows": [list(row) for row in table.rows],
-                }
-            )
-        )
+        print(json.dumps(table._asdict()))
     else:
         for n, row in enumerate(table.rows):
             write(f"n={n}: {' '.join(map(str, row))}\n")
@@ -100,7 +91,7 @@ def _cmd_count(args) -> int:
                     "n": args.n,
                     "k": args.k,
                     "stat": args.stat,
-                    "counts": list(counts),
+                    "counts": counts,
                 }
             )
         )
@@ -247,15 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetError as exc:
+    except (BudgetError, ValueError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetError) else 4 if isinstance(exc, DomainError) else 2
 
 
 def run() -> None:

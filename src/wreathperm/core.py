@@ -103,10 +103,7 @@ class ColoredPermutation(_Value):
     __slots__ = ("ell", "sigma", "colors")
 
     def __init__(self, ell: int, sigma: Sequence[int], colors: Sequence[int]):
-        if not isinstance(sigma, tuple):
-            sigma = tuple(sigma)
-        if not isinstance(colors, tuple):
-            colors = tuple(colors)
+        sigma, colors = tuple(sigma), tuple(colors)
         # one pass in C over every field; the loop below only names the first that fails
         if type(ell) is not int or not {int}.issuperset(map(type, sigma + colors)):
             for field, xs in ("ell", [ell]), ("sigma", sigma), ("colors", colors):
@@ -138,7 +135,7 @@ class ColoredPermutation(_Value):
         """The neutral element: sigma = (1..n), all colors 0."""
         if n < 0:
             raise ValueError(f"size must be >= 0, got {n}")
-        return cls(ell, tuple(range(1, n + 1)), (0,) * n)
+        return cls(ell, range(1, n + 1), (0,) * n)
 
     # -- elementary access ------------------------------------------------
 
@@ -242,7 +239,7 @@ def from_arcs(ell: int, n: int, arcs: list[tuple[int, int, int]], what: str) -> 
     sigma, colors = [0] * n, [0] * n
     for v, c, image in arcs:
         sigma[v - 1], colors[v - 1] = image, c
-    return ColoredPermutation(ell, tuple(sigma), tuple(colors))
+    return ColoredPermutation(ell, sigma, colors)
 
 
 def canonical_cycles(sigma: Sequence[int], seen: bytearray | None = None) -> list[list[int]]:
@@ -313,18 +310,18 @@ def _word_tokens(text: str) -> Iterator[tuple[str, int]]:
 def parse_one_line(text: str, ell: int, n: int | None = None) -> ColoredPermutation:
     """Parse a one-line word; ``n`` defaults to the number of tokens."""
     letters = [(_parse_token(tok, ell, pos), pos) for tok, pos in _word_tokens(text)]
-    n = len(letters) if n is None else n
-    _check_values(letters, n, text)
-    colors = [0] * n
+    colors = [0] * _check_values(letters, n, text)
     for sym, _ in letters:
         colors[sym.value - 1] = sym.color
-    return ColoredPermutation(ell, tuple(sym.value for sym, _ in letters), tuple(colors))
+    return ColoredPermutation(ell, [sym.value for sym, _ in letters], colors)
 
 
-def _check_values(letters: Sequence[tuple[ColoredSymbol, int]], n: int, text: str) -> None:
-    """Exactly ``n`` letters, each value in ``[1, n]`` once.  Errors point at the
+def _check_values(letters: Sequence[tuple[ColoredSymbol, int]], n: int | None, text: str) -> int:
+    """Check for exactly ``n`` letters (by default, as many as there are),
+    each value in ``[1, n]`` once, and return ``n``.  Errors point at the
     token (the first surplus one), or at the end of ``text`` if letters are
     missing; the count comes first, so a huge ``n`` allocates nothing."""
+    n = len(letters) if n is None else n
     if n != len(letters):
         at = letters[n][1] if 0 <= n < len(letters) else len(text)
         raise ParseError(f"expected {n} tokens, found {len(letters)}", at)
@@ -335,6 +332,7 @@ def _check_values(letters: Sequence[tuple[ColoredSymbol, int]], n: int, text: st
         if seen[sym.value - 1]:
             raise ParseError(f"value {sym.value} repeated", pos)
         seen[sym.value - 1] = True
+    return n
 
 
 def format_one_line(p: ColoredPermutation) -> str:
@@ -369,9 +367,7 @@ def parse_cycles(text: str, ell: int, n: int | None = None) -> ColoredPermutatio
             raise ParseError("empty cycle", offset)
         letters.extend(cycle)
         cycles.append([sym for sym, _ in cycle])
-    n = len(letters) if n is None else n
-    _check_values(letters, n, text)
-    return ColoredPermutation.from_cycles(cycles, ell, n)
+    return ColoredPermutation.from_cycles(cycles, ell, _check_values(letters, n, text))
 
 
 def format_cycles(p: ColoredPermutation) -> str:

@@ -516,10 +516,10 @@ def _rotated_side(sigma):
 def _sides_check(sigma, got, expected, shift):
     """Compare two sides of an identity on each coloring of ``sigma``.  Each
     side is built per block from its own word (``statistics.py`` is the
-    spec), never from the other's candidates.  Sides that ask the same
-    tests in one order (e22's) split the block once and read the same
-    outcomes.  The verdict of a failing cell is the smallest ``k`` (less
-    ``shift``) where their codes differ."""
+    spec), never from the other's candidates.  Sides that ask the same tests
+    in one order (e22's and e43's do) split the block once; others, by both
+    lists.  A failing cell's verdict is the smallest ``k`` (less ``shift``)
+    where their codes differ."""
     w = len(sigma) + 1
     (tests, key), (other_tests, other_key) = got(sigma), expected(sigma)
     cut = len(tests)

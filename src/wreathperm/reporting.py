@@ -26,15 +26,9 @@ class CheckResult(NamedTuple):
         return "pass" if self.passed else "fail"
 
     def as_dict(self) -> dict:
-        d = {
-            "check": self.check,
-            "ell": self.ell,
-            "n": self.n,
-            "params": self.params,
-            "status": self.status,
-        }
-        if self.counterexample is not None:
-            d["counterexample"] = self.counterexample
+        d = {**self._asdict(), "status": self.status}
+        if self.passed:
+            del d["counterexample"]
         return d
 
 

@@ -14,7 +14,14 @@ from hypothesis import given, settings
 
 import wreathperm
 import wreathperm.cli as cli
-from wreathperm import CheckResult, build_table, enumeration
+from wreathperm import (
+    BudgetError,
+    CheckResult,
+    DomainError,
+    ParseError,
+    build_table,
+    enumeration,
+)
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +82,16 @@ class TestTable:
             for m, value in enumerate(row):
                 assert value == g_closed_form(3, n, m)
 
+    def test_json_bytes(self, capsys):
+        code, out = run_cli(
+            capsys, "table", "--flavor", "g", "--colors", "2", "--max-n", "3",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == (
+            '{"ell": 2, "flavor": "g", "rows": [[1], [1, 2], [5, 6, 8], [29, 34, 40, 48]]}\n'
+        )
+
 
 class TestCount:
     def test_fixed_points(self, capsys):
@@ -104,9 +121,7 @@ class TestCount:
             "--format", "json",
         )
         assert code == 0
-        assert json.loads(out) == {
-            "ell": 2, "n": 2, "k": 0, "stat": "circ", "counts": [5, 2, 1]
-        }
+        assert out == '{"ell": 2, "n": 2, "k": 0, "stat": "circ", "counts": [5, 2, 1]}\n'
 
     def test_linear_k_zero_usage_error(self, capsys):
         code, _ = run_cli(
@@ -521,6 +536,25 @@ def test_closed_stdout_exits_quietly(args):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [(BudgetError("x"), 3), (DomainError("x"), 4), (ParseError("x", 0), 2), (ValueError("x"), 2)],
+    ids=("budget", "domain", "parse", "value"),
+)
+def test_refusal_exit_codes(capsys, monkeypatch, error, code):
+    """Each refusal a command raises exits with its documented code, one
+    ``error:`` line on stderr and nothing on stdout."""
+
+    def refuse(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "build_table", refuse)
+    assert cli.main(["table", "--flavor", "g", "--colors", "2", "--max-n", "3"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_no_pool_module_without_a_pool():

@@ -3,7 +3,7 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import groupby, product
+from itertools import groupby, permutations, product
 from operator import attrgetter
 
 import pytest
@@ -459,6 +459,20 @@ def test_block_check_sides_match_spec(ell, n):
                 assert set(pairs) == expected, (name, str(p))
 
 
+@pytest.mark.parametrize(
+    "sides", [("_skew_linear_kernel", "_linear_side"), ("_circular_side", "_rotated_side")],
+    ids=("e22", "e43"),
+)
+def test_block_check_sides_ask_the_same_tests(sides):
+    """Both sides of each block check ask the same tests in one order, so
+    each block is split once: ``(0, s1)`` and the rises for e22, and each
+    ``(0, v)`` for a value ``v`` above its position for e43."""
+    got, expected = (getattr(enumeration, name) for name in sides)
+    for n in range(8):
+        for sigma in permutations(range(1, n + 1)):
+            assert got(sigma)[0] == expected(sigma)[0], sigma
+
+
 def _bumped(value, cell):
     """``value`` (a nested tuple or list of ints) with the entry at ``cell``
     raised by one."""
@@ -753,3 +767,8 @@ class TestVerifySuite:
             assert d["status"] == "pass"
             assert d["check"] == "t9"
             assert "counterexample" not in d
+        keys = {"check", "ell", "n", "params", "status"}
+        assert results[0].as_dict().keys() == keys
+        failed = results[0]._replace(counterexample={"k": 0})
+        assert failed.as_dict().keys() == keys | {"counterexample"}
+        assert failed.as_dict()["status"] == "fail"
