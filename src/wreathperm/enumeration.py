@@ -16,7 +16,7 @@ AND with a precomputed int.  Every element is still tested, as one bit, so
 the cost stays linear in the group size, divided by the machine word.
 
 Each count is a tally of keys, then their expansion, which reads the keys from
-``source(fold, kernel, ell, n)``: ``_fold_group`` for a public count.  Within
+``source(fold, ell, n, kernel)``: ``_map_reduce`` for a public count.  Within
 one ``verify_suite`` call every suite reads one cache of it, so each ``(kernel,
 ell, n)`` is tallied once per call; the cache is dropped when the call returns.
 
@@ -325,10 +325,9 @@ def _first_failure(check, ell, n, start, stop) -> dict | None:
     return None
 
 
-def _pool_size(jobs: int, cpus: int, partitions: int) -> int:
-    """Workers for one map-reduce: no more than requested, than CPUs, or than
-    the partitions the work can be cut into."""
-    return max(1, min(jobs, cpus, partitions))
+def _pool_size(jobs: int, cpus: int) -> int:
+    """Workers for one map-reduce: no more than requested or than CPUs, and at least 1."""
+    return max(1, min(jobs, cpus))
 
 
 def _run_task(args):
@@ -337,32 +336,26 @@ def _run_task(args):
     return fold(kernel, ell, n, start, stop)
 
 
-def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int = DEFAULT_BUDGET) -> list:
-    """Partition the whole group, fold ``kernel`` over each partition (in a
-    process pool when it pays), and return the results in index order."""
+def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int = DEFAULT_BUDGET):
+    """Partition the whole group, fold ``kernel`` over each part (in a process
+    pool when it pays) and merge the parts: into the first failure in index
+    order, or into keys that count every element."""
     size = _check_budget(ell, n, budget)
-    workers = _pool_size(jobs, os.cpu_count() or 1, size)
+    workers = _pool_size(jobs, os.cpu_count() or 1)
     if workers == 1 or math.factorial(n) < _PARALLEL_THRESHOLD:
-        return [_run_task((fold, ell, n, kernel, 0, size))]
-    tasks = [
-        (fold, ell, n, kernel, start, stop)
-        for start, stop in partition_bounds(size, workers)
-    ]
-    # Imported here, so a process that never starts a pool never loads
-    # concurrent.futures or multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+        parts = [_run_task((fold, ell, n, kernel, 0, size))]
+    else:
+        tasks = [(fold, ell, n, kernel, *bounds) for bounds in partition_bounds(size, workers)]
+        # Imported here, so a process that never starts a pool never loads
+        # concurrent.futures or multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks))
-
-
-def _fold_group(jobs, budget, fold, kernel, ell, n):
-    """``fold`` over the whole group, merged: the first failure, or keys counting every element."""
-    parts = _map_reduce(fold, ell, n, kernel, jobs, budget)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_task, tasks))
     if fold is _first_failure:
         return next(filter(None, parts), None)
     keys = sum(parts, Counter())
-    if keys.total() != group_size(ell, n):
+    if keys.total() != size:
         raise ValueError("distribution does not cover the whole group")
     return keys
 
@@ -371,7 +364,7 @@ def _succession_matrix(ell, n, kind, source, combine=lambda m, _: m + 1):
     """``matrix[k][x]`` counts the elements whose k-succession values of
     ``kind`` combine to ``x``: ``x`` starts at 0 and becomes ``combine(x, v)``
     for each value ``v``, by default their number."""
-    keys = source(_tally, _SUCCESSION_KERNELS[kind], ell, n)
+    keys = source(_tally, ell, n, _SUCCESSION_KERNELS[kind])
     width = n + 1
     matrix = [[0] * width for _ in range(width)]
     for key, count in keys.items():
@@ -386,7 +379,7 @@ def _succession_matrix(ell, n, kind, source, combine=lambda m, _: m + 1):
 
 
 def _family_counts(ell, n, family, source):
-    keys = source(_tally, _FAMILY_KERNELS[family], ell, n)
+    keys = source(_tally, ell, n, _FAMILY_KERNELS[family])
     counts = [0] * (n + 1)
     for (low, high), count in keys.items():
         for m in range(low, high + 1):
@@ -425,7 +418,7 @@ def distribution_matrix(
     """
     if kind not in _SUCCESSION_KERNELS:
         raise ValueError(f"unknown statistic kind {kind!r}")
-    return _succession_matrix(ell, n, kind, partial(_fold_group, jobs, budget))
+    return _succession_matrix(ell, n, kind, partial(_map_reduce, jobs=jobs, budget=budget))
 
 
 def bounded_matrix(
@@ -433,7 +426,8 @@ def bounded_matrix(
 ) -> list[tuple[int, ...]]:
     """``matrix[k][v]``: elements whose largest k-circular succession is ``v``
     (``v = 0`` meaning none)."""
-    return _succession_matrix(ell, n, CIRCULAR, partial(_fold_group, jobs, budget), max)
+    source = partial(_map_reduce, jobs=jobs, budget=budget)
+    return _succession_matrix(ell, n, CIRCULAR, source, max)
 
 
 def family_counts(
@@ -442,7 +436,7 @@ def family_counts(
     """Counts of m-increasing-fixed or m-isolated-fixed elements per ``m``."""
     if family not in _FAMILY_KERNELS:
         raise ValueError(f"unknown family {family!r}")
-    return _family_counts(ell, n, family, partial(_fold_group, jobs, budget))
+    return _family_counts(ell, n, family, partial(_map_reduce, jobs=jobs, budget=budget))
 
 
 # -- verification suites -----------------------------------------------------------
@@ -516,21 +510,19 @@ def _rotated_side(sigma):
 def _sides_check(sigma, got, expected, shift):
     """Compare two sides of an identity on each coloring of ``sigma``.  Each
     side is built per block from its own word (``statistics.py`` is the
-    spec), never from the other's candidates.  Sides that ask the same tests
-    in one order (e22's and e43's do) split the block once; others, by both
-    lists.  A failing cell's verdict is the smallest ``k`` (less ``shift``)
+    spec), never from the other's candidates.  Both sides ask one test list
+    in one order (a test checks it for e22 and e43), so it splits the block
+    once.  A failing cell's verdict is the smallest ``k`` (less ``shift``)
     where their codes differ."""
     w = len(sigma) + 1
-    (tests, key), (other_tests, other_key) = got(sigma), expected(sigma)
-    cut = len(tests)
-    shared = tests == other_tests
+    (tests, key), (_, other_key) = got(sigma), expected(sigma)
 
     def verdict(outcomes):
-        a, b = key(outcomes[:cut]), other_key(outcomes[0 if shared else cut:])
+        a, b = key(outcomes), other_key(outcomes)
         diff = a != b and set(a) ^ set(b)  # sides list their codes in one order
         return min(diff) // w - shift if diff else None
 
-    return (tests if shared else tests + other_tests), verdict
+    return tests, verdict
 
 
 def _e22_check(sigma):
@@ -547,7 +539,7 @@ def _e43_check(sigma):
 
 def _suite_every_element(check, ell, n, source):
     """``check(sigma)`` finds no counterexample in the group."""
-    return source(_first_failure, check, ell, n)
+    return source(_first_failure, ell, n, check)
 
 
 # name -> (run, first n, how far below max_n the last n stops, table rows): a run
@@ -609,7 +601,7 @@ def verify_suite(
         if sum(_table_bits(ell, max_n) for ell in ells) > TABLE_BIT_LIMIT:
             what = f"rec tables with ell <= {max_ell}, max_n={max_n}"
             raise BudgetError(f"the {what} sum to more than the {_TABLE_LIMIT}")
-    source = cache(partial(_fold_group, jobs, budget))  # one fold per (fold, kernel, ell, n)
+    source = cache(partial(_map_reduce, jobs=jobs, budget=budget))  # one per (fold, ell, n, kernel)
     results: list[CheckResult] = []
     for name, (run, first, shrink, table) in plan.items():
         for ell in ells:

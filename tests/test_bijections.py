@@ -133,6 +133,13 @@ class TestFoata:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             func(word)
 
+    # without the check foata indexes past the end on (1, 3) and never ends on (1, 1)
+    @pytest.mark.parametrize("func", [foata, foata_inverse])
+    @pytest.mark.parametrize("word", [(1, 3), (1, 1)], ids=["out-of-range", "repeated"])
+    def test_non_permutation_rejected(self, func, word):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not a permutation of 1..2: {word}')}$"):
+            func(word)
+
     def test_exhaustive_roundtrip_s6(self):
         for sigma in itertools.permutations(range(1, 7)):
             assert foata_inverse(foata(sigma)) == sigma
@@ -263,6 +270,8 @@ class TestPrefixAction:
         iota = ColoredPermutation.identity(2, 1)
         with pytest.raises(DomainError):
             prefix_action(iota, parse_one_line("1 2", 2))  # fixed point 2 > m
+        with pytest.raises(DomainError, match="^color counts differ$"):
+            prefix_action(ColoredPermutation.identity(1, 1), iota)
 
 
 class TestIsolatedIncreasing:

@@ -49,6 +49,10 @@ class TestSymbol:
         with pytest.raises(ValueError, match="symbol value must be >= 1, got 0"):
             ColoredSymbol(0)
 
+    def test_negative_color_rejected(self):
+        with pytest.raises(ValueError, match="^color exponent must be >= 0, got -1$"):
+            ColoredSymbol(1, -1)
+
     @pytest.mark.parametrize(
         "args,message",
         [
@@ -85,6 +89,19 @@ def test_element_refuses_non_int_fields(args, message):
         ColoredPermutation(*args)
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2, (1, 2), (0,)), "sigma and colors must have equal length"),
+        ((2, (1, 1), (0, 0)), "sigma is not a permutation of 1..2"),
+    ],
+)
+def test_element_refuses_malformed_fields(args, message):
+    """``sigma`` is a permutation of ``1..n`` with one color per value."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ColoredPermutation(*args)
+
+
 class TestGroupStructure:
     def test_identity(self):
         e = ColoredPermutation.identity(2, 3)
@@ -92,6 +109,8 @@ class TestGroupStructure:
         assert ColoredPermutation.identity(1, 0).n == 0
         with pytest.raises(ValueError):
             ColoredPermutation.identity(0, 3)
+        with pytest.raises(ValueError, match="^size must be >= 0, got -1$"):
+            ColoredPermutation.identity(2, -1)
 
     def test_identity_neutral_exhaustive(self):
         e = ColoredPermutation.identity(2, 3)
@@ -149,6 +168,8 @@ class TestGroupStructure:
             ColoredPermutation.identity(2, 3) * ColoredPermutation.identity(2, 2)
         with pytest.raises(ValueError):
             ColoredPermutation.identity(2, 3) * ColoredPermutation.identity(3, 3)
+        with pytest.raises(TypeError, match="unsupported operand"):  # __mul__ gives NotImplemented
+            ColoredPermutation.identity(2, 2) * 3
 
 
 class TestApply:

@@ -72,6 +72,9 @@ class TestStream:
             assert streamed == unranked[start:stop], (start, stop)
         with pytest.raises(IndexError):
             element_at(ell, n, size)
+        past_end = rf"^range \[0, {size + 1}\) out of bounds for size {size}$"
+        with pytest.raises(IndexError, match=past_end):
+            list(enumerate_range(ell, n, 0, size + 1))
 
     def test_partitions_cover_stream(self):
         full = list(enumerate_group(2, 4))
@@ -82,6 +85,8 @@ class TestStream:
             for start, stop in bounds:
                 merged.extend(enumerate_range(2, 4, start, stop))
             assert merged == full
+        with pytest.raises(ValueError, match="^need at least one part, got 0$"):
+            partition_bounds(5, 0)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
@@ -114,6 +119,7 @@ class TestStream:
             lambda: bounded_matrix(ell, n),
             lambda: family_counts(ell, n, "isolated"),
             lambda: list(enumerate_group(ell, n)),
+            lambda: group_size(ell, n),
         ]
         for call in calls:
             with pytest.raises(ValueError) as exc:
@@ -150,17 +156,12 @@ class TestStream:
                 enumeration.check_table_size(ell, max_n)
 
     @pytest.mark.parametrize(
-        "jobs,cpus,partitions,workers",
-        [
-            (1, 8, 100, 1),
-            (3, 2, 100, 2),
-            (8, 16, 5, 5),
-            (100_000, 2, 46_080, 2),
-            (0, 4, 10, 1),
-        ],
+        "jobs,cpus,workers",
+        [(1, 8, 1), (3, 2, 2), (8, 16, 8), (100_000, 2, 2), (0, 4, 1)],
     )
-    def test_pool_size(self, jobs, cpus, partitions, workers):
-        assert enumeration._pool_size(jobs, cpus, partitions) == workers
+    def test_pool_size(self, jobs, cpus, workers):
+        """Never more workers than requested or than CPUs, and at least 1."""
+        assert enumeration._pool_size(jobs, cpus) == workers
 
 
 def _spec_histograms(ell, n):
@@ -337,11 +338,15 @@ def _failures(suite):
     return [(r.ell, r.n, r.counterexample) for r in reports[0] if not r.passed]
 
 
-# The block-check sides that read each statistic: the side builder, the
-# element whose statistic it reads, how far it raises k, and the least k of
-# the statistic it keeps.  e22's skew side is the skew counting kernel.
+# Both sides of the block check that reads each statistic: the side builder,
+# the element whose statistic it reads (None: it reads none), how far it
+# raises k, and the least k of the statistic it keeps.  e22's skew side is
+# the skew counting kernel.
 _STAT_SIDES = {
-    "skew_linear_pairs": [("_skew_linear_kernel", lambda p: p, 0, 0)],
+    "skew_linear_pairs": [
+        ("_skew_linear_kernel", lambda p: p, 0, 0),
+        ("_linear_side", None, 0, 0),
+    ],
     "circular_pairs": [
         ("_circular_side", lambda p: p, 0, 1),
         ("_rotated_side", rotate_right, 1, 0),
@@ -351,15 +356,15 @@ _STAT_SIDES = {
 
 def _break_stat(monkeypatch, stat, extra):
     """Make every block-check side that reads ``stat`` add the codes of the
-    pairs ``extra(q)`` to those of ``q``, an element of a 2-color group.  The
-    side also asks whether each value is uncolored, which at 2 colors names
-    the coloring and so ``q``."""
+    pairs ``extra(q)`` to those of ``q``, an element of a 2-color group.  Both
+    sides of that check also ask whether each value is uncolored, which at 2
+    colors names the coloring and so ``q``, so they still ask one test list."""
     ells = []  # the ell of the group being checked
     real_map_reduce = enumeration._map_reduce
 
-    def map_reduce(fold, ell, *rest):
+    def map_reduce(fold, ell, *rest, **kwargs):
         ells[:] = [ell]
-        return real_map_reduce(fold, ell, *rest)
+        return real_map_reduce(fold, ell, *rest, **kwargs)
 
     monkeypatch.setattr(enumeration, "_map_reduce", map_reduce)
     for name, reads, shift, least in _STAT_SIDES[stat]:
@@ -372,6 +377,8 @@ def _break_stat(monkeypatch, stat, extra):
             cut = len(tests)
 
             def codes(outcomes):
+                if reads is None:
+                    return key(outcomes[:cut])
                 colors = tuple(0 if uncolored else 1 for uncolored in outcomes[cut:])
                 q = reads(ColoredPermutation(2, sigma, colors))
                 w = len(sigma) + 1
@@ -466,11 +473,16 @@ def test_block_check_sides_match_spec(ell, n):
 def test_block_check_sides_ask_the_same_tests(sides):
     """Both sides of each block check ask the same tests in one order, so
     each block is split once: ``(0, s1)`` and the rises for e22, and each
-    ``(0, v)`` for a value ``v`` above its position for e43."""
+    ``(0, v)`` for a value ``v`` above its position for e43.  They list the
+    same candidates, codes included: a passing test keeps the same code on
+    both sides, so their keys agree when every test passes."""
     got, expected = (getattr(enumeration, name) for name in sides)
     for n in range(8):
         for sigma in permutations(range(1, n + 1)):
-            assert got(sigma)[0] == expected(sigma)[0], sigma
+            (tests, key), (other_tests, other_key) = got(sigma), expected(sigma)
+            assert tests == other_tests, sigma
+            passed = (True,) * len(tests)
+            assert key(passed) == other_key(passed), sigma
 
 
 def _bumped(value, cell):
@@ -549,10 +561,11 @@ def test_each_tally_runs_once_per_call(monkeypatch):
     tallies = []
     real_map_reduce = enumeration._map_reduce
 
-    def map_reduce(fold, ell, n, kernel, *rest):
+    def map_reduce(fold, ell, n, kernel, *rest, **kwargs):
+        assert type(ell) is int and type(n) is int  # what a tracer reads to count elements
         if fold is enumeration._tally:
             tallies.append((kernel, ell, n))
-        return real_map_reduce(fold, ell, n, kernel, *rest)
+        return real_map_reduce(fold, ell, n, kernel, *rest, **kwargs)
 
     monkeypatch.setattr(enumeration, "_map_reduce", map_reduce)
     for _ in range(2):  # the second call tallies them all again: nothing outlives a call
@@ -699,6 +712,21 @@ class TestDistribution:
             distribution(2, 3, 0, "skewLinear")
         with pytest.raises(ValueError):
             distribution(2, 3, -1, "circular")
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: distribution(1, 2, 1, "x"), "unknown statistic kind 'x'"),
+            # k > n returns before counting, so only distribution's own check refuses it
+            (lambda: distribution(1, 2, 3, "x"), "unknown statistic kind 'x'"),
+            (lambda: distribution_matrix(1, 2, "x"), "unknown statistic kind 'x'"),
+            (lambda: family_counts(1, 2, "x"), "unknown family 'x'"),
+        ],
+        ids=["distribution", "distribution-k-above-n", "distribution_matrix", "family_counts"],
+    )
+    def test_unknown_kind_or_family(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
     def test_matrix_consistent(self):
         matrix = distribution_matrix(2, 3, "circular")

@@ -155,6 +155,10 @@ class TestIncreasingFixed:
 
 
 class TestIsolatedFixed:
+    def test_bad_m(self):
+        with pytest.raises(ValueError, match="^need 0 <= m <= n, got m=3, n=2$"):
+            is_isolated_fixed(ColoredPermutation.identity(1, 2), 3)
+
     def test_explicit_family(self):
         from wreathperm import parse_cycles
 

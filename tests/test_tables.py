@@ -105,6 +105,10 @@ class TestDerangements:
         assert derangement_number(7, 0) == 1
         assert derangement_number(3, 4) == build_table(3, 4, "g").entry(4, 0)
 
+    def test_negative_size(self):
+        with pytest.raises(ValueError, match="^size must be >= 0, got -1$"):
+            derangement_number(1, -1)
+
     def test_matches_column(self):
         for ell in (1, 2, 3, 5):
             table = build_table(ell, 25, "g")
@@ -147,6 +151,10 @@ class TestEgf:
         for ell in (1, 2, 3):
             for m in range(5):
                 assert egf_coefficient(ell, m, 0) == ell**m * math.factorial(m)
+
+    def test_negative_sizes(self):
+        with pytest.raises(ValueError, match="^need m, n >= 0, got m=-1, n=0$"):
+            egf_coefficient(1, -1, 0)
 
     def test_three_routes_agree(self):
         # every n + m <= 40 at ell <= 3 (perfbench's closed-form range), and
