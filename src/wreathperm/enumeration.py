@@ -35,6 +35,7 @@ import sys
 from collections import Counter
 from functools import cache, partial
 from itertools import accumulate, combinations, compress, islice, permutations, product
+from operator import add, sub
 from typing import Iterator
 
 from .core import ColoredPermutation, canonical_cycles
@@ -445,11 +446,10 @@ def family_counts(
 def _suite_t2(ell, n, source):
     """Elements with k-successions bounded by m are counted by g[n][m], all k <= m."""
     g = build_table(ell, n, FLAVOR_G).rows
-    at_most = [list(accumulate(row)) for row in _succession_matrix(ell, n, CIRCULAR, source, max)]
+    at_most = [tuple(accumulate(row)) for row in _succession_matrix(ell, n, CIRCULAR, source, max)]
     return first_mismatch(
         ("k", "m", "count", "expected"),
-        ((k, m) for k in range(n + 1) for m in range(k, n + 1)),
-        lambda k, m: (at_most[k][m], g[n][m]),
+        (((k,), k, at_most[k][k:], g[n][k:]) for k in range(n + 1)),
     )
 
 
@@ -459,33 +459,30 @@ def _suite_three_term(kind, ell, n, source):
     lhs = _succession_matrix(ell, n + 1, kind, source)
     cur = _succession_matrix(ell, n + 1, CIRCULAR, source)
     prev = [row + (0,) for row in _succession_matrix(ell, n, CIRCULAR, source)]  # m = n+1 is 0
-    return first_mismatch(
-        ("k", "m", "lhs", "rhs"),
-        product(range(n + 1), range(n + 2)),
-        lambda k, m: (lhs[k + 1][m], cur[k][m] + prev[k][m] - (prev[k][m - 1] if m else 0)),
+    rows = (  # (0,) + prev[k][:-1] is prev[k][m - 1], 0 at m = 0
+        ((k,), 0, lhs[k + 1], tuple(map(sub, map(add, cur[k], prev[k]), (0,) + prev[k][:-1])))
+        for k in range(n + 1)
     )
+    return first_mismatch(("k", "m", "lhs", "rhs"), rows)
 
 
 def _suite_l45(ell, n, source):
     """c[k][m] = C(n-k, m) * g[n-m][k] for k <= n - m."""
     g = build_table(ell, n, FLAVOR_G).rows
     matrix = _succession_matrix(ell, n, CIRCULAR, source)
-    return first_mismatch(
-        ("k", "m", "count", "expected"),
-        ((k, m) for m in range(n + 1) for k in range(n - m + 1)),
-        lambda k, m: (matrix[k][m], math.comb(n - k, m) * g[n - m][k]),
+    rows = (  # k = 0..n-m, as long as row n-m of g
+        ((m,), 0, tuple(row[m] for row in matrix[: n - m + 1]),
+         tuple(math.comb(n - k, m) * entry for k, entry in enumerate(g[n - m])))
+        for m in range(n + 1)
     )
+    return first_mismatch(("m", "k", "count", "expected"), rows)
 
 
 def _suite_family(family, ell, n, source):
     """m-members of ``family`` are counted by d[n][m]."""
     d = build_table(ell, n, FLAVOR_D).rows
     counts = _family_counts(ell, n, family, source)
-    return first_mismatch(
-        ("m", "count", "expected"),
-        ((m,) for m in range(n + 1)),
-        lambda m: (counts[m], d[n][m]),
-    )
+    return first_mismatch(("m", "count", "expected"), [((), 0, counts, d[n])])
 
 
 def _linear_side(sigma):

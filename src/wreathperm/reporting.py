@@ -1,6 +1,7 @@
 """The one place where a comparison becomes a check result: ``first_mismatch``
-finds the first index point whose two sides differ, a ``CheckResult`` fails
-exactly when it holds one, and ``report_json`` renders the results canonically."""
+compares two sides one row of index points at a time and names the first
+point where they differ, a ``CheckResult`` fails exactly when it holds one,
+and ``report_json`` renders the results canonically."""
 
 from __future__ import annotations
 
@@ -32,14 +33,22 @@ class CheckResult(NamedTuple):
         return d
 
 
-def first_mismatch(names, points, sides) -> dict | None:
-    """The first point whose two ``sides(*point)`` differ, as a dict keyed by
+def first_mismatch(names, rows) -> dict | None:
+    """The first index point whose two sides differ, as a dict keyed by
     ``names``: the point's coordinates, then both sides as strings.  None when
-    every point agrees."""
-    for point in points:
-        lhs, rhs = sides(*point)
+    every row agrees.
+
+    Each row is ``(prefix, start, lhs, rhs)``: entry ``j`` of the equal-length
+    tuples ``lhs`` and ``rhs`` is the point ``(*prefix, start + j)``.  A row is
+    compared whole, and only a row that differs is scanned; one that differs
+    in no entry (a length or type mismatch) raises ``ValueError``."""
+    for prefix, start, lhs, rhs in rows:
         if lhs != rhs:
-            return dict(zip(names, (*point, str(lhs), str(rhs))))
+            for j, (a, b) in enumerate(zip(lhs, rhs, strict=True)):
+                if a != b:
+                    return dict(zip(names, (*prefix, start + j, str(a), str(b))))
+            what = f"a {type(lhs).__name__} and a {type(rhs).__name__}"
+            raise ValueError(f"row {prefix}: {what} differ in no entry")
     return None
 
 

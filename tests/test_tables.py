@@ -11,6 +11,7 @@ from wreathperm import (
     g_closed_form,
     tables,
 )
+from wreathperm.reporting import first_mismatch
 
 # frozen low-order triangles for one and two colors
 G_TABLE_1 = [
@@ -170,12 +171,61 @@ class TestEgf:
 
 
 class _NoWrap(tuple):
-    """A tuple that raises IndexError on a negative index."""
+    """A tuple that raises IndexError on a negative index or slice bound."""
 
     def __getitem__(self, index):
-        if index < 0:
+        if isinstance(index, slice):
+            bounds = (index.start, index.stop, index.step)
+        else:
+            bounds = (index,)
+        if any(b is not None and b < 0 for b in bounds):
             raise IndexError(f"negative index {index}")
         return super().__getitem__(index)
+
+
+def _per_point(ell, g, d):
+    """The nine identities of ``check_recurrences`` evaluated one index point
+    at a time, in its order and with its names: each counterexample, or None."""
+    max_n = len(g) - 1
+
+    def term(coef, t, n, m):  # a zero coefficient reads no entry
+        return coef * t[n][m] if coef else 0
+
+    two_prev = [(n, m) for n in range(2, max_n + 1) for m in range(n)]
+    diag = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
+    inner = [(n, m) for n in range(2, max_n + 1) for m in range(1, n)]
+    everywhere = [(n, m) for n in range(max_n + 1) for m in range(n + 1)]
+    boundary = {
+        ("g", 0, 0): 1, ("g", 1, 0): ell - 1, ("g", 1, 1): ell,
+        ("d", 0, 0): 1, ("d", 1, 0): ell - 1, ("d", 1, 1): 1,
+    }
+    by_flavor = {"g": g, "d": d}
+    nm = ("n", "m", "lhs", "rhs")
+    identities = [
+        (nm, two_prev, lambda n, m: (
+            g[n][m], (ell * n - 1) * g[n - 1][m] + term(ell * (n - m - 1), g, n - 2, m))),
+        (nm, two_prev, lambda n, m: (
+            d[n][m], (ell * n - 1) * d[n - 1][m] + term(ell * (n - m - 1), d, n - 2, m))),
+        (nm, diag, lambda n, m: (
+            g[n][m], term(ell * (n - m), g, n - 1, m) + ell * m * g[n - 1][m - 1])),
+        (nm, diag, lambda n, m: (
+            d[n][m], term(ell * (n - m), d, n - 1, m) + d[n - 1][m - 1])),
+        (nm, inner, lambda n, m: (
+            g[n][m], ell * n * g[n - 1][m] - ell * m * g[n - 2][m - 1])),
+        (nm, inner, lambda n, m: (d[n][m] + d[n - 2][m - 1], ell * n * d[n - 1][m])),
+        (nm, [(n, 0) for n in range(1, max_n + 1)], lambda n, m: (
+            d[n][0], ell * n * d[n - 1][0] + (-1) ** n)),
+        (("flavor", *nm), boundary, lambda flavor, n, m: (
+            by_flavor[flavor][n][m], boundary[flavor, n, m])),
+        (nm, everywhere, lambda n, m: (
+            g[n][m], ell**m * math.factorial(m) * d[n][m])),
+    ]
+    found = []
+    for names, points, sides in identities:
+        pairs = ((point, sides(*point)) for point in points)
+        found.append(next(
+            (dict(zip(names, (*p, str(a), str(b)))) for p, (a, b) in pairs if a != b), None))
+    return found
 
 
 class TestRecurrences:
@@ -219,3 +269,117 @@ class TestRecurrences:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             check_recurrences(2, 1)
+
+    @staticmethod
+    def _bumped_agree(monkeypatch, ell, max_n, flavor, cells):
+        """With the entries at ``cells`` of one flavor raised by one, the
+        row-wise check reports what the per-point statement finds."""
+        rows = {f: build_table(ell, max_n, f).rows for f in ("g", "d")}
+        changed = [list(row) for row in rows[flavor]]
+        for n, m in cells:
+            changed[n][m] += 1
+        rows[flavor] = tuple(map(tuple, changed))
+        monkeypatch.setattr(
+            tables, "build_table", lambda e, top, f: tables.DifferenceTable(e, f, rows[f])
+        )
+        found = [r.counterexample for r in check_recurrences(ell, max_n)]
+        assert found == _per_point(ell, rows["g"], rows["d"])
+        assert any(found)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("flavor", ["g", "d"])
+    def test_rows_match_per_point_at_every_cell(self, monkeypatch, ell, flavor):
+        """Every cell up to 8 letters, and every two neighbours in a row, so
+        that a row differs in two entries and the first must be named."""
+        for n in range(9):
+            for m in range(n + 1):
+                self._bumped_agree(monkeypatch, ell, 8, flavor, [(n, m)])
+                if m < n:
+                    self._bumped_agree(monkeypatch, ell, 8, flavor, [(n, m), (n, m + 1)])
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("flavor", ["g", "d"])
+    def test_rows_match_per_point_deep(self, monkeypatch, ell, flavor):
+        """The first and last columns, the diagonal and an interior cell of
+        rows across a 60-letter triangle."""
+        for n in (2, 3, 31, 59, 60):
+            for m in sorted({0, n - 1, n, n // 2}):
+                self._bumped_agree(monkeypatch, ell, 60, flavor, [(n, m)])
+
+    def test_unchanged_tables_agree_with_per_point(self):
+        for ell in (1, 2, 3, 4):
+            g, d = (build_table(ell, 40, f).rows for f in ("g", "d"))
+            assert _per_point(ell, g, d) == [None] * 9
+            assert all(r.passed for r in check_recurrences(ell, 40))
+
+
+_NAMES = ("k", "m", "lhs", "rhs")
+
+
+class TestFirstMismatch:
+    def test_first_point_in_row_order(self):
+        rows = [
+            ((0,), 0, (1, 2, 3), (1, 2, 3)),
+            ((1,), 2, (1, 5, 6), (1, 4, 7)),  # entries 1 and 2 differ; 1 is first
+            ((2,), 0, (0,), (9,)),
+        ]
+        assert first_mismatch(_NAMES, rows) == {"k": 1, "m": 3, "lhs": "5", "rhs": "4"}
+
+    def test_prefix_and_start_name_the_point(self):
+        rows = [(("d", 1), 0, (1, 2), (1, 3))]
+        assert first_mismatch(("flavor", "n", "m", "lhs", "rhs"), rows) == {
+            "flavor": "d", "n": 1, "m": 1, "lhs": "2", "rhs": "3",
+        }
+
+    def test_agreeing_rows(self):
+        assert first_mismatch(_NAMES, []) is None
+        assert first_mismatch(_NAMES, [((0,), 0, (), ()), ((1,), 4, (7, 8), (7, 8))]) is None
+
+    def test_stops_at_the_first_differing_row(self):
+        def rows():
+            yield (0,), 0, (1,), (2,)
+            raise AssertionError("read past the first differing row")
+
+        assert first_mismatch(_NAMES, rows()) == {"k": 0, "m": 0, "lhs": "1", "rhs": "2"}
+
+    @pytest.mark.parametrize(
+        "lhs,rhs,message",
+        [
+            ((1, 2), (1, 2, 3), "zip\\(\\) argument 2 is longer"),
+            ((1, 2, 3), (1, 2), "zip\\(\\) argument 2 is shorter"),
+            ((), (0,), "zip\\(\\) argument 2 is longer"),
+            ((1, 2), [1, 2], "^row \\(0,\\): a tuple and a list differ in no entry$"),
+        ],
+    )
+    def test_row_that_differs_in_no_entry_is_refused(self, lhs, rhs, message):
+        """Sides that compare unequal with no differing entry are a fault in
+        the caller, never a pass."""
+        with pytest.raises(ValueError, match=message):
+            first_mismatch(_NAMES, [((0,), 0, (1,), (1,)), ((0,), 0, lhs, rhs)])
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: build_table(2.0, 3, "g"), "ell: 2.0"),
+        (lambda: build_table(True, 3, "d"), "ell: True"),
+        (lambda: build_table(2, 3.0, "g"), "max_n: 3.0"),
+        (lambda: g_closed_form(2.0, 3, 1), "ell: 2.0"),
+        (lambda: g_closed_form(2, True, 1), "n: True"),
+        (lambda: g_closed_form(2, 3, 1.0), "m: 1.0"),
+        (lambda: derangement_number(2.0, 3), "ell: 2.0"),
+        (lambda: derangement_number(2, 3.0), "n: 3.0"),
+        (lambda: egf_coefficient(2.0, 1, 2), "ell: 2.0"),
+        (lambda: egf_coefficient(2, False, 2), "m: False"),
+        (lambda: egf_coefficient(2, 1, 2.0), "n: 2.0"),
+        (lambda: check_recurrences(2.0, 4), "ell: 2.0"),
+        (lambda: check_recurrences(2, 1.0), "max_n: 1.0"),
+        (lambda: build_table(2, 3, "g").entry(True, 1), "n: True"),
+        (lambda: build_table(2, 3, "g").entry(2, 1.0), "m: 1.0"),
+    ],
+)
+def test_non_int_sizes_refused(call, message):
+    """Past 2**53 a float entry is no longer exact, so the table layer takes
+    only ints, bools refused too."""
+    with pytest.raises(TypeError, match=f"^{message} is not an int$"):
+        call()
