@@ -19,6 +19,9 @@ Each count is a tally of keys, then their expansion, which reads the keys from
 ``source(fold, ell, n, kernel)``: ``_map_reduce`` for a public count.  Within
 one ``verify_suite`` call every suite reads one cache of it, so each ``(kernel,
 ell, n)`` is tallied once per call; the cache is dropped when the call returns.
+The element-wise identities ``e22`` and ``e43`` compare two candidate lists
+fixed by the underlying permutation, so one tally at ell = 1 decides each
+permutation for every ell; only one whose lists differ has its colorings read.
 
 A budget guard refuses a group of more than ``budget`` elements, by default
 ``DEFAULT_BUDGET``; ``check_table_size`` refuses a difference table above
@@ -41,7 +44,7 @@ from typing import Iterator
 from .core import ColoredPermutation, canonical_cycles
 from .reporting import CheckResult, first_mismatch
 from .statistics import CIRCULAR, LINEAR, SKEW_LINEAR
-from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
+from .tables import FLAVOR_D, FLAVOR_G, _ints, build_table, check_recurrences
 
 DEFAULT_BUDGET = 100_000_000
 TABLE_BIT_LIMIT = 2**33
@@ -60,6 +63,7 @@ class BudgetError(RuntimeError):
 
 def group_size(ell: int, n: int) -> int:
     """Number of elements: ``ell^n * n!``."""
+    _ints(ell=ell, n=n)
     if ell < 1 or n < 0:
         raise ValueError(f"need ell >= 1 and n >= 0, got ell={ell}, n={n}")
     return ell**n * math.factorial(n)
@@ -78,6 +82,7 @@ def _refuse_past(what: str, ell: int, name: str, n: int, fits_at, limit: str) ->
 
 
 def _check_budget(ell: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
+    _ints(ell=ell, n=n, budget=budget)
     if ell < 1 or n < 0:  # the sizes given, not the first one the loop would size
         raise ValueError(f"need ell >= 1 and n >= 0, got ell={ell}, n={n}")
     text = f"budget of {budget} elements"
@@ -114,6 +119,7 @@ def _unrank_sigma(n: int, rank: int) -> list[int]:
 
 def element_at(ell: int, n: int, index: int) -> ColoredPermutation:
     """The ``index``-th element (0-based) in enumeration order."""
+    _ints(index=index)
     size = group_size(ell, n)
     if not 0 <= index < size:
         raise IndexError(f"index {index} out of range for group of size {size}")
@@ -159,6 +165,7 @@ def enumerate_range(
 ) -> Iterator[ColoredPermutation]:
     """The sub-stream with enumeration indices in ``[start, stop)``."""
     size = _check_budget(ell, n, budget)
+    _ints(start=start, stop=stop)
     if not 0 <= start <= stop <= size:
         raise IndexError(f"range [{start}, {stop}) out of bounds for size {size}")
     yield from _elements(ell, n, start, stop)
@@ -215,9 +222,13 @@ def _linear_kernel(sigma):
     return _keyed(_rises(sigma, len(sigma) + 1))
 
 
-def _skew_linear_kernel(sigma):
+def _skew_rises(sigma):
     """Linear successions of the word with an uncolored ``0`` in front."""
-    return _keyed(_rises((0,) + sigma, len(sigma) + 1))
+    return _rises((0,) + sigma, len(sigma) + 1)
+
+
+def _skew_linear_kernel(sigma):
+    return _keyed(_skew_rises(sigma))
 
 
 def _family_kernel(sigma, chain):
@@ -282,15 +293,15 @@ def _same_color_bits(ell, n):
     return bits
 
 
-def _block_cells(kernel, ell, n, start, stop):
-    """``(index of the block's offset 0, answer, cells)`` for each run of the
-    range, ``kernel(sigma)`` giving the tests and ``answer``.  The run's bits
-    are split by each test in turn into non-empty ``(outcomes, colorings)``
-    cells, ``outcomes[j]`` telling whether the colorings pass test ``j``."""
+def _tally(kernel, ell, n, start, stop) -> Counter:
+    """Count the elements of one index range by the keys ``kernel`` gives.
+    Each run's bits are split by each test in turn into non-empty
+    ``(outcomes, colorings)`` cells, ``outcomes[j]`` telling whether the
+    colorings pass test ``j``, and each cell counts under its key."""
     bits = _same_color_bits(ell, n)
-    index = start
+    counts = Counter()
     for sigma, offset, take in _iter_blocks(ell, n, start, stop):
-        tests, answer = kernel(sigma)
+        tests, key = kernel(sigma)
         cells = [((), ((1 << take) - 1) << offset)]
         for test in tests:
             split = []
@@ -301,29 +312,9 @@ def _block_cells(kernel, ell, n, start, stop):
                 if inside != colorings:
                     split.append(((*outcomes, False), colorings ^ inside))
             cells = split
-        yield index - offset, answer, cells
-        index += take
-
-
-def _tally(kernel, ell, n, start, stop) -> Counter:
-    """Count the elements of one index range by the keys ``kernel`` gives."""
-    counts = Counter()
-    for _, key, cells in _block_cells(kernel, ell, n, start, stop):
         for outcomes, cell in cells:
             counts[key(outcomes)] += cell.bit_count()
     return counts
-
-
-def _first_failure(check, ell, n, start, stop) -> dict | None:
-    """The counterexample of the lowest-index element whose cell
-    ``check(sigma)``'s verdict fails at some ``k``: a cell's lowest set bit."""
-    for base, verdict, cells in _block_cells(check, ell, n, start, stop):
-        failures = [(c & -c, k) for o, c in cells if (k := verdict(o)) is not None]
-        if failures:
-            lowest, k = min(failures)
-            index = base + lowest.bit_length() - 1
-            return {"index": index, "perm": str(element_at(ell, n, index)), "k": k}
-    return None
 
 
 def _pool_size(jobs: int, cpus: int) -> int:
@@ -339,9 +330,9 @@ def _run_task(args):
 
 def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int = DEFAULT_BUDGET):
     """Partition the whole group, fold ``kernel`` over each part (in a process
-    pool when it pays) and merge the parts: into the first failure in index
-    order, or into keys that count every element."""
+    pool when it pays) and merge the parts into keys that count every element."""
     size = _check_budget(ell, n, budget)
+    _ints(jobs=jobs)
     workers = _pool_size(jobs, os.cpu_count() or 1)
     if workers == 1 or math.factorial(n) < _PARALLEL_THRESHOLD:
         parts = [_run_task((fold, ell, n, kernel, 0, size))]
@@ -353,8 +344,6 @@ def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int = DEFAULT
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_task, tasks))
-    if fold is _first_failure:
-        return next(filter(None, parts), None)
     keys = sum(parts, Counter())
     if keys.total() != size:
         raise ValueError("distribution does not cover the whole group")
@@ -401,6 +390,7 @@ def distribution(
     ``counts[m]`` elements carry exactly ``m`` k-successions of ``kind``."""
     if kind not in _SUCCESSION_KERNELS:
         raise ValueError(f"unknown statistic kind {kind!r}")
+    _ints(k=k, jobs=jobs)  # k > n returns before the count reads jobs
     if kind == CIRCULAR and k < 0:
         raise ValueError(f"circular statistic needs k >= 0, got {k}")
     if kind != CIRCULAR and k < 1:
@@ -489,54 +479,58 @@ def _linear_side(sigma):
     """The first value ``v`` as a ``v``-succession when uncolored, then the
     linear successions."""
     w = len(sigma) + 1
-    return _keyed([((0, v), v * w + v) for v in sigma[:1]] + _rises(sigma, w))
+    return [((0, v), v * w + v) for v in sigma[:1]] + _rises(sigma, w)
 
 
 def _circular_side(sigma):
     """Circular successions with ``k >= 1``."""
-    return _keyed([(test, code) for test, code in _circular(sigma) if code > len(sigma)])
+    return [(test, code) for test, code in _circular(sigma) if code > len(sigma)]
 
 
 def _rotated_side(sigma):
     """Circular successions of the word rotated right, ``k`` raised by one,
     less the first candidate: ``(L, L)`` for the last letter ``L``, which the
     rotation puts in front."""
-    return _keyed(_circular(sigma[-1:] + sigma[:-1], 1)[1:])
+    return _circular(sigma[-1:] + sigma[:-1], 1)[1:]
 
 
-def _sides_check(sigma, got, expected, shift):
-    """Compare two sides of an identity on each coloring of ``sigma``.  Each
-    side is built per block from its own word (``statistics.py`` is the
-    spec), never from the other's candidates.  Both sides ask one test list
-    in one order (a test checks it for e22 and e43), so it splits the block
-    once.  A failing cell's verdict is the smallest ``k`` (less ``shift``)
-    where their codes differ."""
-    w = len(sigma) + 1
-    (tests, key), (_, other_key) = got(sigma), expected(sigma)
-
-    def verdict(outcomes):
-        a, b = key(outcomes), other_key(outcomes)
-        diff = a != b and set(a) ^ set(b)  # sides list their codes in one order
-        return min(diff) // w - shift if diff else None
-
-    return tests, verdict
-
-
-def _e22_check(sigma):
+def _e22_sides(sigma):
     """Skew linear successions equal linear ones, plus the first value ``v``
     as a ``v``-succession when it is uncolored."""
-    return _sides_check(sigma, _skew_linear_kernel, _linear_side, 0)
+    return _skew_rises(sigma), _linear_side(sigma)
 
 
-def _e43_check(sigma):
+def _e43_sides(sigma):
     """Raising k by one matches rotating the word right, up to the value k+1
     of an uncolored last letter; a failure reports the unshifted k."""
-    return _sides_check(sigma, _circular_side, _rotated_side, 1)
+    return _circular_side(sigma), _rotated_side(sigma)
 
 
-def _suite_every_element(check, ell, n, source):
-    """``check(sigma)`` finds no counterexample in the group."""
-    return source(_first_failure, ell, n, check)
+def _sides_differ(sides, sigma):
+    """Key ``sigma`` at ell = 1 by itself when its two candidate lists differ,
+    else by None: equal lists ask the same tests and keep the same codes."""
+    got, expected = sides(sigma)
+    return [], lambda _: None if got == expected else sigma
+
+
+def _suite_sides(differ, shift, ell, n, source):
+    """No element keeps different codes on the two sides of an identity.
+    ``differ`` (``partial(_sides_differ, sides)``) decides each ``sigma`` once
+    per n, for every ell.  Only a ``sigma`` whose lists differ has its
+    colorings read, in index order, each side asking its own tests; the first
+    whose codes differ is reported at their smallest ``k`` less ``shift``."""
+    unequal = source(_tally, 1, n, differ).keys() - {None}
+    for rank, sigma in enumerate(permutations(range(1, n + 1)) if unequal else ()):
+        if sigma in unequal:
+            sides = differ.args[0](sigma)  # the two lists again
+            for offset, colors in enumerate(product(range(ell), repeat=n)):
+                c = (0, *colors)  # colors by value; value 0 is uncolored
+                a, b = ({code for (x, y), code in side if c[x] == c[y]} for side in sides)
+                if a != b:
+                    index = rank * ell**n + offset
+                    k = min(a ^ b) // (n + 1) - shift
+                    return {"index": index, "perm": str(element_at(ell, n, index)), "k": k}
+    return None
 
 
 # name -> (run, first n, how far below max_n the last n stops, table rows): a run
@@ -549,8 +543,8 @@ _SUITES = {
     "l45": (_suite_l45, 0, 0, 0),
     "t9": (partial(_suite_family, "increasing"), 0, 0, 0),
     "t11": (partial(_suite_family, "isolated"), 0, 0, 0),
-    "e22": (partial(_suite_every_element, _e22_check), 0, 0, 0),
-    "e43": (partial(_suite_every_element, _e43_check), 0, 0, 0),
+    "e22": (partial(_suite_sides, partial(_sides_differ, _e22_sides), 0), 0, 0, 0),
+    "e43": (partial(_suite_sides, partial(_sides_differ, _e43_sides), 1), 0, 0, 0),
     # nine identities that reach back two rows; check_recurrences is read per call
     "rec": (lambda ell, max_n, source: check_recurrences(ell, max_n), 2, 0, 9),
 }
@@ -571,6 +565,7 @@ def verify_suite(
     Returns one result per (check, ell, n) instance, in a fixed order that
     does not depend on ``jobs``.
     """
+    _ints(max_ell=max_ell, max_n=max_n, jobs=jobs, budget=budget)
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     chosen = SUITES if suite == "all" else (suite,)

@@ -1,8 +1,10 @@
 import math
 import os
 import random
+import re
 import sys
 from collections import Counter
+from functools import partial
 from itertools import groupby, permutations, product
 from operator import attrgetter
 
@@ -125,6 +127,37 @@ class TestStream:
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value) == f"need ell >= 1 and n >= 0, got ell={ell}, n={n}"
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: group_size(2.0, 3), "ell: 2.0"),
+            (lambda: group_size(2, True), "n: True"),
+            (lambda: distribution(True, 3, 1, "circular"), "ell: True"),
+            (lambda: distribution(2.0, 3, 1, "circular"), "ell: 2.0"),
+            (lambda: distribution(2, 3, 1.0, "circular"), "k: 1.0"),
+            (lambda: distribution(2, 3, 1, "linear", jobs=2.0), "jobs: 2.0"),
+            (lambda: distribution(2, 3, 5, "linear", jobs=True), "jobs: True"),  # k > n
+            (lambda: distribution_matrix(2, 3, "linear", budget=1e9), "budget: 1000000000.0"),
+            (lambda: bounded_matrix(2, 3.0), "n: 3.0"),
+            (lambda: family_counts(2, 3, "isolated", jobs=True), "jobs: True"),
+            (lambda: list(enumerate_group(True, 2)), "ell: True"),
+            (lambda: list(enumerate_range(2, 2, 0, 1, budget=8.0)), "budget: 8.0"),
+            (lambda: list(enumerate_range(2, 2, 0.0, 2)), "start: 0.0"),
+            (lambda: list(enumerate_range(2, 2, 0, True)), "stop: True"),
+            (lambda: element_at(2, 3, 1.0), "index: 1.0"),
+            (lambda: element_at(2.0, 3, 1), "ell: 2.0"),
+            (lambda: verify_suite("t2", 2.0, 3), "max_ell: 2.0"),
+            (lambda: verify_suite("t3", 2, 1.0), "max_n: 1.0"),  # a range that checks nothing
+            (lambda: verify_suite("e22", 2, 3, jobs=True), "jobs: True"),
+            (lambda: verify_suite("rec", 2, 3, budget=10.0**9), "budget: 1000000000.0"),
+        ],
+    )
+    def test_sizes_must_be_ints(self, call, message):
+        """A float or bool size, count, index, ``jobs`` or ``budget`` is
+        refused by name: a float is inexact past 2**53, and a bool is no size."""
+        with pytest.raises(TypeError, match=f"^{re.escape(message)} is not an int$"):
+            call()
 
     @pytest.mark.parametrize("n", [3000, 10**20])
     def test_budget_checked_before_sizing_huge_groups(self, n):
@@ -286,43 +319,58 @@ def test_ranges_cut_inside_blocks(ell, n):
             assert decoded == Counter(spec[start:stop]), (name, start, stop)
 
 
-def _fewest_successions(target):
-    """A block check failing the elements with exactly ``target`` circular
-    successions, at the smallest such ``k`` (0 when there are none)."""
+def _codes(side, colors):
+    """The codes of the candidates ``(test, code)`` of ``side`` whose test
+    passes, in order: ``colors`` is indexed by value, with value 0 uncolored."""
+    return [code for (a, b), code in side if colors[a] == colors[b]]
 
-    def check(sigma):
-        tests, key = enumeration._circular_kernel(sigma)
-        w = len(sigma) + 1
 
-        def verdict(outcomes):
-            codes = key(outcomes)
-            return min(codes, default=0) // w if len(codes) == target else None
+def _sides_reference(sides, shift, ell, n):
+    """The counterexample an element-by-element scan gives: the first element
+    whose two sides ``sides(sigma)``, each asking its own tests, keep
+    different codes, at their smallest k less ``shift``."""
+    for index, p in enumerate(group(ell, n)):
+        got, expected = (set(_codes(side, (0,) + p.colors)) for side in sides(p.sigma))
+        if got != expected:
+            return {"index": index, "perm": str(p), "k": min(got ^ expected) // (n + 1) - shift}
+    return None
 
-        return tests, verdict
 
-    return check
+def _moved_when(target):
+    """Two sides that list the circular candidates, the second moving the
+    last one's test to ``(0, 1)`` when there are ``target`` of them.  Unless
+    that test was ``(0, 1)`` already, the lists then differ, and the codes
+    differ on the colorings where exactly one of the two values is uncolored."""
+
+    def sides(sigma):
+        got = enumeration._circular(sigma)
+        if len(got) != target:
+            return got, got
+        return got, got[:-1] + [((0, 1), got[-1][1])]
+
+    return sides
 
 
 @pytest.mark.parametrize("ell,n", list(product(range(1, 4), range(6))))
 def test_first_failure_across_cut_blocks(ell, n):
-    """Folding a block check over any index range, cut inside a block or not,
-    reports the first element in the range that the check rejects, with the
-    smallest failing k, as ``statistics.py`` finds it element by element."""
-    size = group_size(ell, n)
-    elements = [element_at(ell, n, i) for i in range(size)]
-    pairs = [circular_pairs(p) for p in elements]
+    """Folding the ell = 1 decision over any index range keys each
+    permutation in it whose two lists differ by itself, and the others by
+    None; the suite then reports the first element that an element-by-element
+    scan rejects, with the smallest failing k.  A moved test fails nothing
+    at ell = 1, where every test passes."""
+    sigmas = list(permutations(range(1, n + 1)))
     rng = random.Random(ell * 10 + n)
-    for target in range(n + 2):
-        check = _fewest_successions(target)
-        for start, stop in _cut_ranges(ell, n, rng, 20):
-            found = enumeration._run_task((enumeration._first_failure, ell, n, check, start, stop))
-            first = next((i for i in range(start, stop) if len(pairs[i]) == target), None)
-            expected = first if first is None else {
-                "index": first,
-                "perm": str(elements[first]),
-                "k": min(pairs[first], default=(0, 0))[0],
-            }
-            assert found == expected, (target, start, stop)
+    for target in range(1, n + 2):  # n + 1: no permutation has that many
+        sides = _moved_when(target)
+        differ = partial(enumeration._sides_differ, sides)
+        differs = {s for s in sigmas if sides(s)[0] != sides(s)[1]}
+        for start, stop in _cut_ranges(1, n, rng, 20):
+            counts = enumeration._run_task((enumeration._tally, 1, n, differ, start, stop))
+            unequal = [s for s in sigmas[start:stop] if s in differs]
+            assert counts == Counter({None: stop - start - len(unequal)}) + Counter(unequal)
+        source = partial(enumeration._map_reduce, jobs=1)
+        found = enumeration._suite_sides(differ, 0, ell, n, source)
+        assert found == _sides_reference(sides, 0, ell, n), target
 
 
 def _force_pool(monkeypatch):
@@ -332,62 +380,39 @@ def _force_pool(monkeypatch):
 
 def _failures(suite):
     """``(ell, n, counterexample)`` of each failed check of ``suite`` on the
-    2-color group on 4 letters, the same at one and two workers."""
+    1- and 2-color groups on up to 4 letters, the same at one and two workers."""
     reports = [verify_suite(suite, 2, 4, jobs=jobs) for jobs in (1, 2)]
     assert reports[0] == reports[1]
     return [(r.ell, r.n, r.counterexample) for r in reports[0] if not r.passed]
 
 
-# Both sides of the block check that reads each statistic: the side builder,
-# the element whose statistic it reads (None: it reads none), how far it
-# raises k, and the least k of the statistic it keeps.  e22's skew side is
-# the skew counting kernel.
-_STAT_SIDES = {
-    "skew_linear_pairs": [
-        ("_skew_linear_kernel", lambda p: p, 0, 0),
-        ("_linear_side", None, 0, 0),
-    ],
-    "circular_pairs": [
-        ("_circular_side", lambda p: p, 0, 1),
-        ("_rotated_side", rotate_right, 1, 0),
-    ],
-}
+# The candidate builder behind each statistic the e22 and e43 sides read, by
+# word: e22's skew side is ``_skew_rises``, and both sides of e43 read
+# ``_circular``, the rotated side on the word rotated right with k raised by one.
+_STAT_BUILDERS = {"skew_linear_pairs": "_skew_rises", "circular_pairs": "_circular"}
 
 
 def _break_stat(monkeypatch, stat, extra):
-    """Make every block-check side that reads ``stat`` add the codes of the
-    pairs ``extra(q)`` to those of ``q``, an element of a 2-color group.  Both
-    sides of that check also ask whether each value is uncolored, which at 2
-    colors names the coloring and so ``q``, so they still ask one test list."""
-    ells = []  # the ell of the group being checked
-    real_map_reduce = enumeration._map_reduce
+    """Make the candidate builder of ``stat`` append, for each ``(test, k, v)``
+    in ``extra(word)``, the candidate of a k-succession of value ``v`` (k
+    raised by the builder's shift, if any)."""
+    real = getattr(enumeration, _STAT_BUILDERS[stat])
 
-    def map_reduce(fold, ell, *rest, **kwargs):
-        ells[:] = [ell]
-        return real_map_reduce(fold, ell, *rest, **kwargs)
+    def builder(word, *shift):  # _circular takes a shift, _skew_rises none
+        w, lift = len(word) + 1, shift[0] if shift else 0
+        return real(word, *shift) + [(test, (k + lift) * w + v) for test, k, v in extra(word)]
 
-    monkeypatch.setattr(enumeration, "_map_reduce", map_reduce)
-    for name, reads, shift, least in _STAT_SIDES[stat]:
+    monkeypatch.setattr(enumeration, _STAT_BUILDERS[stat], builder)
 
-        def builder(sigma, real=getattr(enumeration, name), reads=reads, shift=shift,
-                    least=least):
-            tests, key = real(sigma)
-            if ells != [2] or not sigma:
-                return tests, key
-            cut = len(tests)
 
-            def codes(outcomes):
-                if reads is None:
-                    return key(outcomes[:cut])
-                colors = tuple(0 if uncolored else 1 for uncolored in outcomes[cut:])
-                q = reads(ColoredPermutation(2, sigma, colors))
-                w = len(sigma) + 1
-                extra_codes = tuple((k + shift) * w + v for k, v in extra(q) if k >= least)
-                return key(outcomes[:cut]) + extra_codes
+def _first_in_block(failing, ell, n, k):
+    """The counterexample at offset 0 of the first permutation in ``failing``."""
+    index = min(failing) * ell**n
+    return {"index": index, "perm": str(element_at(ell, n, index)), "k": k}
 
-            return tests + [(0, v) for v in range(1, len(sigma) + 1)], codes
 
-        monkeypatch.setattr(enumeration, name, builder)
+def _rank(word):
+    return list(permutations(sorted(word))).index(word)
 
 
 @pytest.mark.parametrize(
@@ -402,21 +427,23 @@ def _break_stat(monkeypatch, stat, extra):
 def test_counterexample_independent_of_jobs(
     monkeypatch, suite, stat, first_k, bad_indices
 ):
-    """A statistic broken on chosen elements of the 2-color group on 4 letters
-    (384 elements, split in two partitions) is reported at its smallest
-    failing index whatever the number of workers."""
-    bad = {element_at(2, 4, i) for i in bad_indices}
+    """A statistic broken at every k from ``first_k`` on the underlying words
+    of chosen elements of the 2-color group on 4 letters is reported at the
+    first failing element whatever the number of workers.  The ell = 1
+    decision is split in two partitions of 12 permutations, 6 and 18 the
+    ranks of the two words."""
+    bad = {element_at(2, 4, i).sigma for i in bad_indices}
 
-    def extra(q):  # every k broken
-        return [(k, 0) for k in range(first_k, q.n + 1)] if q in bad else []
+    def extra(word):  # value 0: no real candidate has it; (0, 1) passes at offset 0
+        return [((0, 1), k, 0) for k in range(first_k, 5)] if word in bad else []
 
-    _force_pool(monkeypatch)
     _break_stat(monkeypatch, stat, extra)
-    # e43 also sees a broken set when the rotated word is a bad element
-    failing = bad | {rotate_left(q) for q in bad} if suite == "e43" else bad
-    index = min(i for i, p in enumerate(group(2, 4)) if p in failing)
-    expected = {"index": index, "perm": str(element_at(2, 4, index)), "k": first_k}
-    assert _failures(suite) == [(2, 4, expected)]
+    _force_pool(monkeypatch)
+    # e43 also sees a broken list when the rotated word is a bad one
+    failing = bad | {w[1:] + w[:1] for w in bad} if suite == "e43" else bad
+    ranks = {_rank(w) for w in failing}
+    expected = [(ell, 4, _first_in_block(ranks, ell, 4, first_k)) for ell in (1, 2)]
+    assert _failures(suite) == expected
 
 
 @pytest.mark.parametrize(
@@ -429,23 +456,63 @@ def test_counterexample_independent_of_jobs(
 def test_counterexample_reports_smallest_failing_k(
     monkeypatch, suite, stat, broken_k, reported_k
 ):
-    """A pair set broken at one k only is reported at that k, not at the
+    """A statistic broken at one k only is reported at that k, not at the
     first k the suite compares."""
-    bad = element_at(2, 4, 256)  # 3 4 1 2; its left rotation comes later
-
+    bad = element_at(2, 4, 256).sigma  # 3 4 1 2; its left rotation comes later
+    _break_stat(monkeypatch, stat, lambda word: [((0, 1), broken_k, 0)] if word == bad else [])
     _force_pool(monkeypatch)
-    _break_stat(monkeypatch, stat, lambda q: [(broken_k, 0)] if q == bad else [])
-    expected = {"index": 256, "perm": str(bad), "k": reported_k}
-    assert _failures(suite) == [(2, 4, expected)]
+    expected = [(ell, 4, _first_in_block({16}, ell, 4, reported_k)) for ell in (1, 2)]
+    assert _failures(suite) == expected
+
+
+# The side builders of e22 and e43, in order, and the shift of each suite's k.
+_SIDES = {
+    "e22": (("_skew_rises", "_linear_side"), 0),
+    "e43": (("_circular_side", "_rotated_side"), 1),
+}
+_SIDE_SUITE = {name: suite for suite, (names, _) in _SIDES.items() for name in names}
+_FAULTS = {
+    "gain": lambda candidates: candidates + [((0, 2), 12)],  # a 2-succession of value 2
+    "lose": lambda candidates: candidates[:-1],
+    "move": lambda candidates: [((1, 2), candidates[0][1])] + candidates[1:],
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("builder", _SIDE_SUITE)
+def test_side_faults_match_reference(monkeypatch, builder, fault):
+    """A fault in either side of e22 or e43 on one permutation, 3 4 1 2, is
+    reported where an element-by-element scan of each side's own tests finds
+    it, at every ell <= 3 and n <= 5 and at one and two workers.  A moved test
+    still passes on the one-color group, where every test passes."""
+    real = getattr(enumeration, builder)
+
+    def faulty(sigma):
+        return _FAULTS[fault](real(sigma)) if sigma == (3, 4, 1, 2) else real(sigma)
+
+    monkeypatch.setattr(enumeration, builder, faulty)
+    _force_pool(monkeypatch)
+    suite = _SIDE_SUITE[builder]
+    names, shift = _SIDES[suite]
+
+    def sides(sigma):
+        return [getattr(enumeration, name)(sigma) for name in names]
+
+    expected = [(ell, n, _sides_reference(sides, shift, ell, n))
+                for ell in range(1, 4) for n in range(6)]
+    failing = [ell for ell, _, found in expected if found]
+    assert failing == ([2, 3] if fault == "move" else [1, 2, 3])
+    for jobs in (1, 2):
+        reports = verify_suite(suite, 3, 5, jobs=jobs)
+        assert [(r.ell, r.n, r.counterexample) for r in reports] == expected
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("n", range(6))
 def test_block_check_sides_match_spec(ell, n):
-    """Each side of the e22 and e43 block checks gives every element, each
-    pair once, the pairs that ``statistics.py`` states for that side.  e22's
-    skew side is the skew counting kernel, checked per element above."""
-    names = ("_linear_side", "_circular_side", "_rotated_side")
+    """Each side of e22 and e43 gives every element, each pair once, the
+    pairs that ``statistics.py`` states for that side."""
+    names = ("_skew_rises", "_linear_side", "_circular_side", "_rotated_side")
     for sigma, block in groupby(group(ell, n), attrgetter("sigma")):
         sides = {name: getattr(enumeration, name)(sigma) for name in names}
         for p in block:
@@ -456,33 +523,30 @@ def test_block_check_sides_match_spec(ell, n):
                 rotated = {(k + 1, v) for k, v in circular_pairs(rotate_right(p))}
                 rotated.discard((last, last))
             spec = {
+                "_skew_rises": skew_linear_pairs(p),
                 "_linear_side": linear_pairs(p) | first,
                 "_circular_side": {(k, v) for k, v in circular_pairs(p) if k},
                 "_rotated_side": rotated,
             }
             for name, expected in spec.items():
-                pairs = [divmod(code, n + 1) for code in _answer(sides[name], (0,) + p.colors)]
+                pairs = [divmod(code, n + 1) for code in _codes(sides[name], (0,) + p.colors)]
                 assert len(set(pairs)) == len(pairs), (name, str(p))
                 assert set(pairs) == expected, (name, str(p))
 
 
 @pytest.mark.parametrize(
-    "sides", [("_skew_linear_kernel", "_linear_side"), ("_circular_side", "_rotated_side")],
+    "sides", [("_skew_rises", "_linear_side"), ("_circular_side", "_rotated_side")],
     ids=("e22", "e43"),
 )
 def test_block_check_sides_ask_the_same_tests(sides):
-    """Both sides of each block check ask the same tests in one order, so
-    each block is split once: ``(0, s1)`` and the rises for e22, and each
-    ``(0, v)`` for a value ``v`` above its position for e43.  They list the
-    same candidates, codes included: a passing test keeps the same code on
-    both sides, so their keys agree when every test passes."""
+    """Both sides of e22 and of e43 list the same candidates, tests and codes
+    in one order: ``(0, s1)`` and the rises for e22, and each ``(0, v)`` for a
+    value ``v`` above its position for e43.  So the ell = 1 decision finds no
+    permutation to scan."""
     got, expected = (getattr(enumeration, name) for name in sides)
     for n in range(8):
         for sigma in permutations(range(1, n + 1)):
-            (tests, key), (other_tests, other_key) = got(sigma), expected(sigma)
-            assert tests == other_tests, sigma
-            passed = (True,) * len(tests)
-            assert key(passed) == other_key(passed), sigma
+            assert got(sigma) == expected(sigma), sigma
 
 
 def _bumped(value, cell):
@@ -557,7 +621,8 @@ def test_table_suite_counterexample(monkeypatch, suite, name, args, cell, expect
 
 def test_each_tally_runs_once_per_call(monkeypatch):
     """One ``verify_suite`` call tallies each ``(kernel, ell, n)`` once,
-    however many suites read its keys."""
+    however many suites read its keys.  e22 and e43 each decide every
+    permutation once per n, at ell = 1 only, whatever ``max_ell`` is."""
     tallies = []
     real_map_reduce = enumeration._map_reduce
 
@@ -568,11 +633,15 @@ def test_each_tally_runs_once_per_call(monkeypatch):
         return real_map_reduce(fold, ell, n, kernel, *rest, **kwargs)
 
     monkeypatch.setattr(enumeration, "_map_reduce", map_reduce)
-    for _ in range(2):  # the second call tallies them all again: nothing outlives a call
+    # the second call at 2 colors tallies them all again: nothing outlives a call
+    for max_ell in (2, 2, 3):
         tallies.clear()
-        assert all(r.passed for r in verify_suite("all", 2, 4))
-        # circular at n <= 4, linear at 2 <= n <= 4 and each family at n <= 4, for ell <= 2
-        assert len(tallies) == len(set(tallies)) == 2 * (5 + 3 + 5 + 5)
+        assert all(r.passed for r in verify_suite("all", max_ell, 4))
+        # circular at n <= 4, linear at 2 <= n <= 4 and each family at n <= 4, for
+        # each ell; then the e22 and e43 decisions at n <= 4
+        assert len(tallies) == len(set(tallies)) == max_ell * (5 + 3 + 5 + 5) + 2 * 5
+        decided = [(ell, n) for kernel, ell, n in tallies if kernel not in _KERNELS.values()]
+        assert sorted(decided) == sorted([(1, n) for n in range(5)] * 2)
 
 
 @pytest.mark.parametrize("fault", [None, ("_succession_matrix", (2, 3, "circular"), (1, 1))])
