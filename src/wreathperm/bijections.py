@@ -46,8 +46,8 @@ from .core import (
     is_permutation,
 )
 from .statistics import (
+    _has_fixed_point,
     circular_successions,
-    fixed_points,
     is_derangement,
     is_increasing_fixed,
     is_isolated_fixed,
@@ -259,7 +259,7 @@ def prefix_action(tau: ColoredPermutation, p: ColoredPermutation) -> ColoredPerm
         raise DomainError("color counts differ")
     if m > p.n:
         raise DomainError(f"acting group size {m} exceeds n={p.n}")
-    if fixed_points(p, m):
+    if _has_fixed_point(p, m):
         raise DomainError(f"fixed points must lie in [{m}]")
     # p after tau^{-1}, tau extended by the identity on m+1..n: the value v at
     # a position j <= m moves to position t = tau(j), and v's color drops by t's
@@ -292,7 +292,7 @@ def _check_m(p: ColoredPermutation, m: int) -> None:
 
 def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
     _check_m(p, m)
-    if fixed_points(p, m):
+    if _has_fixed_point(p, m):
         raise DomainError(f"fixed points must lie in [{m}]")
     sigma, colors, n = p.sigma, p.colors, len(p.sigma)
     seen = bytearray(b"\1" * (m + 1) + bytes(n - m))  # 1..m; the words add the rest of their cycles

@@ -35,7 +35,7 @@ from .enumeration import (
 )
 from .reporting import report_json
 from .statistics import CIRCULAR, LINEAR, SKEW_LINEAR
-from .tables import FLAVORS, build_table
+from .tables import FLAVORS, table_rows
 
 _STATS = {"circ": CIRCULAR, "lin": LINEAR, "skew": SKEW_LINEAR}
 
@@ -60,16 +60,21 @@ _jobs, _budget = _at_least(1), _at_least(0)
 
 def _cmd_table(args) -> int:
     check_table_size(args.colors, args.max_n)
-    table = build_table(args.colors, args.max_n, args.flavor)
-    write = sys.stdout.write  # one write per row; the triangle is never one string
+    # table_rows checks its arguments before a byte is written; then each row
+    # is written as it is built, and no more than two rows are held
+    rows = enumerate(table_rows(args.colors, args.max_n, args.flavor))
+    write = sys.stdout.write
     if args.format == "csv":
         write("n,m,value\n")
-        for n, row in enumerate(table.rows):
+        for n, row in rows:
             write("".join(f"{n},{m},{value}\n" for m, value in enumerate(row)))
-    elif args.format == "json":
-        print(json.dumps(table._asdict()))
+    elif args.format == "json":  # the bytes of json.dumps(build_table(...)._asdict())
+        write(f'{{"ell": {args.colors}, "flavor": {json.dumps(args.flavor)}, "rows": [')
+        for n, row in rows:
+            write((", " if n else "") + json.dumps(row))
+        write("]}\n")
     else:
-        for n, row in enumerate(table.rows):
+        for n, row in rows:
             write(f"n={n}: {' '.join(map(str, row))}\n")
     return 0
 

@@ -48,8 +48,17 @@ def fixed_points(p: ColoredPermutation, above: int = 0) -> frozenset[int]:
     )
 
 
+def _has_fixed_point(p: ColoredPermutation, above: int = 0) -> bool:
+    """Whether ``fixed_points(p, above)`` is non-empty, stopping at the first."""
+    sigma, colors = p.sigma, p.colors
+    for v in range(above + 1, len(sigma) + 1):
+        if sigma[v - 1] == v and not colors[v - 1]:
+            return True
+    return False
+
+
 def is_derangement(p: ColoredPermutation) -> bool:
-    return not fixed_points(p)
+    return not _has_fixed_point(p)
 
 
 def _linear_pairs(word, colors) -> frozenset[tuple[int, int]]:
@@ -77,7 +86,7 @@ def is_increasing_fixed(p: ColoredPermutation, m: int) -> bool:
     for i in range(m):
         if p.colors[p.sigma[i] - 1] != 0:
             return False
-    if fixed_points(p, m):
+    if _has_fixed_point(p, m):
         return False
     return all(p.sigma[i - 1] < p.sigma[i] for i in range(1, m))
 
@@ -89,7 +98,7 @@ def is_isolated_fixed(p: ColoredPermutation, m: int) -> bool:
     sigma = p.sigma
     if not 0 <= m <= len(sigma):
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={len(sigma)}")
-    if any(p.colors[:m]) or fixed_points(p, m):
+    if any(p.colors[:m]) or _has_fixed_point(p, m):
         return False
     for v in range(1, m + 1):
         x = sigma[v - 1]

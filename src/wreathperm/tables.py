@@ -18,8 +18,9 @@ All arithmetic is exact arbitrary-precision integer arithmetic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .reporting import CheckResult, first_mismatch
@@ -55,8 +56,10 @@ def _ints(**args) -> None:
             raise TypeError(f"{name}: {x!r} is not an int")
 
 
-def build_table(ell: int, max_n: int, flavor: str) -> DifferenceTable:
-    """Build a full triangle by the defining recurrence."""
+def table_rows(ell: int, max_n: int, flavor: str) -> Iterator[tuple[int, ...]]:
+    """The rows ``0..max_n`` of a triangle, each built by the defining
+    recurrence from the one before it, so only two rows are held at a time.
+    The arguments are checked when this is called, before any row is built."""
     _ints(ell=ell, max_n=max_n)
     if ell < 1:
         raise ValueError(f"number of colors must be >= 1, got {ell}")
@@ -64,19 +67,26 @@ def build_table(ell: int, max_n: int, flavor: str) -> DifferenceTable:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    rows: list[tuple[int, ...]] = []
-    for n in range(max_n + 1):
-        row = [0] * (n + 1)
-        if flavor == FLAVOR_G:
-            row[n] = ell**n * math.factorial(n)
-            for m in range(n - 1, -1, -1):
-                row[m] = row[m + 1] - rows[n - 1][m]
-        else:
-            row[n] = 1
-            for m in range(n - 1, -1, -1):
-                row[m] = ell * (m + 1) * row[m + 1] - rows[n - 1][m]
-        rows.append(tuple(row))
-    return DifferenceTable(ell, flavor, tuple(rows))
+
+    def rows():
+        row, top = (), 1  # top = ell^n * n!
+        for n in range(max_n + 1):
+            if flavor == FLAVOR_G:  # leftwards from g[n][n]: g[n][m+1] - g[n-1][m]
+                row = tuple(accumulate(reversed(row), sub, initial=top))[::-1]
+                top *= ell * (n + 1)
+            else:  # leftwards from d[n][n] = 1: ell*(m+1)*d[n][m+1] - d[n-1][m]
+                new, x = [1] * (n + 1), 1
+                for m in range(n - 1, -1, -1):
+                    x = new[m] = ell * (m + 1) * x - row[m]
+                row = tuple(new)
+            yield row
+
+    return rows()
+
+
+def build_table(ell: int, max_n: int, flavor: str) -> DifferenceTable:
+    """Build a full triangle by the defining recurrence."""
+    return DifferenceTable(ell, flavor, tuple(table_rows(ell, max_n, flavor)))
 
 
 def g_closed_form(ell: int, n: int, m: int) -> int:
@@ -137,69 +147,80 @@ def check_recurrences(ell: int, max_n: int) -> list[CheckResult]:
     """Validate every recurrence, boundary, and divisibility identity.
 
     Returns one pass/fail result per identity; a failure carries the first
-    counterexample.  Each identity is compared one row of the triangle at a
-    time.  An entry outside the triangle enters a row only as a padded 0
-    times a zero coefficient, so no such entry is read.
+    counterexample.  One pass reads the ``g`` and ``d`` rows in lockstep and
+    holds only rows ``n - 2 .. n`` of each.  At each ``n``, every identity
+    that has not yet failed compares its row there, and the first row that
+    differs names its counterexample.  An entry outside the triangle enters
+    a row only as a padded 0 times a zero coefficient, so no such entry is
+    read.
     """
     _ints(ell=ell, max_n=max_n)
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
-    g = build_table(ell, max_n, FLAVOR_G).rows
-    d = build_table(ell, max_n, FLAVOR_D).rows
+    streams = zip(table_rows(ell, max_n, FLAVOR_G), table_rows(ell, max_n, FLAVOR_D))
     # scale[m] = ell^m * m!, one multiplication per m
     scale = list(accumulate(range(1, max_n + 1), lambda s, m: s * ell * m, initial=1))
-    ns, all_ns = range(2, max_n + 1), range(max_n + 1)
 
-    def two_prev_rows(t):
+    # Each identity's rows at n, read from the windows g and d: t = (t[n], t[n-1], t[n-2]).
+    def two_prev_rows(n, t):
         # t[n][m] = (ell*n - 1)*t[n-1][m] + ell*(n-m-1)*t[n-2][m] for m < n; at m = n-1
         # the 0 padding row n-2 meets a zero coefficient
-        for n in ns:
-            k = ell * n - 1
-            terms = zip(range(ell * (n - 1), -1, -ell), t[n - 1], t[n - 2] + (0,))
-            yield (n,), 0, t[n][:n], tuple([k * a + c * b for c, a, b in terms])
+        (row, prev, prev2), k = t, ell * n - 1
+        terms = zip(range(ell * (n - 1), -1, -ell), prev, prev2 + (0,))
+        yield (n,), 0, row[:n], tuple([k * a + c * b for c, a, b in terms])
 
-    def prev_row_diag(t, diag):
-        # t[n][m] = ell*(n-m)*t[n-1][m] + diag(n, t[n-1])[m-1] for 0 < m <= n; at m = n
+    def prev_row_diag(n, t, diag):
+        # t[n][m] = ell*(n-m)*t[n-1][m] + diag[m-1] for 0 < m <= n; at m = n
         # the 0 padding row n-1 meets a zero coefficient
-        for n in all_ns[1:]:
-            terms = zip(range(ell * (n - 1), -1, -ell), t[n - 1][1:] + (0,), diag(n, t[n - 1]))
-            yield (n,), 1, t[n][1:], tuple([c * a + b for c, a, b in terms])
+        row, prev = t[:2]
+        terms = zip(range(ell * (n - 1), -1, -ell), prev[1:] + (0,), diag)
+        yield (n,), 1, row[1:], tuple([c * a + b for c, a, b in terms])
 
-    def g_diag(n, row):  # ell*m*g[n-1][m-1] for m = 1..n; d's diagonal term is d[n-1][m-1]
-        return map(mul, range(ell, ell * n + 1, ell), row)
+    def g_diag(n, prev):  # ell*m*g[n-1][m-1] for m = 1..n; d's diagonal term is d[n-1][m-1]
+        return map(mul, range(ell, ell * n + 1, ell), prev)
 
-    def g_three_term():  # g[n][m] = ell*n*g[n-1][m] - ell*m*g[n-2][m-1] for 0 < m < n
-        for n in ns:
-            k, terms = ell * n, zip(range(ell, ell * n, ell), g[n - 1][1:], g[n - 2])
-            yield (n,), 1, g[n][1:n], tuple([k * a - c * b for c, a, b in terms])
+    def g_three_term(n, g, d):  # g[n][m] = ell*n*g[n-1][m] - ell*m*g[n-2][m-1] for 0 < m < n
+        (row, prev, prev2), k = g, ell * n
+        terms = zip(range(ell, ell * n, ell), prev[1:], prev2)
+        yield (n,), 1, row[1:n], tuple([k * a - c * b for c, a, b in terms])
 
-    def d_three_term():  # d[n][m] + d[n-2][m-1] = ell*n*d[n-1][m] for 0 < m < n
-        for n in ns:
-            lhs = tuple(map(add, d[n][1:n], d[n - 2]))
-            yield (n,), 1, lhs, tuple(map(mul, repeat(ell * n), d[n - 1][1:]))
+    def d_three_term(n, g, d):  # d[n][m] + d[n-2][m-1] = ell*n*d[n-1][m] for 0 < m < n
+        row, prev, prev2 = d
+        lhs = tuple(map(add, row[1:n], prev2))
+        yield (n,), 1, lhs, tuple(map(mul, repeat(ell * n), prev[1:]))
+
+    def parity(n, g, d):  # d[n][0] = ell*n*d[n-1][0] + (-1)^n, one entry per row
+        yield (n,), 0, d[0][:1], (ell * n * d[1][0] + (-1) ** n,)
+
+    def boundary(n, g, d):  # rows 0 and 1 of each flavor, g's before d's
+        for flavor, (row1, row0), top in ((FLAVOR_G, g[:2], ell), (FLAVOR_D, d[:2], 1)):
+            yield (flavor, 0), 0, row0, (1,)
+            yield (flavor, 1), 0, row1, (ell - 1, top)
+
+    def scaled(n, g, d):
+        yield (n,), 0, g[0], tuple(map(mul, scale, d[0]))
 
     nm = ("n", "m", "lhs", "rhs")
-    # d[n][0] = ell*n*d[n-1][0] + (-1)^n, one entry per row
-    parity = (((n,), 0, d[n][:1], (ell * n * d[n - 1][0] + (-1) ** n,)) for n in all_ns[1:])
-    scaled = (((n,), 0, g[n], tuple(map(mul, scale, d[n]))) for n in all_ns)
-    boundary = (  # rows 0 and 1 of each flavor
-        ((flavor, n), 0, t[n], expected)
-        for flavor, t, top in ((FLAVOR_G, g, ell), (FLAVOR_D, d, 1))
-        for n, expected in enumerate([(1,), (ell - 1, top)])
-    )
+    from0, from1, from2 = (range(first, max_n + 1) for first in (0, 1, 2))
+    # (check, names, the n at which it compares a row, its rows at n)
     identities = [
-        ("g_rec_two_prev_rows", nm, two_prev_rows(g)),
-        ("d_rec_two_prev_rows", nm, two_prev_rows(d)),
-        ("g_rec_prev_row_diag", nm, prev_row_diag(g, g_diag)),
-        ("d_rec_prev_row_diag", nm, prev_row_diag(d, lambda n, row: row)),
-        ("g_rec_three_term", nm, g_three_term()),
-        ("d_rec_three_term", nm, d_three_term()),
-        ("d_rec_column0_parity", nm, parity),
-        ("boundary_values", ("flavor", *nm), boundary),
-        ("g_equals_scaled_d", nm, scaled),
+        ("g_rec_two_prev_rows", nm, from2, lambda n, g, d: two_prev_rows(n, g)),
+        ("d_rec_two_prev_rows", nm, from2, lambda n, g, d: two_prev_rows(n, d)),
+        ("g_rec_prev_row_diag", nm, from1, lambda n, g, d: prev_row_diag(n, g, g_diag(n, g[1]))),
+        ("d_rec_prev_row_diag", nm, from1, lambda n, g, d: prev_row_diag(n, d, d[1])),
+        ("g_rec_three_term", nm, from2, g_three_term),
+        ("d_rec_three_term", nm, from2, d_three_term),
+        ("d_rec_column0_parity", nm, from1, parity),
+        ("boundary_values", ("flavor", *nm), range(1, 2), boundary),
+        ("g_equals_scaled_d", nm, from0, scaled),
     ]
+    found = dict.fromkeys(check for check, *_ in identities)  # check -> counterexample
+    pending, g, d = identities, ((), ()), ((), ())
+    for n, (g_row, d_row) in enumerate(streams):
+        g, d = (g_row, *g[:2]), (d_row, *d[:2])
+        for check, names, at, rows in pending:
+            if n in at:
+                found[check] = first_mismatch(names, rows(n, g, d))
+        pending = [i for i in pending if found[i[0]] is None]
     params = {"max_n": max_n}
-    return [
-        CheckResult(check, ell, None, params, first_mismatch(names, rows))
-        for check, names, rows in identities
-    ]
+    return [CheckResult(check, ell, None, params, found[check]) for check in found]

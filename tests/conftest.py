@@ -1,4 +1,6 @@
 import functools
+import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 
@@ -9,6 +11,21 @@ from wreathperm import ColoredPermutation, enumerate_group
 def group(ell: int, n: int) -> tuple[ColoredPermutation, ...]:
     """Cached full enumeration, shared across tests."""
     return tuple(enumerate_group(ell, n))
+
+
+def row_bytes(row: tuple[int, ...]) -> int:
+    """Memory held by one table row: the tuple and its ints."""
+    return sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+
+
+def traced_peak(run) -> int:
+    """Peak bytes the Python allocator held while ``run()`` ran."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def at_k(pairs, k: int) -> tuple[int, ...]:

@@ -23,6 +23,8 @@ from wreathperm import (
     enumeration,
 )
 
+from conftest import row_bytes, traced_peak
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -91,6 +93,47 @@ class TestTable:
         assert out == (
             '{"ell": 2, "flavor": "g", "rows": [[1], [1, 2], [5, 6, 8], [29, 34, 40, 48]]}\n'
         )
+
+    @pytest.mark.parametrize("flavor", ["g", "d"])
+    @pytest.mark.parametrize("ell", [1, 3])
+    @pytest.mark.parametrize("max_n", [0, 1, 2, 30])
+    def test_json_is_the_table_record(self, capsys, flavor, ell, max_n):
+        """The streamed JSON has the bytes of the whole record dumped at once."""
+        code, out = run_cli(
+            capsys, "table", "--flavor", flavor, "--colors", str(ell), "--max-n", str(max_n),
+            "--format", "json",
+        )
+        assert (code, out) == (0, json.dumps(build_table(ell, max_n, flavor)._asdict()) + "\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_refusal_writes_nothing(self, capsys, fmt):
+        """Every argument is checked before the first byte is written."""
+        code = cli.main(["table", "--flavor", "g", "--colors", "2", "--max-n", "-1",
+                         "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: max_n must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("flavor", ["g", "d"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_streams_in_bounded_memory(self, flavor, fmt):
+        """At 300 letters the triangle holds about a hundred times its last
+        row; a streamed render holds a few rows at a time."""
+        one_row = row_bytes(build_table(1, 300, "g").rows[-1])
+        argv = ["table", "--flavor", flavor, "--colors", "1", "--max-n", "300", "--format", fmt]
+        with redirect_stdout(_Discard()):
+            peak = traced_peak(lambda: cli.main(argv))
+        assert peak < 10 * one_row
+
+
+class _Discard:
+    """A text stream that drops what is written to it."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 class TestCount:
@@ -507,13 +550,15 @@ def test_table_over_size_limit_exit(capsys, monkeypatch, args, ell, largest):
     def build_nothing(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(cli, "build_table", build_nothing)
+    monkeypatch.setattr(cli, "table_rows", build_nothing)
     monkeypatch.setattr(enumeration, "check_recurrences", build_nothing)
     code = cli.main(args)
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err.startswith(f"error: the table with ell={ell}, max_n={args[-1]} exceeds ")
     assert err.endswith(f"; the largest max_n that fits with ell={ell} is {largest}\n")
+    with pytest.raises(AssertionError, match="a table was built"):  # the patches are reached
+        cli.main(args[:-1] + ["2"])
 
 
 @pytest.mark.parametrize(
@@ -548,10 +593,13 @@ def test_refusal_exit_codes(capsys, monkeypatch, error, code):
     ``error:`` line on stderr and nothing on stdout."""
 
     def refuse(*args):
+        refuse.calls += 1
         raise error
 
-    monkeypatch.setattr(cli, "build_table", refuse)
+    refuse.calls = 0
+    monkeypatch.setattr(cli, "table_rows", refuse)
     assert cli.main(["table", "--flavor", "g", "--colors", "2", "--max-n", "3"]) == code
+    assert refuse.calls == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"

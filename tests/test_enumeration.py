@@ -4,6 +4,7 @@ import random
 import re
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from functools import partial
 from itertools import groupby, permutations, product
 from operator import attrgetter
@@ -562,18 +563,23 @@ def _bumped(value, cell):
 
 def _bump(monkeypatch, module, name, args, cell):
     """Make ``module.name`` raise one entry of its result by one when its
-    leading positional arguments are ``args``."""
-    real = getattr(module, name)
+    leading positional arguments are ``args``.  Returns the list of the
+    arguments of each call it bumped."""
+    real, calls = getattr(module, name), []
 
     def bumped(*a, **kw):
         out = real(*a, **kw)
         if a[: len(args)] != args:
             return out
+        calls.append(a)
         if isinstance(out, DifferenceTable):
             return out._replace(rows=_bumped(out.rows, cell))
+        if isinstance(out, Iterator):  # a stream of rows
+            return iter(_bumped(tuple(out), cell))
         return _bumped(out, cell)
 
     monkeypatch.setattr(module, name, bumped)
+    return calls
 
 
 # The expansion behind each public count, with the same leading arguments.
@@ -743,8 +749,9 @@ def test_recurrence_counterexample(monkeypatch, args, cell, expected):
     """A table entry off by one fails exactly the identities that read it,
     each at its first disagreeing index; ``boundary_values`` also names the
     table."""
-    _bump(monkeypatch, tables, "build_table", args, cell)
+    calls = _bump(monkeypatch, tables, "table_rows", args, cell)
     assert _rec_failures() == expected
+    assert calls == [args, args]  # once per report, at one and two workers
 
 
 class TestDistribution:

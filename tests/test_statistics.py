@@ -19,6 +19,7 @@ from wreathperm import (
     skew_linear_pairs,
 )
 from wreathperm.core import canonical_cycles
+from wreathperm.statistics import _has_fixed_point
 
 from conftest import at_k, group
 
@@ -51,6 +52,13 @@ class TestCircular:
         for p in group(2, 5):
             for m in range(6):
                 assert fixed_points(p, m) == {v for v in fixed_points(p) if v > m}
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_has_fixed_point_is_fixed_points_nonempty(self, ell):
+        for n in range(6):
+            for p in group(ell, n):
+                for m in range(n + 1):
+                    assert _has_fixed_point(p, m) == bool(fixed_points(p, m))
 
     def test_negative_k(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from wreathperm import (
 )
 from wreathperm.reporting import first_mismatch
 
+from conftest import row_bytes, traced_peak
+
 # frozen low-order triangles for one and two colors
 G_TABLE_1 = [
     [1],
@@ -255,16 +257,22 @@ class TestRecurrences:
         expected = {
             (ell, n): check_recurrences(ell, n) for ell in (1, 2, 3) for n in range(2, 9)
         }
-        real = tables.build_table
+        real, calls = tables.table_rows, []
 
         def strict(*args):
-            table = real(*args)
-            rows = _NoWrap(_NoWrap(row) for row in table.rows)
-            return table._replace(rows=rows)
+            calls.append(args)
+            return map(_NoWrap, real(*args))
 
-        monkeypatch.setattr(tables, "build_table", strict)
+        monkeypatch.setattr(tables, "table_rows", strict)
         for (ell, n), results in expected.items():
             assert check_recurrences(ell, n) == results
+        assert len(calls) == 2 * len(expected)
+
+    def test_holds_three_rows_per_flavor(self):
+        """At 300 letters the two triangles hold about two hundred times the
+        last ``g`` row; the check holds a window of three rows of each."""
+        one_row = row_bytes(build_table(1, 300, "g").rows[-1])
+        assert traced_peak(lambda: check_recurrences(1, 300)) < 10 * one_row
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
@@ -279,10 +287,12 @@ class TestRecurrences:
         for n, m in cells:
             changed[n][m] += 1
         rows[flavor] = tuple(map(tuple, changed))
+        read = []
         monkeypatch.setattr(
-            tables, "build_table", lambda e, top, f: tables.DifferenceTable(e, f, rows[f])
+            tables, "table_rows", lambda e, top, f: read.append(f) or iter(rows[f])
         )
         found = [r.counterexample for r in check_recurrences(ell, max_n)]
+        assert sorted(read) == ["d", "g"]
         assert found == _per_point(ell, rows["g"], rows["d"])
         assert any(found)
 
@@ -305,6 +315,19 @@ class TestRecurrences:
         for n in (2, 3, 31, 59, 60):
             for m in sorted({0, n - 1, n, n // 2}):
                 self._bumped_agree(monkeypatch, ell, 60, flavor, [(n, m)])
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_boundary_reads_g_rows_before_d_rows(self, monkeypatch, ell):
+        """With ``d[0][0]`` and ``g[1][1]`` both off by one, the one pass over
+        ``n`` still names the ``g`` row as the boundary counterexample."""
+        rows = {f: [list(r) for r in build_table(ell, 6, f).rows] for f in ("g", "d")}
+        rows["d"][0][0] += 1
+        rows["g"][1][1] += 1
+        rows = {f: tuple(map(tuple, t)) for f, t in rows.items()}
+        monkeypatch.setattr(tables, "table_rows", lambda e, top, f: iter(rows[f]))
+        found = [r.counterexample for r in check_recurrences(ell, 6)]
+        assert found == _per_point(ell, rows["g"], rows["d"])
+        assert found[7] == {"flavor": "g", "n": 1, "m": 1, "lhs": str(ell + 1), "rhs": str(ell)}
 
     def test_unchanged_tables_agree_with_per_point(self):
         for ell in (1, 2, 3, 4):
