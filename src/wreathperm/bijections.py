@@ -41,12 +41,14 @@ from .core import (
     ColoredPermutation,
     ColoredSymbol,
     DomainError,
+    _ints,
     canonical_cycles,
     from_arcs,
     is_permutation,
 )
 from .statistics import (
     _has_fixed_point,
+    _prefix_returns,
     circular_successions,
     is_derangement,
     is_increasing_fixed,
@@ -151,8 +153,7 @@ def insert_max_succession(
 
 def _check_permutation(word: Sequence[int]) -> None:
     if not {int}.issuperset(map(type, word)):  # a float, a bool or a str
-        bad = next(x for x in word if type(x) is not int)
-        raise TypeError(f"word: {bad!r} is not an int")
+        _ints(word=tuple(word))
     if not is_permutation(word, len(word)):
         raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
 
@@ -313,13 +314,7 @@ def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
 def class_core(p: ColoredPermutation, m: int) -> ColoredPermutation:
     """The element on ``[m]`` left after erasing the signature's words and cycles."""
     _check_m(p, m)
-    sigma, core = p.sigma, []
-    for i in range(1, m + 1):
-        x = sigma[i - 1]
-        while x > m:
-            x = sigma[x - 1]
-        core.append(x)
-    return ColoredPermutation(p.ell, core, p.colors[:m])
+    return ColoredPermutation(p.ell, _prefix_returns(p.sigma, m), p.colors[:m])
 
 
 def signature_insert(tau: ColoredPermutation, sig: ClassSignature) -> ColoredPermutation:

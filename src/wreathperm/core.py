@@ -33,6 +33,15 @@ class DomainError(ValueError):
     """A partial map was applied outside its stated domain."""
 
 
+def _ints(**fields) -> None:
+    """Refuse a field, or a member of a tuple field, that is not an int
+    itself (a float, inexact past ``2**53``, a bool or a str), naming it."""
+    for name, x in fields.items():
+        for y in x if type(x) is tuple else (x,):
+            if type(y) is not int:
+                raise TypeError(f"{name}: {y!r} is not an int")
+
+
 class _Value:
     """An immutable value: its fields are the subclass's ``__slots__``, set
     once by its validating ``__init__`` and returned in that order by its
@@ -70,9 +79,8 @@ class ColoredSymbol(_Value):
     __slots__ = ("value", "color")
 
     def __init__(self, value: int, color: int = 0):
-        if type(value) is not int or type(color) is not int:  # a float or a bool
-            field, x = ("color", color) if type(value) is int else ("value", value)
-            raise TypeError(f"symbol {field}: {x!r} is not an int")
+        if type(value) is not int or type(color) is not int:  # (x,) names a tuple x too
+            _ints(**{"symbol value": (value,), "symbol color": (color,)})
         if value < 1:
             raise ValueError(f"symbol value must be >= 1, got {value}")
         if color < 0:
@@ -104,11 +112,9 @@ class ColoredPermutation(_Value):
 
     def __init__(self, ell: int, sigma: Sequence[int], colors: Sequence[int]):
         sigma, colors = tuple(sigma), tuple(colors)
-        # one pass in C over every field; the loop below only names the first that fails
+        # one pass in C over every field; _ints only names the first that fails
         if type(ell) is not int or not {int}.issuperset(map(type, sigma + colors)):
-            for field, xs in ("ell", [ell]), ("sigma", sigma), ("colors", colors):
-                if bad := [x for x in xs if type(x) is not int]:  # a float or a bool
-                    raise TypeError(f"{field}: {bad[0]!r} is not an int")
+            _ints(ell=(ell,), sigma=sigma, colors=colors)  # (ell,) names a tuple ell
         if ell < 1:
             raise ValueError(f"number of colors must be >= 1, got {ell}")
         n = len(sigma)

@@ -9,14 +9,14 @@ any worker count; a range starting at permutation rank ``r`` skips ``r``
 permutations in C (``BudgetError`` past ``sys.maxsize``).  ``element_at``
 unranks an index on its own.
 
-The folds are bit-sliced: bit ``o`` of an int stands for the coloring at
+The tallies are bit-sliced: bit ``o`` of an int stands for the coloring at
 offset ``o`` of every block of ``ell^n`` elements sharing one underlying
 permutation, and each succession test (do two values share a color?) is one
 AND with a precomputed int.  Every element is still tested, as one bit, so
 the cost stays linear in the group size, divided by the machine word.
 
 Each count is a tally of keys, then their expansion, which reads the keys from
-``source(fold, ell, n, kernel)``: ``_map_reduce`` for a public count.  Within
+``source(kernel, ell, n)``: ``_map_reduce`` for a public count.  Within
 one ``verify_suite`` call every suite reads one cache of it, so each ``(kernel,
 ell, n)`` is tallied once per call; the cache is dropped when the call returns.
 The element-wise identities ``e22`` and ``e43`` compare two candidate lists
@@ -41,10 +41,10 @@ from itertools import accumulate, combinations, compress, islice, permutations, 
 from operator import add, sub
 from typing import Iterator
 
-from .core import ColoredPermutation, canonical_cycles
+from .core import ColoredPermutation, _ints, canonical_cycles
 from .reporting import CheckResult, first_mismatch
 from .statistics import CIRCULAR, LINEAR, SKEW_LINEAR
-from .tables import FLAVOR_D, FLAVOR_G, _ints, build_table, check_recurrences
+from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
 
 DEFAULT_BUDGET = 100_000_000
 TABLE_BIT_LIMIT = 2**33
@@ -186,7 +186,7 @@ def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
 # ``(tests, key)``: ``tests`` lists pairs of values ``(a, b)``, ``a < b``,
 # each asking whether ``a`` and ``b`` share a color (``(0, v)``: is ``v``
 # uncolored), and ``key(outcomes)`` keys every coloring whose answers to
-# them are ``outcomes``.  A partition is folded into a Counter of keys, and
+# them are ``outcomes``.  A partition is tallied into a Counter of keys, and
 # each public function expands the merged keys into its histogram.
 # Succession keys hold one code ``k * (n + 1) + v`` per k-succession with
 # value ``v``, so a single key serves every k at once.  ``statistics.py`` is
@@ -323,21 +323,20 @@ def _pool_size(jobs: int, cpus: int) -> int:
 
 
 def _run_task(args):
-    """Fold a kernel over one contiguous index range."""
-    fold, ell, n, kernel, start, stop = args
-    return fold(kernel, ell, n, start, stop)
+    """Tally ``(kernel, ell, n, start, stop)``: one contiguous index range."""
+    return _tally(*args)
 
 
-def _map_reduce(fold, ell: int, n: int, kernel, jobs: int, budget: int = DEFAULT_BUDGET):
-    """Partition the whole group, fold ``kernel`` over each part (in a process
+def _map_reduce(kernel, ell: int, n: int, jobs: int, budget: int = DEFAULT_BUDGET):
+    """Partition the whole group, tally ``kernel`` over each part (in a process
     pool when it pays) and merge the parts into keys that count every element."""
     size = _check_budget(ell, n, budget)
     _ints(jobs=jobs)
     workers = _pool_size(jobs, os.cpu_count() or 1)
     if workers == 1 or math.factorial(n) < _PARALLEL_THRESHOLD:
-        parts = [_run_task((fold, ell, n, kernel, 0, size))]
+        parts = [_run_task((kernel, ell, n, 0, size))]
     else:
-        tasks = [(fold, ell, n, kernel, *bounds) for bounds in partition_bounds(size, workers)]
+        tasks = [(kernel, ell, n, *bounds) for bounds in partition_bounds(size, workers)]
         # Imported here, so a process that never starts a pool never loads
         # concurrent.futures or multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -354,7 +353,7 @@ def _succession_matrix(ell, n, kind, source, combine=lambda m, _: m + 1):
     """``matrix[k][x]`` counts the elements whose k-succession values of
     ``kind`` combine to ``x``: ``x`` starts at 0 and becomes ``combine(x, v)``
     for each value ``v``, by default their number."""
-    keys = source(_tally, ell, n, _SUCCESSION_KERNELS[kind])
+    keys = source(_SUCCESSION_KERNELS[kind], ell, n)
     width = n + 1
     matrix = [[0] * width for _ in range(width)]
     for key, count in keys.items():
@@ -369,7 +368,7 @@ def _succession_matrix(ell, n, kind, source, combine=lambda m, _: m + 1):
 
 
 def _family_counts(ell, n, family, source):
-    keys = source(_tally, ell, n, _FAMILY_KERNELS[family])
+    keys = source(_FAMILY_KERNELS[family], ell, n)
     counts = [0] * (n + 1)
     for (low, high), count in keys.items():
         for m in range(low, high + 1):
@@ -519,7 +518,7 @@ def _suite_sides(differ, shift, ell, n, source):
     per n, for every ell.  Only a ``sigma`` whose lists differ has its
     colorings read, in index order, each side asking its own tests; the first
     whose codes differ is reported at their smallest ``k`` less ``shift``."""
-    unequal = source(_tally, 1, n, differ).keys() - {None}
+    unequal = source(differ, 1, n).keys() - {None}
     for rank, sigma in enumerate(permutations(range(1, n + 1)) if unequal else ()):
         if sigma in unequal:
             sides = differ.args[0](sigma)  # the two lists again
@@ -593,7 +592,7 @@ def verify_suite(
         if sum(_table_bits(ell, max_n) for ell in ells) > TABLE_BIT_LIMIT:
             what = f"rec tables with ell <= {max_ell}, max_n={max_n}"
             raise BudgetError(f"the {what} sum to more than the {_TABLE_LIMIT}")
-    source = cache(partial(_map_reduce, jobs=jobs, budget=budget))  # one per (fold, ell, n, kernel)
+    source = cache(partial(_map_reduce, jobs=jobs, budget=budget))  # one per (kernel, ell, n)
     results: list[CheckResult] = []
     for name, (run, first, shrink, table) in plan.items():
         for ell in ells:

@@ -57,6 +57,17 @@ def _has_fixed_point(p: ColoredPermutation, above: int = 0) -> bool:
     return False
 
 
+def _prefix_returns(sigma, m: int) -> list[int]:
+    """For each ``v <= m``, the first value ``<= m`` after ``v`` on its
+    cycle of ``sigma``: the permutation ``sigma`` induces on ``[m]``."""
+    out = []
+    for x in sigma[:m]:
+        while x > m:
+            x = sigma[x - 1]
+        out.append(x)
+    return out
+
+
 def is_derangement(p: ColoredPermutation) -> bool:
     return not _has_fixed_point(p)
 
@@ -100,10 +111,5 @@ def is_isolated_fixed(p: ColoredPermutation, m: int) -> bool:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={len(sigma)}")
     if any(p.colors[:m]) or _has_fixed_point(p, m):
         return False
-    for v in range(1, m + 1):
-        x = sigma[v - 1]
-        while x > m:
-            x = sigma[x - 1]
-        if x != v:
-            return False
-    return True
+    # nothing to walk at m = 0, where a sweep over every m mostly gets here
+    return not m or _prefix_returns(sigma, m) == list(range(1, m + 1))

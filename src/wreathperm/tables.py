@@ -23,6 +23,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
+from .core import _ints
 from .reporting import CheckResult, first_mismatch
 
 FLAVOR_G = "g"
@@ -48,21 +49,18 @@ class DifferenceTable(NamedTuple):
         return self.rows[n][m]
 
 
-def _ints(**args) -> None:
-    """Refuse a float or a bool among ``args``, naming it: past ``2**53`` a
-    float entry is no longer exact."""
-    for name, x in args.items():
-        if type(x) is not int:
-            raise TypeError(f"{name}: {x!r} is not an int")
+def _colors_and_ints(ell: int, **sizes: int) -> None:
+    """Refuse a non-int argument, then fewer than one color."""
+    _ints(ell=ell, **sizes)
+    if ell < 1:
+        raise ValueError(f"number of colors must be >= 1, got {ell}")
 
 
 def table_rows(ell: int, max_n: int, flavor: str) -> Iterator[tuple[int, ...]]:
     """The rows ``0..max_n`` of a triangle, each built by the defining
     recurrence from the one before it, so only two rows are held at a time.
     The arguments are checked when this is called, before any row is built."""
-    _ints(ell=ell, max_n=max_n)
-    if ell < 1:
-        raise ValueError(f"number of colors must be >= 1, got {ell}")
+    _colors_and_ints(ell, max_n=max_n)
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     if flavor not in FLAVORS:
@@ -91,7 +89,7 @@ def build_table(ell: int, max_n: int, flavor: str) -> DifferenceTable:
 
 def g_closed_form(ell: int, n: int, m: int) -> int:
     """Alternating-sum closed form for the ``g`` entry at ``(n, m)``."""
-    _ints(ell=ell, n=n, m=m)
+    _colors_and_ints(ell, n=n, m=m)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     r = n - m
@@ -107,7 +105,7 @@ def derangement_number(ell: int, n: int) -> int:
     Computed as ``sum_i (-1)^i * ell^(n-i) * n!/i!``; every term is an
     integer, so the sum is exact.
     """
-    _ints(ell=ell, n=n)
+    _colors_and_ints(ell, n=n)
     if n < 0:
         raise ValueError(f"size must be >= 0, got {n}")
     fact_n = math.factorial(n)
@@ -126,7 +124,7 @@ def egf_coefficient(ell: int, m: int, n: int) -> int:
     ``exp(-u)`` is ``sum_a (-1)^a * n!/a! * power[n-a]``, integral term by
     term.  Equals the ``g`` entry at ``(n + m, m)``.
     """
-    _ints(ell=ell, m=m, n=n)
+    _colors_and_ints(ell, m=m, n=n)
     if m < 0 or n < 0:
         raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
     power = [1] + [0] * n

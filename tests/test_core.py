@@ -3,6 +3,7 @@ import itertools
 import pickle
 import re
 from datetime import timedelta
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -27,7 +28,11 @@ from wreathperm import (
     rotate_right,
     succession_decompose,
 )
+from wreathperm import core
+from wreathperm.bijections import foata, foata_inverse
 from wreathperm.core import canonical_cycles
+from wreathperm.enumeration import distribution
+from wreathperm.tables import g_closed_form
 
 from conftest import colored_perms, group
 
@@ -87,6 +92,37 @@ def test_element_refuses_non_int_fields(args, message):
     itself; the ``TypeError`` names the field."""
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         ColoredPermutation(*args)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ColoredSymbol(1.5), "symbol value: 1.5"),
+        (lambda: ColoredSymbol(1, 0.5), "symbol color: 0.5"),
+        (lambda: ColoredSymbol((1,)), "symbol value: (1,)"),
+        (lambda: ColoredPermutation(2.0, (1,), (0,)), "ell: 2.0"),
+        (lambda: ColoredPermutation((2,), (1,), (0,)), "ell: (2,)"),
+        (lambda: ColoredPermutation(2, (1, True), (0, 0)), "sigma: True"),
+        (lambda: ColoredPermutation(2, (1, 2), (0, 1.0)), "colors: 1.0"),
+        (lambda: foata((2, 1.0)), "word: 1.0"),
+        (lambda: foata_inverse(["a", 1]), "word: 'a'"),
+        (lambda: g_closed_form(2, 3, 1.0), "m: 1.0"),
+        (lambda: distribution(2, 3, True, "circular"), "k: True"),
+    ],
+)
+def test_int_rule_is_stated_once(call, message):
+    """Every layer that takes an int refuses anything else through the one
+    rule in ``core``, with a ``TypeError`` naming the field and its value."""
+    with pytest.raises(TypeError, match=f"^{re.escape(message)} is not an int$") as info:
+        call()
+    assert info.traceback[-1].frame.code.raw is core._ints.__code__
+
+
+def test_no_other_module_spells_the_int_rule():
+    """Only ``core.py`` words the int rule's message."""
+    package = Path(core.__file__).parent
+    spelled = [f.name for f in sorted(package.glob("*.py")) if "is not an int" in f.read_text()]
+    assert spelled == ["core.py"]
 
 
 @pytest.mark.parametrize(

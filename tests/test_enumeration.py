@@ -298,7 +298,7 @@ def _cut_ranges(ell, n, rng, cuts):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("n", range(6))
 def test_ranges_cut_inside_blocks(ell, n):
-    """Folding any index ranges, cut inside a block of one underlying
+    """Tallying any index ranges, cut inside a block of one underlying
     permutation or not, counts every element once under its own key: the
     decoded keys are those ``statistics.py`` gives each element."""
     size = group_size(ell, n)
@@ -308,12 +308,12 @@ def test_ranges_cut_inside_blocks(ell, n):
         for parts in (1, 3, 7, 11):
             merged = Counter()
             for start, stop in partition_bounds(size, parts):
-                counts = enumeration._run_task((enumeration._tally, ell, n, kernel, start, stop))
+                counts = enumeration._run_task((kernel, ell, n, start, stop))
                 assert sum(counts.values()) == stop - start
                 merged += counts
             assert merged == enumeration._tally(kernel, ell, n, 0, size), (name, parts)
         for start, stop in _cut_ranges(ell, n, random.Random(ell * 10 + n), 8):
-            counts = enumeration._run_task((enumeration._tally, ell, n, kernel, start, stop))
+            counts = enumeration._run_task((kernel, ell, n, start, stop))
             decoded = Counter()
             for key, count in counts.items():
                 decoded[_decoded(name, key, n)] += count
@@ -354,7 +354,7 @@ def _moved_when(target):
 
 @pytest.mark.parametrize("ell,n", list(product(range(1, 4), range(6))))
 def test_first_failure_across_cut_blocks(ell, n):
-    """Folding the ell = 1 decision over any index range keys each
+    """Tallying the ell = 1 decision over any index range keys each
     permutation in it whose two lists differ by itself, and the others by
     None; the suite then reports the first element that an element-by-element
     scan rejects, with the smallest failing k.  A moved test fails nothing
@@ -366,7 +366,7 @@ def test_first_failure_across_cut_blocks(ell, n):
         differ = partial(enumeration._sides_differ, sides)
         differs = {s for s in sigmas if sides(s)[0] != sides(s)[1]}
         for start, stop in _cut_ranges(1, n, rng, 20):
-            counts = enumeration._run_task((enumeration._tally, 1, n, differ, start, stop))
+            counts = enumeration._run_task((differ, 1, n, start, stop))
             unequal = [s for s in sigmas[start:stop] if s in differs]
             assert counts == Counter({None: stop - start - len(unequal)}) + Counter(unequal)
         source = partial(enumeration._map_reduce, jobs=1)
@@ -632,11 +632,10 @@ def test_each_tally_runs_once_per_call(monkeypatch):
     tallies = []
     real_map_reduce = enumeration._map_reduce
 
-    def map_reduce(fold, ell, n, kernel, *rest, **kwargs):
+    def map_reduce(kernel, ell, n, *rest, **kwargs):
         assert type(ell) is int and type(n) is int  # what a tracer reads to count elements
-        if fold is enumeration._tally:
-            tallies.append((kernel, ell, n))
-        return real_map_reduce(fold, ell, n, kernel, *rest, **kwargs)
+        tallies.append((kernel, ell, n))
+        return real_map_reduce(kernel, ell, n, *rest, **kwargs)
 
     monkeypatch.setattr(enumeration, "_map_reduce", map_reduce)
     # the second call at 2 colors tallies them all again: nothing outlives a call

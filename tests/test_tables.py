@@ -406,3 +406,20 @@ def test_non_int_sizes_refused(call, message):
     only ints, bools refused too."""
     with pytest.raises(TypeError, match=f"^{message} is not an int$"):
         call()
+
+
+@pytest.mark.parametrize("ell", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ell: g_closed_form(ell, 2, 1),
+        lambda ell: derangement_number(ell, 3),
+        lambda ell: egf_coefficient(ell, 1, 1),
+    ],
+    ids=["g_closed_form", "derangement_number", "egf_coefficient"],
+)
+def test_closed_forms_refuse_fewer_than_one_color(call, ell):
+    """The closed forms refuse ``ell < 1`` as the table rows do, though their
+    sums are defined there."""
+    with pytest.raises(ValueError, match=f"^number of colors must be >= 1, got {ell}$"):
+        call(ell)
