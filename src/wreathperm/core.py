@@ -42,6 +42,16 @@ def _ints(**fields) -> None:
                 raise TypeError(f"{name}: {y!r} is not an int")
 
 
+def _group(ell, **sizes) -> None:
+    """The group rule of every layer: ``_ints``, at least one color, no negative size."""
+    _ints(ell=ell, **sizes)
+    if ell < 1:
+        raise ValueError(f"number of colors must be >= 1, got {ell}")
+    for name, x in sizes.items():
+        if x < 0:
+            raise ValueError(f"{'size' if name == 'n' else name} must be >= 0, got {x}")
+
+
 class _Value:
     """An immutable value: its fields are the subclass's ``__slots__``, set
     once by its validating ``__init__`` and returned in that order by its
@@ -116,7 +126,7 @@ class ColoredPermutation(_Value):
         if type(ell) is not int or not {int}.issuperset(map(type, sigma + colors)):
             _ints(ell=(ell,), sigma=sigma, colors=colors)  # (ell,) names a tuple ell
         if ell < 1:
-            raise ValueError(f"number of colors must be >= 1, got {ell}")
+            _group(ell)
         n = len(sigma)
         if len(colors) != n:
             raise ValueError("sigma and colors must have equal length")
@@ -139,8 +149,8 @@ class ColoredPermutation(_Value):
     @classmethod
     def identity(cls, ell: int, n: int) -> "ColoredPermutation":
         """The neutral element: sigma = (1..n), all colors 0."""
-        if n < 0:
-            raise ValueError(f"size must be >= 0, got {n}")
+        if n < 0:  # for n >= 0 the constructor checks ell
+            _group(ell, n=n)
         return cls(ell, range(1, n + 1), (0,) * n)
 
     # -- elementary access ------------------------------------------------
@@ -238,9 +248,8 @@ def is_permutation(values: Sequence[int], n: int) -> bool:
 def from_arcs(ell: int, n: int, arcs: list[tuple[int, int, int]], what: str) -> ColoredPermutation:
     """The element that colors each ``value`` of an arc ``(value, color, image)``
     by ``color`` and maps it to ``image``; ``what`` names the arcs' source."""
-    if n < 0:
-        raise ValueError(f"size must be >= 0, got {n}")
-    if not is_permutation([v for v, _, _ in arcs], n):
+    if n < 0 or not is_permutation([v for v, _, _ in arcs], n):
+        _group(ell, n=n)  # a bad ell or a negative n is named before the letters
         raise ValueError(f"invalid {what}: its letters are not 1..{n}, each once")
     sigma, colors = [0] * n, [0] * n
     for v, c, image in arcs:

@@ -23,11 +23,11 @@ The element-wise identities ``e22`` and ``e43`` compare two candidate lists
 fixed by the underlying permutation, so one tally at ell = 1 decides each
 permutation for every ell; only one whose lists differ has its colorings read.
 
-A budget guard refuses a group of more than ``budget`` elements, by default
-``DEFAULT_BUDGET``; ``check_table_size`` refuses a difference table above
-``TABLE_BIT_LIMIT`` bits or Python's int-to-str digit limit.  ``verify_suite``
-sizes its range cheapest first: at most ``ROW_LIMIT`` (check, ell, n) rows,
-then its largest group and table, then the sum of its groups and of its tables.
+A budget guard refuses a group, or a scan of those colorings, of more than ``budget``
+elements (``DEFAULT_BUDGET`` by default); ``check_table_size`` refuses a difference
+table above ``TABLE_BIT_LIMIT`` bits or Python's int-to-str digit limit.  ``verify_suite``
+sizes its range cheapest first: at most ``ROW_LIMIT`` (check, ell, n) rows, then the
+largest group its rows tally and its largest table, then the sums over the range.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import accumulate, combinations, compress, islice, permutations, 
 from operator import add, sub
 from typing import Iterator
 
-from .core import ColoredPermutation, _ints, canonical_cycles
+from .core import ColoredPermutation, _group, _ints, canonical_cycles
 from .reporting import CheckResult, first_mismatch
 from .statistics import CIRCULAR, LINEAR, SKEW_LINEAR
 from .tables import FLAVOR_D, FLAVOR_G, build_table, check_recurrences
@@ -63,9 +63,7 @@ class BudgetError(RuntimeError):
 
 def group_size(ell: int, n: int) -> int:
     """Number of elements: ``ell^n * n!``."""
-    _ints(ell=ell, n=n)
-    if ell < 1 or n < 0:
-        raise ValueError(f"need ell >= 1 and n >= 0, got ell={ell}, n={n}")
+    _group(ell, n=n)
     return ell**n * math.factorial(n)
 
 
@@ -82,9 +80,7 @@ def _refuse_past(what: str, ell: int, name: str, n: int, fits_at, limit: str) ->
 
 
 def _check_budget(ell: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    _ints(ell=ell, n=n, budget=budget)
-    if ell < 1 or n < 0:  # the sizes given, not the first one the loop would size
-        raise ValueError(f"need ell >= 1 and n >= 0, got ell={ell}, n={n}")
+    _ints(ell=ell, n=n, budget=budget)  # group_size, below, refuses a bad ell or n
     text = f"budget of {budget} elements"
     _refuse_past("group", ell, "n", n, lambda m: group_size(ell, m) <= budget, text)
     return group_size(ell, n)
@@ -432,7 +428,7 @@ def family_counts(
 # -- verification suites -----------------------------------------------------------
 
 
-def _suite_t2(ell, n, source):
+def _suite_t2(ell, n, source, budget):
     """Elements with k-successions bounded by m are counted by g[n][m], all k <= m."""
     g = build_table(ell, n, FLAVOR_G).rows
     at_most = [tuple(accumulate(row)) for row in _succession_matrix(ell, n, CIRCULAR, source, max)]
@@ -442,7 +438,7 @@ def _suite_t2(ell, n, source):
     )
 
 
-def _suite_three_term(kind, ell, n, source):
+def _suite_three_term(kind, ell, n, source, budget):
     """``kind`` counts obey the circular three-term relation
     lhs[n+1][k+1][m] = c[n+1][k][m] + c[n][k][m] - c[n][k][m-1]."""
     lhs = _succession_matrix(ell, n + 1, kind, source)
@@ -455,7 +451,7 @@ def _suite_three_term(kind, ell, n, source):
     return first_mismatch(("k", "m", "lhs", "rhs"), rows)
 
 
-def _suite_l45(ell, n, source):
+def _suite_l45(ell, n, source, budget):
     """c[k][m] = C(n-k, m) * g[n-m][k] for k <= n - m."""
     g = build_table(ell, n, FLAVOR_G).rows
     matrix = _succession_matrix(ell, n, CIRCULAR, source)
@@ -467,7 +463,7 @@ def _suite_l45(ell, n, source):
     return first_mismatch(("m", "k", "count", "expected"), rows)
 
 
-def _suite_family(family, ell, n, source):
+def _suite_family(family, ell, n, source, budget):
     """m-members of ``family`` are counted by d[n][m]."""
     d = build_table(ell, n, FLAVOR_D).rows
     counts = _family_counts(ell, n, family, source)
@@ -512,13 +508,16 @@ def _sides_differ(sides, sigma):
     return [], lambda _: None if got == expected else sigma
 
 
-def _suite_sides(differ, shift, ell, n, source):
+def _suite_sides(differ, shift, ell, n, source, budget):
     """No element keeps different codes on the two sides of an identity.
     ``differ`` (``partial(_sides_differ, sides)``) decides each ``sigma`` once
-    per n, for every ell.  Only a ``sigma`` whose lists differ has its
-    colorings read, in index order, each side asking its own tests; the first
-    whose codes differ is reported at their smallest ``k`` less ``shift``."""
+    per n, for every ell.  Only a ``sigma`` whose lists differ has its colorings
+    read, in index order once they all fit ``budget``, each side asking its own
+    tests; the first whose codes differ is reported at their smallest ``k`` less ``shift``."""
     unequal = source(differ, 1, n).keys() - {None}
+    if (scan := len(unequal) * ell**n) > budget:
+        what = f"scan of {scan} colorings with ell={ell}, n={n}"
+        raise BudgetError(f"the {what} exceeds the budget of {budget} elements")
     for rank, sigma in enumerate(permutations(range(1, n + 1)) if unequal else ()):
         if sigma in unequal:
             sides = differ.args[0](sigma)  # the two lists again
@@ -532,20 +531,23 @@ def _suite_sides(differ, shift, ell, n, source):
     return None
 
 
-# name -> (run, first n, how far below max_n the last n stops, table rows): a run
-# with table rows returns them for every n at one ell, sized in table bits; any
-# other returns the counterexample at one n.  t3 and c7 compare n and n+1 letters.
+# name -> (run, first n, how far below max_n the last n stops, table rows, groups): a run
+# with table rows returns them for every n at one ell, sized in table bits; any other
+# returns the counterexample at one n, sized by groups(ell, n), the groups it tallies.
+_OWN = lambda ell, n: [(ell, n)]
+_AND_NEXT = lambda ell, n: [(ell, n), (ell, n + 1)]
+_AT_ONE = lambda ell, n: [(1, n)]
 _SUITES = {
-    "t2": (_suite_t2, 0, 0, 0),
-    "t3": (partial(_suite_three_term, CIRCULAR), 1, 1, 0),
-    "c7": (partial(_suite_three_term, LINEAR), 1, 1, 0),
-    "l45": (_suite_l45, 0, 0, 0),
-    "t9": (partial(_suite_family, "increasing"), 0, 0, 0),
-    "t11": (partial(_suite_family, "isolated"), 0, 0, 0),
-    "e22": (partial(_suite_sides, partial(_sides_differ, _e22_sides), 0), 0, 0, 0),
-    "e43": (partial(_suite_sides, partial(_sides_differ, _e43_sides), 1), 0, 0, 0),
+    "t2": (_suite_t2, 0, 0, 0, _OWN),
+    "t3": (partial(_suite_three_term, CIRCULAR), 1, 1, 0, _AND_NEXT),
+    "c7": (partial(_suite_three_term, LINEAR), 1, 1, 0, _AND_NEXT),
+    "l45": (_suite_l45, 0, 0, 0, _OWN),
+    "t9": (partial(_suite_family, "increasing"), 0, 0, 0, _OWN),
+    "t11": (partial(_suite_family, "isolated"), 0, 0, 0, _OWN),
+    "e22": (partial(_suite_sides, partial(_sides_differ, _e22_sides), 0), 0, 0, 0, _AT_ONE),
+    "e43": (partial(_suite_sides, partial(_sides_differ, _e43_sides), 1), 0, 0, 0, _AT_ONE),
     # nine identities that reach back two rows; check_recurrences is read per call
-    "rec": (lambda ell, max_n, source: check_recurrences(ell, max_n), 2, 0, 9),
+    "rec": (lambda ell, max_n, *_: check_recurrences(ell, max_n), 2, 0, 9, None),
 }
 SUITES = tuple(_SUITES)
 
@@ -570,36 +572,38 @@ def verify_suite(
     chosen = SUITES if suite == "all" else (suite,)
     # each suite with a row in range: first <= max_n - shrink
     plan = {s: _SUITES[s] for s in chosen if _SUITES[s][1] <= max_n - _SUITES[s][2]}
-    per_ell = (table or max_n - shrink - first + 1 for _, first, shrink, table in plan.values())
+    per_ell = (table or max_n - shrink - first + 1 for _, first, shrink, table, _ in plan.values())
     rows = max_ell * sum(per_ell)
     # The whole range is sized before the first check, cheapest first: its
-    # rows, which bound max_ell; then its largest group or table, which names
-    # the largest n that fits and bounds n; then the sums over the range.
+    # rows, which bound max_ell; then its largest tallied group or table, which
+    # names the largest n that fits and bounds n; then the sums over the range.
     if rows > ROW_LIMIT:
         what = f"(check, ell, n) rows of suite {suite} with ell <= {max_ell}, n <= {max_n}"
         raise BudgetError(f"the {rows} {what} exceed the limit of {ROW_LIMIT}")
     if rows <= 0:  # no (check, ell, n) in range, however many ells it spans
         return []
     ells = range(1, max_ell + 1)
-    low = min((first for _, first, _, table in plan.values() if not table), default=None)
-    if low is not None:
-        _check_budget(max_ell, max_n, budget)
-        if sum(group_size(ell, n) for ell in ells for n in range(low, max_n + 1)) > budget:
-            what = f"groups with ell <= {max_ell}, {low} <= n <= {max_n}"
+    groups = {g for _, first, shrink, table, tallies in plan.values() if not table
+              for ell in ells for n in range(first, max_n + 1 - shrink) for g in tallies(ell, n)}
+    if groups:  # every row reads up to max_n letters, so the last group is the largest
+        top_ell, top_n = max(groups)
+        _check_budget(top_ell, top_n, budget)
+        if sum(group_size(*g) for g in groups) > budget:
+            what = f"groups with ell <= {top_ell}, {min(n for _, n in groups)} <= n <= {top_n}"
             raise BudgetError(f"the {what} sum to more than the budget of {budget} elements")
-    if any(table for *_, table in plan.values()):
+    if any(table for *_, table, _ in plan.values()):
         check_table_size(max_ell, max_n)
         if sum(_table_bits(ell, max_n) for ell in ells) > TABLE_BIT_LIMIT:
             what = f"rec tables with ell <= {max_ell}, max_n={max_n}"
             raise BudgetError(f"the {what} sum to more than the {_TABLE_LIMIT}")
     source = cache(partial(_map_reduce, jobs=jobs, budget=budget))  # one per (kernel, ell, n)
     results: list[CheckResult] = []
-    for name, (run, first, shrink, table) in plan.items():
+    for name, (run, first, shrink, table, _) in plan.items():
         for ell in ells:
             if table:
-                results += run(ell, max_n, source)
+                results += run(ell, max_n, source, budget)
             else:
                 for n in range(first, max_n + 1 - shrink):
                     params = {"max_ell": max_ell, "max_n": max_n}
-                    results.append(CheckResult(name, ell, n, params, run(ell, n, source)))
+                    results.append(CheckResult(name, ell, n, params, run(ell, n, source, budget)))
     return results

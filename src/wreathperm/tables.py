@@ -23,7 +23,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .core import _ints
+from .core import _group, _ints
 from .reporting import CheckResult, first_mismatch
 
 FLAVOR_G = "g"
@@ -49,20 +49,11 @@ class DifferenceTable(NamedTuple):
         return self.rows[n][m]
 
 
-def _colors_and_ints(ell: int, **sizes: int) -> None:
-    """Refuse a non-int argument, then fewer than one color."""
-    _ints(ell=ell, **sizes)
-    if ell < 1:
-        raise ValueError(f"number of colors must be >= 1, got {ell}")
-
-
 def table_rows(ell: int, max_n: int, flavor: str) -> Iterator[tuple[int, ...]]:
     """The rows ``0..max_n`` of a triangle, each built by the defining
     recurrence from the one before it, so only two rows are held at a time.
     The arguments are checked when this is called, before any row is built."""
-    _colors_and_ints(ell, max_n=max_n)
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    _group(ell, max_n=max_n)
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
 
@@ -89,8 +80,8 @@ def build_table(ell: int, max_n: int, flavor: str) -> DifferenceTable:
 
 def g_closed_form(ell: int, n: int, m: int) -> int:
     """Alternating-sum closed form for the ``g`` entry at ``(n, m)``."""
-    _colors_and_ints(ell, n=n, m=m)
-    if not 0 <= m <= n:
+    _group(ell, n=n, m=m)
+    if m > n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     r = n - m
     return sum(
@@ -105,9 +96,7 @@ def derangement_number(ell: int, n: int) -> int:
     Computed as ``sum_i (-1)^i * ell^(n-i) * n!/i!``; every term is an
     integer, so the sum is exact.
     """
-    _colors_and_ints(ell, n=n)
-    if n < 0:
-        raise ValueError(f"size must be >= 0, got {n}")
+    _group(ell, n=n)
     fact_n = math.factorial(n)
     return sum(
         (-1) ** i * ell ** (n - i) * (fact_n // math.factorial(i))
@@ -124,9 +113,7 @@ def egf_coefficient(ell: int, m: int, n: int) -> int:
     ``exp(-u)`` is ``sum_a (-1)^a * n!/a! * power[n-a]``, integral term by
     term.  Equals the ``g`` entry at ``(n + m, m)``.
     """
-    _colors_and_ints(ell, m=m, n=n)
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
+    _group(ell, m=m, n=n)
     power = [1] + [0] * n
     for _ in range(m + 1):
         for c in range(1, n + 1):

@@ -515,6 +515,16 @@ class TestVerify:
         assert time.perf_counter() - start < 1
         assert (code, *capsys.readouterr()) == (3, "", f"error: {err}\n")
 
+    @pytest.mark.parametrize("suite", ["e22", "e43"])
+    def test_sides_refused_at_one_color(self, capsys, suite):
+        """e22 and e43 are charged their ell = 1 groups only, so the refusal
+        names the one-color group, not the ten-color one."""
+        argv = ["verify", "--suite", suite, "--colors-max", "10", "--n-max", "12"]
+        assert (cli.main(argv), *capsys.readouterr()) == (
+            3, "", "error: the group with ell=1, n=12 exceeds the budget of 100000000"
+            " elements; the largest n that fits with ell=1 is 11\n",
+        )
+
     def test_range_at_the_row_limit_runs(self, capsys):
         """A range of exactly ``ROW_LIMIT`` rows runs; one more row is refused."""
         argv = ["verify", "--suite", "t2", "--n-max", "0", "--colors-max"]

@@ -31,8 +31,8 @@ from wreathperm import (
 from wreathperm import core
 from wreathperm.bijections import foata, foata_inverse
 from wreathperm.core import canonical_cycles
-from wreathperm.enumeration import distribution
-from wreathperm.tables import g_closed_form
+from wreathperm.enumeration import distribution, group_size
+from wreathperm.tables import derangement_number, egf_coefficient, g_closed_form
 
 from conftest import colored_perms, group
 
@@ -122,6 +122,34 @@ def test_no_other_module_spells_the_int_rule():
     """Only ``core.py`` words the int rule's message."""
     package = Path(core.__file__).parent
     spelled = [f.name for f in sorted(package.glob("*.py")) if "is not an int" in f.read_text()]
+    assert spelled == ["core.py"]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ColoredPermutation(0, (1,), (0,)), "number of colors must be >= 1, got 0"),
+        (lambda: ColoredPermutation.identity(2, -1), "size must be >= 0, got -1"),
+        (lambda: ColoredPermutation.from_cycles([], 0, 0), "number of colors must be >= 1, got 0"),
+        (lambda: group_size(0, 3), "number of colors must be >= 1, got 0"),
+        (lambda: distribution(2, -1, 1, "circular"), "size must be >= 0, got -1"),
+        (lambda: build_table(2, -1, "g"), "max_n must be >= 0, got -1"),
+        (lambda: derangement_number(-1, 3), "number of colors must be >= 1, got -1"),
+        (lambda: egf_coefficient(1, -1, 0), "m must be >= 0, got -1"),
+    ],
+)
+def test_group_rule_is_stated_once(call, message):
+    """Every layer refuses fewer than one color, then a negative size,
+    through the one rule in ``core``."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.traceback[-1].frame.code.raw is core._group.__code__
+
+
+def test_no_other_module_spells_the_group_rule():
+    """Only ``core.py`` words the refusal of fewer than one color."""
+    package = Path(core.__file__).parent
+    spelled = [f.name for f in sorted(package.glob("*.py")) if "colors must be" in f.read_text()]
     assert spelled == ["core.py"]
 
 

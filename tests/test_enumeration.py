@@ -3,6 +3,7 @@ import os
 import random
 import re
 import sys
+import time
 from collections import Counter
 from collections.abc import Iterator
 from functools import partial
@@ -127,7 +128,10 @@ class TestStream:
         for call in calls:
             with pytest.raises(ValueError) as exc:
                 call()
-            assert str(exc.value) == f"need ell >= 1 and n >= 0, got ell={ell}, n={n}"
+            assert str(exc.value) == (
+                f"number of colors must be >= 1, got {ell}" if ell < 1
+                else f"size must be >= 0, got {n}"
+            )
 
     @pytest.mark.parametrize(
         "call,message",
@@ -370,7 +374,7 @@ def test_first_failure_across_cut_blocks(ell, n):
             unequal = [s for s in sigmas[start:stop] if s in differs]
             assert counts == Counter({None: stop - start - len(unequal)}) + Counter(unequal)
         source = partial(enumeration._map_reduce, jobs=1)
-        found = enumeration._suite_sides(differ, 0, ell, n, source)
+        found = enumeration._suite_sides(differ, 0, ell, n, source, enumeration.DEFAULT_BUDGET)
         assert found == _sides_reference(sides, 0, ell, n), target
 
 
@@ -548,6 +552,34 @@ def test_block_check_sides_ask_the_same_tests(sides):
     for n in range(8):
         for sigma in permutations(range(1, n + 1)):
             assert got(sigma) == expected(sigma), sigma
+
+
+@pytest.mark.parametrize("suite", ["e22", "e43"])
+def test_sides_charged_at_one_color(monkeypatch, suite):
+    """e22 and e43 tally only the ell = 1 groups, so a range whose larger
+    groups exceed the default budget runs when those fit: 10 colors on up to
+    9 letters, where the 10-color group has 10^9 * 9! elements."""
+
+    def decided(kernel, ell, n, **_):
+        assert ell == 1
+        return Counter({None: math.factorial(n)})  # no permutation to scan
+
+    monkeypatch.setattr(enumeration, "_map_reduce", decided)
+    results = verify_suite(suite, 10, 9)
+    assert len(results) == 100 and all(r.passed for r in results)
+
+
+def test_sides_scan_bounded_by_budget(monkeypatch):
+    """A side whose list is reversed differs from the other on every
+    permutation with two candidates, yet keeps the same codes, so no element
+    fails.  The colorings of the permutations to scan are sized before any is
+    read: 119 of the 120 on 5 letters, times 2^5, exceed a budget of 2000."""
+    real = enumeration._linear_side
+    monkeypatch.setattr(enumeration, "_linear_side", lambda sigma: real(sigma)[::-1])
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"^the scan of 3808 colorings with ell=2, n=5 exceeds"):
+        verify_suite("e22", 3, 6, budget=2000)
+    assert time.perf_counter() - start < 1
 
 
 def _bumped(value, cell):

@@ -156,7 +156,7 @@ class TestEgf:
                 assert egf_coefficient(ell, m, 0) == ell**m * math.factorial(m)
 
     def test_negative_sizes(self):
-        with pytest.raises(ValueError, match="^need m, n >= 0, got m=-1, n=0$"):
+        with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
             egf_coefficient(1, -1, 0)
 
     def test_three_routes_agree(self):
