@@ -42,6 +42,7 @@ from .core import (
     ColoredSymbol,
     DomainError,
     _ints,
+    _within,
     canonical_cycles,
     from_arcs,
     is_permutation,
@@ -119,10 +120,8 @@ def remove_max_succession(
     value shifts down by one.  The result, one size smaller, has all its
     k-circular successions bounded by ``m``.
     """
-    if not 0 <= k <= m:
-        raise DomainError(f"need 0 <= k <= m, got k={k}, m={m}")
-    if m + 1 > p.n:
-        raise DomainError(f"need m + 1 <= n, got m={m}, n={p.n}")
+    _within("m", m, 0, p.n - 1)
+    _within("k", k, 0, m)
     succ = circular_successions(p, k)
     if not succ or max(succ) != m + 1:
         raise DomainError(
@@ -139,10 +138,8 @@ def insert_max_succession(
     Requires every k-circular succession of ``p`` to be bounded by ``m`` and
     ``m <= n``; values above ``m`` shift up by one to make room.
     """
-    if not 0 <= k <= m:
-        raise DomainError(f"need 0 <= k <= m, got k={k}, m={m}")
-    if m > p.n:
-        raise DomainError(f"need m <= n, got m={m}, n={p.n}")
+    _within("m", m, 0, p.n)
+    _within("k", k, 0, m)
     if any(v > m for v in circular_successions(p, k)):
         raise DomainError(f"all {k}-circular successions must lie in [{m}]")
     return _with_letters(p, [(m + 1 - k, m + 1)])
@@ -223,8 +220,7 @@ class SuccessionDecomposition(NamedTuple):
 
 def succession_decompose(p: ColoredPermutation, k: int) -> SuccessionDecomposition:
     """Remove every k-circular succession; larger values close the gaps."""
-    if not 0 <= k <= p.n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={p.n}")
+    _within("k", k, 0, p.n)
     positions = tuple(i for i, v in enumerate(p.sigma, 1) if v == i + k and p.colors[v - 1] == 0)
     return SuccessionDecomposition(positions, _without_letters(p, positions))
 
@@ -235,8 +231,7 @@ def succession_compose(
     """Put the uncolored value ``i + k`` at each position ``i``; the core's
     letters fill the other positions, renumbered to skip those values."""
     n = reduced.n + len(positions)
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    _within("k", k, 0, n)
     pos = list(positions)
     if pos != sorted(set(pos)) or (pos and not 1 <= pos[0] <= pos[-1] <= n - k):
         raise DomainError(f"positions must be distinct, increasing, within [1, {n - k}]")
@@ -258,8 +253,7 @@ def prefix_action(tau: ColoredPermutation, p: ColoredPermutation) -> ColoredPerm
     m = tau.n
     if tau.ell != p.ell:
         raise DomainError("color counts differ")
-    if m > p.n:
-        raise DomainError(f"acting group size {m} exceeds n={p.n}")
+    _within("m", m, 0, p.n)
     if _has_fixed_point(p, m):
         raise DomainError(f"fixed points must lie in [{m}]")
     # p after tau^{-1}, tau extended by the identity on m+1..n: the value v at
@@ -286,13 +280,8 @@ class ClassSignature(NamedTuple):
     omega: tuple[tuple[ColoredSymbol, ...], ...]
 
 
-def _check_m(p: ColoredPermutation, m: int) -> None:
-    if not 0 <= m <= p.n:
-        raise DomainError(f"need 0 <= m <= n, got m={m}, n={p.n}")
-
-
 def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
-    _check_m(p, m)
+    _within("m", m, 0, p.n)
     if _has_fixed_point(p, m):
         raise DomainError(f"fixed points must lie in [{m}]")
     sigma, colors, n = p.sigma, p.colors, len(p.sigma)
@@ -313,7 +302,7 @@ def class_signature(p: ColoredPermutation, m: int) -> ClassSignature:
 
 def class_core(p: ColoredPermutation, m: int) -> ColoredPermutation:
     """The element on ``[m]`` left after erasing the signature's words and cycles."""
-    _check_m(p, m)
+    _within("m", m, 0, p.n)
     return ColoredPermutation(p.ell, _prefix_returns(p.sigma, m), p.colors[:m])
 
 
@@ -353,7 +342,6 @@ def isolated_to_increasing(p: ColoredPermutation, m: int) -> ColoredPermutation:
     image swap (both swaps land on color 0 where required).  The result is
     m-increasing-fixed.
     """
-    _check_m(p, m)
     if not is_isolated_fixed(p, m):
         raise DomainError(f"input is not {m}-isolated-fixed")
     sigma = sorted(p.sigma[:m]) + list(p.sigma[m:])
@@ -372,7 +360,6 @@ def increasing_to_isolated(p2: ColoredPermutation, m: int) -> ColoredPermutation
     reaches a value of the sorted prefix first: the old image of ``i``, which
     takes the color ``i`` now wears.  Then ``1..m`` lose their colors.
     """
-    _check_m(p2, m)
     if not is_increasing_fixed(p2, m):
         raise DomainError(f"input is not {m}-increasing-fixed")
     prefix = set(p2.sigma[:m])
@@ -405,10 +392,8 @@ def isolate_forward(
     color (returned as ``color``), and ``alpha`` is the anchor.  The cut is
     one exchange of the images of the predecessors of ``m`` and ``alpha``.
     """
-    if not 1 <= m <= n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if p.n not in (n - 1, n):
-        raise DomainError(f"input size must be {n - 1} or {n}, got {p.n}")
+    _within("n", n, p.n, p.n + 1)
+    _within("m", m, 1, n)
     if not is_isolated_fixed(p, m - 1):
         raise DomainError(f"input is not {m - 1}-isolated-fixed")
     if p.n == n - 1:
@@ -429,13 +414,9 @@ def isolate_inverse(
 
     The same exchange joins the cycle of ``m`` back in just before ``alpha``.
     """
-    n = p2.n
-    if not 1 <= m <= n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if not 1 <= alpha <= m:
-        raise DomainError(f"anchor must lie in [1, {m}], got {alpha}")
-    if not 0 <= eps < p2.ell:
-        raise DomainError(f"color must lie in [0, {p2.ell}), got {eps}")
+    _within("m", m, 1, p2.n)
+    _within("anchor", alpha, 1, m)
+    _within("color", eps, 0, p2.ell - 1)
     if not is_isolated_fixed(p2, m):
         raise DomainError(f"image is not {m}-isolated-fixed")
     if alpha == m and eps == 0 and p2.sigma[m - 1] == m:
@@ -479,10 +460,8 @@ def derangement_insert(
     odd: color 0, anchor ``n``, on the all-2-cycles derangement.
     """
     n = p.n + 1
-    if not 0 <= eps < p.ell:
-        raise DomainError(f"color must lie in [0, {p.ell}), got {eps}")
-    if not 1 <= k <= n:
-        raise DomainError(f"anchor must lie in [1, {n}], got {k}")
+    _within("color", eps, 0, p.ell - 1)
+    _within("anchor", k, 1, n)
     if not is_derangement(p):
         raise DomainError("input must be a derangement")
     sigma, colors = list(p.sigma) + [n], list(p.colors) + [eps]
@@ -553,12 +532,9 @@ def isolated_insert(
     or detaches the letter after 1 into a 2-cycle with ``n``.
     """
     n = p.n + 1
-    if not 1 <= m <= n - 1:
-        raise DomainError(f"need 1 <= m <= n - 1, got m={m}, n={n}")
-    if not 0 <= rho < p.ell:
-        raise DomainError(f"color must lie in [0, {p.ell}), got {rho}")
-    if not 1 <= alpha <= n:
-        raise DomainError(f"anchor must lie in [1, {n}], got {alpha}")
+    _within("m", m, 1, p.n)
+    _within("color", rho, 0, p.ell - 1)
+    _within("anchor", alpha, 1, n)
     if not is_isolated_fixed(p, m):
         raise DomainError(f"input is not {m}-isolated-fixed")
     if alpha == n and rho == 0 and p.sigma[0] == 1:
@@ -575,8 +551,8 @@ def isolated_remove(
     p2: ColoredPermutation, m: int, n: int
 ) -> tuple[int, int, ColoredPermutation]:
     """Invert :func:`isolated_insert` for images of size ``n`` or ``n-2``."""
-    if n < 2 or not 1 <= m <= n - 1:
-        raise DomainError(f"need n >= 2 and 1 <= m <= n - 1, got m={m}, n={n}")
+    _ints(n=n)
+    _within("m", m, 1, n - 1)
     if p2.n == n - 2:
         if not is_isolated_fixed(p2, m - 1):
             raise DomainError(f"image is not {m - 1}-isolated-fixed")

@@ -52,6 +52,13 @@ def _group(ell, **sizes) -> None:
             raise ValueError(f"{'size' if name == 'n' else name} must be >= 0, got {x}")
 
 
+def _within(name: str, x, lo: int, hi: int) -> None:
+    """The parameter rule of every map and predicate: ``_ints``, then ``lo <= x <= hi``."""
+    if type(x) is not int or not lo <= x <= hi:
+        _ints(**{name: (x,)})  # (x,) names a tuple x too
+        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {x}")
+
+
 class _Value:
     """An immutable value: its fields are the subclass's ``__slots__``, set
     once by its validating ``__init__`` and returned in that order by its
@@ -149,7 +156,7 @@ class ColoredPermutation(_Value):
     @classmethod
     def identity(cls, ell: int, n: int) -> "ColoredPermutation":
         """The neutral element: sigma = (1..n), all colors 0."""
-        if n < 0:  # for n >= 0 the constructor checks ell
+        if type(n) is not int or n < 0:  # for n >= 0 the constructor checks ell
             _group(ell, n=n)
         return cls(ell, range(1, n + 1), (0,) * n)
 
@@ -248,7 +255,7 @@ def is_permutation(values: Sequence[int], n: int) -> bool:
 def from_arcs(ell: int, n: int, arcs: list[tuple[int, int, int]], what: str) -> ColoredPermutation:
     """The element that colors each ``value`` of an arc ``(value, color, image)``
     by ``color`` and maps it to ``image``; ``what`` names the arcs' source."""
-    if n < 0 or not is_permutation([v for v, _, _ in arcs], n):
+    if type(n) is not int or n < 0 or not is_permutation([v for v, _, _ in arcs], n):
         _group(ell, n=n)  # a bad ell or a negative n is named before the letters
         raise ValueError(f"invalid {what}: its letters are not 1..{n}, each once")
     sigma, colors = [0] * n, [0] * n

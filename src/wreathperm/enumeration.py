@@ -525,9 +525,9 @@ def _suite_sides(differ, shift, ell, n, source, budget):
                 c = (0, *colors)  # colors by value; value 0 is uncolored
                 a, b = ({code for (x, y), code in side if c[x] == c[y]} for side in sides)
                 if a != b:
-                    index = rank * ell**n + offset
                     k = min(a ^ b) // (n + 1) - shift
-                    return {"index": index, "perm": str(element_at(ell, n, index)), "k": k}
+                    perm = str(ColoredPermutation(ell, sigma, colors))
+                    return {"index": rank * ell**n + offset, "perm": perm, "k": k}
     return None
 
 

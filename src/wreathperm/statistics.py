@@ -16,7 +16,7 @@ Each kind of succession is one rule over every ``k`` at once, stated as a
 
 from __future__ import annotations
 
-from .core import ColoredPermutation
+from .core import ColoredPermutation, _ints, _within
 
 CIRCULAR = "circular"
 LINEAR = "linear"
@@ -34,7 +34,8 @@ def circular_pairs(p: ColoredPermutation) -> frozenset[tuple[int, int]]:
 
 def circular_successions(p: ColoredPermutation, k: int) -> frozenset[int]:
     """Values ``i + k`` appearing uncolored at position ``i``; ``k >= 0``."""
-    if k < 0:
+    if type(k) is not int or k < 0:
+        _ints(k=(k,))
         raise ValueError(f"circular successions need k >= 0, got {k}")
     return frozenset(v for j, v in circular_pairs(p) if j == k)
 
@@ -92,8 +93,7 @@ def skew_linear_pairs(p: ColoredPermutation) -> frozenset[tuple[int, int]]:
 
 def is_increasing_fixed(p: ColoredPermutation, m: int) -> bool:
     """First ``m`` letters uncolored and increasing, all fixed points within ``[m]``."""
-    if not 0 <= m <= p.n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={p.n}")
+    _within("m", m, 0, p.n)
     for i in range(m):
         if p.colors[p.sigma[i] - 1] != 0:
             return False
@@ -107,8 +107,7 @@ def is_isolated_fixed(p: ColoredPermutation, m: int) -> bool:
     meeting ``[m]`` twice: the first value ``<= m`` after each ``v <= m`` on
     its cycle is ``v`` itself."""
     sigma = p.sigma
-    if not 0 <= m <= len(sigma):
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={len(sigma)}")
+    _within("m", m, 0, len(sigma))
     if any(p.colors[:m]) or _has_fixed_point(p, m):
         return False
     # nothing to walk at m = 0, where a sweep over every m mostly gets here

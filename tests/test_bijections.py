@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given
 
-from wreathperm import bijections
+from wreathperm import bijections, core
 from wreathperm.bijections import ClassSignature
 from wreathperm.core import ColoredSymbol
 from wreathperm import (
@@ -700,6 +700,80 @@ class TestIsolatedInsertion:
             isolated_insert(0, 1, parse_one_line("2 1 3", 2), 1)  # fixed 3 > m
         with pytest.raises(DomainError):
             isolated_remove(parse_one_line("2 1", 2), 1, 5)  # size must be n or n-2
+
+
+_Q = parse_one_line("2 3^1 4 1", 3)  # four letters, three colors
+
+
+def _param(func, name, lo, hi, call):
+    return pytest.param(call, name, lo, hi, id=f"{func.__name__}-{name}")
+
+
+# Every int parameter of a map or predicate: its name in refusals, its interval
+# [lo, hi] on _Q and a call with the other parameters inside their intervals.
+_PARAMETERS = [
+    _param(remove_max_succession, "m", 0, 3, lambda x: remove_max_succession(_Q, x, 0)),
+    _param(remove_max_succession, "k", 0, 2, lambda x: remove_max_succession(_Q, 2, x)),
+    _param(insert_max_succession, "m", 0, 4, lambda x: insert_max_succession(_Q, x, 0)),
+    _param(insert_max_succession, "k", 0, 2, lambda x: insert_max_succession(_Q, 2, x)),
+    _param(succession_decompose, "k", 0, 4, lambda x: succession_decompose(_Q, x)),
+    _param(succession_compose, "k", 0, 4, lambda x: succession_compose((), _Q, x)),
+    _param(class_signature, "m", 0, 4, lambda x: class_signature(_Q, x)),
+    _param(class_core, "m", 0, 4, lambda x: class_core(_Q, x)),
+    _param(isolated_to_increasing, "m", 0, 4, lambda x: isolated_to_increasing(_Q, x)),
+    _param(increasing_to_isolated, "m", 0, 4, lambda x: increasing_to_isolated(_Q, x)),
+    _param(isolate_forward, "n", 4, 5, lambda x: isolate_forward(_Q, 1, x)),
+    _param(isolate_forward, "m", 1, 5, lambda x: isolate_forward(_Q, x, 5)),
+    _param(isolate_inverse, "m", 1, 4, lambda x: isolate_inverse(0, 1, _Q, x)),
+    _param(isolate_inverse, "anchor", 1, 2, lambda x: isolate_inverse(0, x, _Q, 2)),
+    _param(isolate_inverse, "color", 0, 2, lambda x: isolate_inverse(x, 1, _Q, 2)),
+    _param(derangement_insert, "color", 0, 2, lambda x: derangement_insert(x, 1, _Q)),
+    _param(derangement_insert, "anchor", 1, 5, lambda x: derangement_insert(0, x, _Q)),
+    _param(isolated_insert, "m", 1, 4, lambda x: isolated_insert(0, 1, _Q, x)),
+    _param(isolated_insert, "color", 0, 2, lambda x: isolated_insert(x, 1, _Q, 2)),
+    _param(isolated_insert, "anchor", 1, 5, lambda x: isolated_insert(0, x, _Q, 2)),
+    _param(isolated_remove, "m", 1, 3, lambda x: isolated_remove(_Q, x, 4)),
+    _param(is_increasing_fixed, "m", 0, 4, lambda x: is_increasing_fixed(_Q, x)),
+    _param(is_isolated_fixed, "m", 0, 4, lambda x: is_isolated_fixed(_Q, x)),
+]
+
+
+@pytest.mark.parametrize("call,name,lo,hi", _PARAMETERS)
+def test_parameter_rule(call, name, lo, hi):
+    """A non-int parameter raises ``TypeError`` naming it; an int outside
+    ``[lo, hi]`` raises ``DomainError`` from ``core._within``; at either end
+    the parameter passes its rule."""
+    for x in (True, 1.0):
+        with pytest.raises(TypeError, match=f"^{name}: {x!r} is not an int$"):
+            call(x)
+    for x in (lo - 1, hi + 1):
+        message = f"{name} must lie in [{lo}, {hi}], got {x}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as info:
+            call(x)
+        assert info.traceback[-1].frame.code.raw is core._within.__code__
+    for x in (lo, hi):
+        try:
+            call(x)
+        except DomainError as exc:
+            assert "must lie in [" not in str(exc)
+
+
+def test_open_ended_parameters():
+    """``circular_successions`` takes any ``k >= 0`` and ``isolated_remove``
+    any int ``n`` (its ``m`` interval is empty below 2); the acting group of
+    ``prefix_action`` is its ``m``."""
+    for x in (True, 1.0, 1.5):
+        with pytest.raises(TypeError, match=f"^k: {x!r} is not an int$"):
+            circular_successions(_Q, x)
+        with pytest.raises(TypeError, match=f"^n: {x!r} is not an int$"):
+            isolated_remove(_Q, 1, x)
+    with pytest.raises(ValueError, match="^circular successions need k >= 0, got -1$"):
+        circular_successions(_Q, -1)
+    assert circular_successions(_Q, 5) == frozenset()
+    with pytest.raises(DomainError, match=r"^m must lie in \[1, 0\], got 1$"):
+        isolated_remove(_Q, 1, 1)
+    with pytest.raises(DomainError, match=r"^m must lie in \[0, 4\], got 5$"):
+        prefix_action(ColoredPermutation.identity(3, 5), _Q)
 
 
 def _in_domain(func, *args):

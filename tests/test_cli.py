@@ -375,6 +375,10 @@ class TestBijection:
                 ["foata", "--colors", "2", "--input", "2^1 1"],
                 "the plain cycles-to-word map needs an uncolored input",
             ),
+            (
+                ["rho", "--m", "5", "--k", "0", "--input", "1 3 2"],
+                "m must lie in [0, 2], got 5",
+            ),
         ],
     )
     def test_domain_error_message(self, capsys, args, message):

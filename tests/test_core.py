@@ -108,6 +108,9 @@ def test_element_refuses_non_int_fields(args, message):
         (lambda: foata_inverse(["a", 1]), "word: 'a'"),
         (lambda: g_closed_form(2, 3, 1.0), "m: 1.0"),
         (lambda: distribution(2, 3, True, "circular"), "k: True"),
+        (lambda: ColoredPermutation.identity(2, True), "n: True"),
+        (lambda: ColoredPermutation.identity(2, 3.0), "n: 3.0"),
+        (lambda: core.from_arcs(2, 2.0, [(1, 0, 2), (2, 0, 1)], "x"), "n: 2.0"),
     ],
 )
 def test_int_rule_is_stated_once(call, message):
@@ -150,6 +153,14 @@ def test_no_other_module_spells_the_group_rule():
     """Only ``core.py`` words the refusal of fewer than one color."""
     package = Path(core.__file__).parent
     spelled = [f.name for f in sorted(package.glob("*.py")) if "colors must be" in f.read_text()]
+    assert spelled == ["core.py"]
+
+
+def test_no_other_module_spells_the_parameter_rule():
+    """Only ``core.py`` words an interval refusal, ``must lie in [lo, hi]``."""
+    package = Path(core.__file__).parent
+    interval = re.compile(r"must lie in \[[^]]*,")
+    spelled = [f.name for f in sorted(package.glob("*.py")) if interval.search(f.read_text())]
     assert spelled == ["core.py"]
 
 
