@@ -233,6 +233,7 @@ def succession_compose(
     n = reduced.n + len(positions)
     _within("k", k, 0, n)
     pos = list(positions)
+    _ints(positions=tuple(pos))
     if pos != sorted(set(pos)) or (pos and not 1 <= pos[0] <= pos[-1] <= n - k):
         raise DomainError(f"positions must be distinct, increasing, within [1, {n - k}]")
     if k <= reduced.n and circular_successions(reduced, k):
@@ -309,6 +310,7 @@ def class_core(p: ColoredPermutation, m: int) -> ColoredPermutation:
 def signature_insert(tau: ColoredPermutation, sig: ClassSignature) -> ColoredPermutation:
     """Graft the signature's words onto ``tau``'s cycles and append ``omega``."""
     m, n = sig.m, sig.n
+    _ints(m=m)
     if tau.ell != sig.ell or tau.n != m or len(sig.words) != m:
         raise DomainError(f"need an element on [{m}] with {sig.ell} colors and {m} words")
     arcs = []  # (value, color, image) for every letter

@@ -163,9 +163,8 @@ class ColoredPermutation(_Value):
     # -- elementary access ------------------------------------------------
 
     def image(self, i: int) -> ColoredSymbol:
-        """One-line letter at position ``i`` (1-based)."""
-        v = self.sigma[i - 1]
-        return ColoredSymbol(v, self.colors[v - 1])
+        """One-line letter at position ``i`` (1-based): the image of the uncolored ``i``."""
+        return self.apply(ColoredSymbol(i))
 
     def one_line(self) -> tuple[ColoredSymbol, ...]:
         return tuple(self.image(i) for i in range(1, self.n + 1))
@@ -177,9 +176,9 @@ class ColoredPermutation(_Value):
         return tuple(inv)
 
     def apply(self, sym: ColoredSymbol) -> ColoredSymbol:
-        """Act on a colored symbol: ``zeta^j i`` maps to ``zeta^j * image(i)``."""
-        if not 1 <= sym.value <= self.n:
-            raise ValueError(f"symbol value {sym.value} not in [1, {self.n}]")
+        """Act on a colored symbol: ``zeta^j i`` maps to ``zeta^(j+c) sigma(i)``,
+        where ``c`` is the color of the value ``sigma(i)``."""
+        _within("symbol value", sym.value, 1, self.n)
         v = self.sigma[sym.value - 1]
         return ColoredSymbol(v, (sym.color + self.colors[v - 1]) % self.ell)
 
@@ -344,6 +343,7 @@ def _check_values(letters: Sequence[tuple[ColoredSymbol, int]], n: int | None, t
     token (the first surplus one), or at the end of ``text`` if letters are
     missing; the count comes first, so a huge ``n`` allocates nothing."""
     n = len(letters) if n is None else n
+    _ints(n=n)
     if n != len(letters):
         at = letters[n][1] if 0 <= n < len(letters) else len(text)
         raise ParseError(f"expected {n} tokens, found {len(letters)}", at)

@@ -169,6 +169,7 @@ def enumerate_range(
 
 def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
     """Split ``range(total)`` into ``parts`` contiguous, balanced ranges."""
+    _ints(total=total, parts=parts)
     if parts < 1:
         raise ValueError(f"need at least one part, got {parts}")
     cuts = [total * j // parts for j in range(parts + 1)]

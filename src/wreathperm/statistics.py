@@ -41,12 +41,10 @@ def circular_successions(p: ColoredPermutation, k: int) -> frozenset[int]:
 
 
 def fixed_points(p: ColoredPermutation, above: int = 0) -> frozenset[int]:
-    """Values above ``above`` fixed by ``p`` (uncolored and in place); with
-    ``above = 0``, the 0-circular successions."""
-    sigma, colors = p.sigma, p.colors
-    return frozenset(
-        v for v in range(above + 1, len(sigma) + 1) if sigma[v - 1] == v and not colors[v - 1]
-    )
+    """Values above ``above`` fixed by ``p`` (uncolored and in place): the
+    0-circular successions above ``above``."""
+    _within("above", above, 0, p.n)
+    return frozenset(v for v in circular_successions(p, 0) if v > above)
 
 
 def _has_fixed_point(p: ColoredPermutation, above: int = 0) -> bool:

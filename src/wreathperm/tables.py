@@ -23,7 +23,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .core import _group, _ints
+from .core import _group, _ints, _within
 from .reporting import CheckResult, first_mismatch
 
 FLAVOR_G = "g"
@@ -43,9 +43,8 @@ class DifferenceTable(NamedTuple):
         return len(self.rows) - 1
 
     def entry(self, n: int, m: int) -> int:
-        _ints(n=n, m=m)
-        if not 0 <= m <= n <= self.max_n:
-            raise ValueError(f"entry ({n}, {m}) outside triangle of size {self.max_n}")
+        _within("n", n, 0, self.max_n)
+        _within("m", m, 0, n)
         return self.rows[n][m]
 
 
@@ -80,9 +79,8 @@ def build_table(ell: int, max_n: int, flavor: str) -> DifferenceTable:
 
 def g_closed_form(ell: int, n: int, m: int) -> int:
     """Alternating-sum closed form for the ``g`` entry at ``(n, m)``."""
-    _group(ell, n=n, m=m)
-    if m > n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    _group(ell, n=n)
+    _within("m", m, 0, n)
     r = n - m
     return sum(
         (-1) ** (r - i) * math.comb(r, i) * ell ** (m + i) * math.factorial(m + i)
@@ -93,15 +91,10 @@ def g_closed_form(ell: int, n: int, m: int) -> int:
 def derangement_number(ell: int, n: int) -> int:
     """Number of derangements of the group on ``n`` letters with ``ell`` colors.
 
-    Computed as ``sum_i (-1)^i * ell^(n-i) * n!/i!``; every term is an
-    integer, so the sum is exact.
+    The closed form at ``m = 0``, ``sum_i (-1)^i * ell^(n-i) * n!/i!``: the
+    same alternating sum read from its other end (substitute ``i -> n - i``).
     """
-    _group(ell, n=n)
-    fact_n = math.factorial(n)
-    return sum(
-        (-1) ** i * ell ** (n - i) * (fact_n // math.factorial(i))
-        for i in range(n + 1)
-    )
+    return g_closed_form(ell, n, 0)
 
 
 def egf_coefficient(ell: int, m: int, n: int) -> int:

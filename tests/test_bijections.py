@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from wreathperm.bijections import ClassSignature
 from wreathperm.core import ColoredSymbol
 from wreathperm import (
     ColoredPermutation,
+    DifferenceTable,
     DomainError,
     build_table,
     circular_pairs,
@@ -26,6 +28,7 @@ from wreathperm import (
     fixed_points,
     foata,
     foata_inverse,
+    g_closed_form,
     increasing_to_isolated,
     insert_max_succession,
     is_derangement,
@@ -738,7 +741,24 @@ _PARAMETERS = [
 ]
 
 
-@pytest.mark.parametrize("call,name,lo,hi", _PARAMETERS)
+_G = build_table(3, 4, "g")
+
+# The same for every int parameter of an element, statistic or table accessor.
+# ``apply`` reads only a symbol's value and color, so a stand-in symbol reaches
+# its own rule with values that ``ColoredSymbol`` refuses first.
+_ACCESSORS = [
+    _param(
+        ColoredPermutation.apply, "symbol value", 1, 4,
+        lambda x: _Q.apply(SimpleNamespace(value=x, color=0)),
+    ),
+    _param(DifferenceTable.entry, "n", 0, 4, lambda x: _G.entry(x, 0)),
+    _param(DifferenceTable.entry, "m", 0, 3, lambda x: _G.entry(3, x)),
+    _param(g_closed_form, "m", 0, 4, lambda x: g_closed_form(3, 4, x)),
+    _param(fixed_points, "above", 0, 4, lambda x: fixed_points(_Q, x)),
+]
+
+
+@pytest.mark.parametrize("call,name,lo,hi", _PARAMETERS + _ACCESSORS)
 def test_parameter_rule(call, name, lo, hi):
     """A non-int parameter raises ``TypeError`` naming it; an int outside
     ``[lo, hi]`` raises ``DomainError`` from ``core._within``; at either end

@@ -3,6 +3,7 @@ import itertools
 import pickle
 import re
 from datetime import timedelta
+from functools import partial
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -24,8 +25,11 @@ from wreathperm import (
     format_one_line,
     parse_cycles,
     parse_one_line,
+    partition_bounds,
     rotate_left,
     rotate_right,
+    signature_insert,
+    succession_compose,
     succession_decompose,
 )
 from wreathperm import core
@@ -94,6 +98,30 @@ def test_element_refuses_non_int_fields(args, message):
         ColoredPermutation(*args)
 
 
+_SIGNATURE = class_signature(parse_one_line("1 3 2", 1), 1)
+
+
+def _signature_insert(m):
+    return signature_insert(ColoredPermutation.identity(1, 1), _SIGNATURE._replace(m=m))
+
+
+# The public sizes that no CLI path reaches with a non-int, each once taken as
+# its value (True as 1) or failed inside Python's own arithmetic: (function,
+# arguments, the refused field and value).
+_PUBLIC_SIZES = [
+    (succession_compose, ((True,), parse_one_line("2 1", 2), 0), "positions: True"),
+    (succession_compose, ((1.0,), parse_one_line("2 1", 2), 0), "positions: 1.0"),
+    (parse_one_line, ("1 2", 2, True), "n: True"),
+    (parse_one_line, ("1 2", 2, 2.0), "n: 2.0"),
+    (parse_cycles, ("(1 2)", 2, 2.0), "n: 2.0"),
+    (_signature_insert, (True,), "m: True"),
+    (_signature_insert, (1.0,), "m: 1.0"),
+    (partition_bounds, (True, 2), "total: True"),
+    (partition_bounds, (5.0, 2), "total: 5.0"),
+    (partition_bounds, (5, 2.0), "parts: 2.0"),
+]
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -111,6 +139,10 @@ def test_element_refuses_non_int_fields(args, message):
         (lambda: ColoredPermutation.identity(2, True), "n: True"),
         (lambda: ColoredPermutation.identity(2, 3.0), "n: 3.0"),
         (lambda: core.from_arcs(2, 2.0, [(1, 0, 2), (2, 0, 1)], "x"), "n: 2.0"),
+        *(
+            pytest.param(partial(func, *args), message, id=f"{func.__name__}-{message}")
+            for func, args, message in _PUBLIC_SIZES
+        ),
     ],
 )
 def test_int_rule_is_stated_once(call, message):
@@ -266,6 +298,17 @@ class TestApply:
     def test_out_of_range(self, big):
         with pytest.raises(ValueError):
             big.apply(ColoredSymbol(12, 0))
+
+    def test_image_refuses_outside_positions(self, big):
+        """``image`` is ``apply`` on an uncolored symbol, so it refuses what
+        ``ColoredSymbol`` or ``apply`` refuses, never reading another letter."""
+        for i in (0, -1):
+            with pytest.raises(ValueError, match=f"^symbol value must be >= 1, got {i}$"):
+                big.image(i)
+        with pytest.raises(DomainError, match=r"^symbol value must lie in \[1, 11\], got 12$"):
+            big.image(12)
+        with pytest.raises(TypeError, match="^symbol value: True is not an int$"):
+            big.image(True)
 
 
 class TestCycles:

@@ -5,6 +5,7 @@ import pytest
 
 from wreathperm import (
     ColoredPermutation,
+    DomainError,
     circular_pairs,
     circular_successions,
     enumerate_group,
@@ -52,6 +53,12 @@ class TestCircular:
         for p in group(2, 5):
             for m in range(6):
                 assert fixed_points(p, m) == {v for v in fixed_points(p) if v > m}
+
+    def test_fixed_points_refuse_a_bound_outside_the_values(self):
+        p = parse_one_line("1 3 2", 1)
+        for above in (-5, 4):
+            with pytest.raises(DomainError, match=rf"^above must lie in \[0, 3\], got {above}$"):
+                fixed_points(p, above)
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_has_fixed_point_is_fixed_points_nonempty(self, ell):
