@@ -15,13 +15,13 @@ permutation, and each succession test (do two values share a color?) is one
 AND with a precomputed int.  Every element is still tested, as one bit, so
 the cost stays linear in the group size, divided by the machine word.
 
-Each count is a tally of keys, then their expansion, which reads the keys from
-``source(kernel, ell, n)``: ``_map_reduce`` for a public count.  Within
-one ``verify_suite`` call every suite reads one cache of it, so each ``(kernel,
-ell, n)`` is tallied once per call; the cache is dropped when the call returns.
-The element-wise identities ``e22`` and ``e43`` compare two candidate lists
-fixed by the underlying permutation, so one tally at ell = 1 decides each
-permutation for every ell; only one whose lists differ has its colorings read.
+Each count is a tally of keys, an element's key being the codes of the ``(test, code)``
+candidates it passes, then their expansion, which reads the keys from
+``source(kernel, ell, n)``: ``_map_reduce`` for a public count.  Within one ``verify_suite``
+call every suite reads one cache of it, so each ``(kernel, ell, n)`` is tallied once per call;
+the cache is dropped when the call returns.  The element-wise identities ``e22`` and ``e43``
+compare two candidate lists fixed by the underlying permutation, so one tally at ell = 1
+decides each permutation for every ell; only one whose lists differ has its colorings read.
 
 A budget guard refuses a group, or a scan of those colorings, of more than ``budget``
 elements (``DEFAULT_BUDGET`` by default); ``check_table_size`` refuses a difference
@@ -37,7 +37,7 @@ import os
 import sys
 from collections import Counter
 from functools import cache, partial
-from itertools import accumulate, combinations, compress, islice, permutations, product
+from itertools import accumulate, combinations, islice, permutations, product
 from operator import add, sub
 from typing import Iterator
 
@@ -179,15 +179,14 @@ def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
 # -- counting reductions --------------------------------------------------------
 
 
-# A kernel reads one underlying permutation ``sigma`` once and returns
-# ``(tests, key)``: ``tests`` lists pairs of values ``(a, b)``, ``a < b``,
-# each asking whether ``a`` and ``b`` share a color (``(0, v)``: is ``v``
-# uncolored), and ``key(outcomes)`` keys every coloring whose answers to
-# them are ``outcomes``.  A partition is tallied into a Counter of keys, and
-# each public function expands the merged keys into its histogram.
-# Succession keys hold one code ``k * (n + 1) + v`` per k-succession with
-# value ``v``, so a single key serves every k at once.  ``statistics.py`` is
-# the readable spec of each.
+# A kernel reads one underlying permutation ``sigma`` once and lists its candidates
+# ``(test, code)``: ``test`` is a pair of values ``(a, b)``, ``a < b``, asking whether ``a``
+# and ``b`` share a color (``(0, v)``: is ``v`` uncolored).  An element's key is the tuple
+# of the codes whose tests it passes, in list order.  A partition is tallied into a Counter
+# of keys, and each public function expands the merged keys into its histogram.  A
+# succession code is ``k * (n + 1) + v`` for a k-succession of value ``v``, so one key
+# serves every k; ``_family_range`` reads a family's.  ``statistics.py`` is the readable
+# spec of each.
 
 
 def _circular(word, shift=0):
@@ -204,19 +203,8 @@ def _rises(word, w):
     return [((a, b), (b - a) * w + b) for a, b in zip(word, word[1:]) if b > a]
 
 
-def _keyed(candidates):
-    """``(tests, key)`` of ``(test, code)`` candidates: the key is the codes
-    whose tests pass."""
-    codes = [code for _, code in candidates]
-    return [test for test, _ in candidates], lambda outcomes: tuple(compress(codes, outcomes))
-
-
-def _circular_kernel(sigma):
-    return _keyed(_circular(sigma))
-
-
-def _linear_kernel(sigma):
-    return _keyed(_rises(sigma, len(sigma) + 1))
+def _linear(sigma):
+    return _rises(sigma, len(sigma) + 1)
 
 
 def _skew_rises(sigma):
@@ -224,22 +212,18 @@ def _skew_rises(sigma):
     return _rises((0,) + sigma, len(sigma) + 1)
 
 
-def _skew_linear_kernel(sigma):
-    return _keyed(_skew_rises(sigma))
-
-
 def _family_kernel(sigma, chain):
-    """The ``m`` making an element a member of a family form the interval
-    ``[max fixed point, h]``, ``h`` the number of leading uncolored values in
-    ``chain``, a sequence of values that depends on ``sigma`` alone."""
+    """Code ``-j`` for the ``j``-th value of ``chain``, a sequence fixed by ``sigma``, then
+    code ``v`` for each fixed point ``v``, largest first: each when the value is uncolored."""
     fixed = [v for v in range(len(sigma), 0, -1) if sigma[v - 1] == v]
-    cut = len(chain)
+    return [((0, v), -j) for j, v in enumerate(chain, 1)] + [((0, v), v) for v in fixed]
 
-    def key(outcomes):
-        h = (outcomes[:cut] + (False,)).index(False)
-        return next(compress(fixed, outcomes[cut:]), 0), h
 
-    return [(0, v) for v in (*chain, *fixed)], key
+def _family_range(codes):
+    """The ``m`` making an element a member of a family form ``[max fixed point, h]``,
+    ``h`` the number of leading uncolored chain values: the run ``-1, -2, ...`` of ``codes``."""
+    h = next((j for j, code in enumerate(codes) if code != -j - 1), len(codes))
+    return max((0, *codes)), h
 
 
 def _increasing_kernel(sigma):
@@ -256,9 +240,9 @@ def _isolated_kernel(sigma):
 
 
 _SUCCESSION_KERNELS = {
-    CIRCULAR: _circular_kernel,
-    LINEAR: _linear_kernel,
-    SKEW_LINEAR: _skew_linear_kernel,
+    CIRCULAR: _circular,
+    LINEAR: _linear,
+    SKEW_LINEAR: _skew_rises,
 }
 _FAMILY_KERNELS = {"increasing": _increasing_kernel, "isolated": _isolated_kernel}
 
@@ -291,26 +275,25 @@ def _same_color_bits(ell, n):
 
 
 def _tally(kernel, ell, n, start, stop) -> Counter:
-    """Count the elements of one index range by the keys ``kernel`` gives.
-    Each run's bits are split by each test in turn into non-empty
-    ``(outcomes, colorings)`` cells, ``outcomes[j]`` telling whether the
-    colorings pass test ``j``, and each cell counts under its key."""
+    """Count the elements of one index range by their keys, the codes of the candidates
+    ``kernel`` lists whose tests they pass: each run's bits are split by each candidate in
+    turn into non-empty ``(codes, colorings)`` cells, those passing its test gaining its code."""
     bits = _same_color_bits(ell, n)
     counts = Counter()
     for sigma, offset, take in _iter_blocks(ell, n, start, stop):
-        tests, key = kernel(sigma)
         cells = [((), ((1 << take) - 1) << offset)]
-        for test in tests:
+        for test, code in kernel(sigma):
+            same = bits[test]
             split = []
-            for outcomes, colorings in cells:
-                inside = colorings & bits[test]
+            for codes, colorings in cells:
+                inside = colorings & same
                 if inside:
-                    split.append(((*outcomes, True), inside))
+                    split.append((codes + (code,), inside))
                 if inside != colorings:
-                    split.append(((*outcomes, False), colorings ^ inside))
+                    split.append((codes, colorings ^ inside))
             cells = split
-        for outcomes, cell in cells:
-            counts[key(outcomes)] += cell.bit_count()
+        for codes, cell in cells:
+            counts[codes] += cell.bit_count()
     return counts
 
 
@@ -367,7 +350,8 @@ def _succession_matrix(ell, n, kind, source, combine=lambda m, _: m + 1):
 def _family_counts(ell, n, family, source):
     keys = source(_FAMILY_KERNELS[family], ell, n)
     counts = [0] * (n + 1)
-    for (low, high), count in keys.items():
+    for codes, count in keys.items():
+        low, high = _family_range(codes)
         for m in range(low, high + 1):
             counts[m] += count
     return tuple(counts)
@@ -503,10 +487,11 @@ def _e43_sides(sigma):
 
 
 def _sides_differ(sides, sigma):
-    """Key ``sigma`` at ell = 1 by itself when its two candidate lists differ,
-    else by None: equal lists ask the same tests and keep the same codes."""
+    """One candidate of code ``sigma`` when its two candidate lists differ, else none: equal
+    lists ask the same tests and keep the same codes.  It is tallied at ell = 1, where every
+    test passes, and ``(0, 1)`` exists whenever lists can differ: n = 0 gives two empty ones."""
     got, expected = sides(sigma)
-    return [], lambda _: None if got == expected else sigma
+    return [] if got == expected else [((0, 1), sigma)]
 
 
 def _suite_sides(differ, shift, ell, n, source, budget):
@@ -515,7 +500,7 @@ def _suite_sides(differ, shift, ell, n, source, budget):
     per n, for every ell.  Only a ``sigma`` whose lists differ has its colorings
     read, in index order once they all fit ``budget``, each side asking its own
     tests; the first whose codes differ is reported at their smallest ``k`` less ``shift``."""
-    unequal = source(differ, 1, n).keys() - {None}
+    unequal = {sigma for key in source(differ, 1, n) for sigma in key}
     if (scan := len(unequal) * ell**n) > budget:
         what = f"scan of {scan} colorings with ell={ell}, n={n}"
         raise BudgetError(f"the {what} exceeds the budget of {budget} elements")

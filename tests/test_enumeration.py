@@ -240,11 +240,10 @@ _PAIRS = {"circular": circular_pairs, "linear": linear_pairs, "skewLinear": skew
 _FAMILIES = {"increasing": is_increasing_fixed, "isolated": is_isolated_fixed}
 
 
-def _answer(kernel, colors):
-    """Ask ``kernel``'s tests of one coloring, indexed by value with value 0
-    uncolored, one pair of colors at a time, and key the answers."""
-    tests, key = kernel
-    return key(tuple(colors[a] == colors[b] for a, b in tests))
+def _codes(side, colors):
+    """The codes of the candidates ``(test, code)`` of ``side`` whose test
+    passes, in order: ``colors`` is indexed by value, with value 0 uncolored."""
+    return [code for (a, b), code in side if colors[a] == colors[b]]
 
 
 def _decoded(name, key, n):
@@ -254,7 +253,7 @@ def _decoded(name, key, n):
         decoded = [divmod(code, n + 1) for code in key]
         assert len(set(decoded)) == len(decoded), (name, key)
         return frozenset(decoded)
-    low, high = key
+    low, high = enumeration._family_range(key)
     return tuple(low <= m <= high for m in range(n + 1))
 
 
@@ -272,7 +271,7 @@ def test_kernel_keys_match_spec_per_element(ell, n):
         kernels = {name: kernel(sigma) for name, kernel in _KERNELS.items()}
         for p in block:
             for name, kernel in kernels.items():
-                key = _answer(kernel, (0,) + p.colors)
+                key = _codes(kernel, (0,) + p.colors)
                 assert _decoded(name, key, n) == _spec(name, p), (name, str(p))
 
 
@@ -324,12 +323,6 @@ def test_ranges_cut_inside_blocks(ell, n):
             assert decoded == Counter(spec[start:stop]), (name, start, stop)
 
 
-def _codes(side, colors):
-    """The codes of the candidates ``(test, code)`` of ``side`` whose test
-    passes, in order: ``colors`` is indexed by value, with value 0 uncolored."""
-    return [code for (a, b), code in side if colors[a] == colors[b]]
-
-
 def _sides_reference(sides, shift, ell, n):
     """The counterexample an element-by-element scan gives: the first element
     whose two sides ``sides(sigma)``, each asking its own tests, keep
@@ -359,9 +352,9 @@ def _moved_when(target):
 @pytest.mark.parametrize("ell,n", list(product(range(1, 4), range(6))))
 def test_first_failure_across_cut_blocks(ell, n):
     """Tallying the ell = 1 decision over any index range keys each
-    permutation in it whose two lists differ by itself, and the others by
-    None; the suite then reports the first element that an element-by-element
-    scan rejects, with the smallest failing k.  A moved test fails nothing
+    permutation in it whose two lists differ by itself alone, and the others
+    by no code; the suite then reports the first element that an
+    element-by-element scan rejects, with the smallest failing k.  A moved test fails nothing
     at ell = 1, where every test passes."""
     sigmas = list(permutations(range(1, n + 1)))
     rng = random.Random(ell * 10 + n)
@@ -372,7 +365,8 @@ def test_first_failure_across_cut_blocks(ell, n):
         for start, stop in _cut_ranges(1, n, rng, 20):
             counts = enumeration._run_task((differ, 1, n, start, stop))
             unequal = [s for s in sigmas[start:stop] if s in differs]
-            assert counts == Counter({None: stop - start - len(unequal)}) + Counter(unequal)
+            keys = Counter({(): stop - start - len(unequal)}) + Counter((s,) for s in unequal)
+            assert counts == keys
         source = partial(enumeration._map_reduce, jobs=1)
         found = enumeration._suite_sides(differ, 0, ell, n, source, enumeration.DEFAULT_BUDGET)
         assert found == _sides_reference(sides, 0, ell, n), target
@@ -562,7 +556,7 @@ def test_sides_charged_at_one_color(monkeypatch, suite):
 
     def decided(kernel, ell, n, **_):
         assert ell == 1
-        return Counter({None: math.factorial(n)})  # no permutation to scan
+        return Counter({(): math.factorial(n)})  # no permutation to scan
 
     monkeypatch.setattr(enumeration, "_map_reduce", decided)
     results = verify_suite(suite, 10, 9)
