@@ -371,7 +371,8 @@ def parse_cycles(text: str, ell: int, n: int | None = None) -> ColoredPermutatio
     pos = 0
     for m in _CYCLES_RE.finditer(text):
         if stray := _STRAY_RE.search(text, pos, m.start()):
-            raise ParseError("unexpected text between cycles", stray.start())
+            where = "between cycles" if pieces else "before the first cycle"
+            raise ParseError(f"unexpected text {where}", stray.start())
         pieces.append((m.group(1), m.start() + 1))
         pos = m.end()
     if stray := _STRAY_RE.search(text, pos):

@@ -189,11 +189,11 @@ def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
 # spec of each.
 
 
-def _circular(word, shift=0):
+def _circular(word):
     """``((0, v), code)`` for each value ``v`` at a position ``i <= v``: a
-    ``(v - i + shift)``-circular succession when ``v`` is uncolored."""
+    ``(v - i)``-circular succession when ``v`` is uncolored."""
     w = len(word) + 1
-    return [((0, v), (v - i + shift) * w + v) for i, v in enumerate(word, 1) if v >= i]
+    return [((0, v), (v - i) * w + v) for i, v in enumerate(word, 1) if v >= i]
 
 
 def _rises(word, w):
@@ -371,10 +371,9 @@ def distribution(
     if kind not in _SUCCESSION_KERNELS:
         raise ValueError(f"unknown statistic kind {kind!r}")
     _ints(k=k, jobs=jobs)  # k > n returns before the count reads jobs
-    if kind == CIRCULAR and k < 0:
-        raise ValueError(f"circular statistic needs k >= 0, got {k}")
-    if kind != CIRCULAR and k < 1:
-        raise ValueError(f"{kind} statistic needs k >= 1, got {k}")
+    low = 0 if kind == CIRCULAR else 1
+    if k < low:
+        raise ValueError(f"{kind} statistic needs k >= {low}, got {k}")
     if k > n:  # no k-successions at all
         return (_check_budget(ell, n, budget),) + (0,) * n
     return distribution_matrix(ell, n, kind, jobs=jobs, budget=budget)[k]
@@ -463,15 +462,16 @@ def _linear_side(sigma):
 
 
 def _circular_side(sigma):
-    """Circular successions with ``k >= 1``."""
-    return [(test, code) for test, code in _circular(sigma) if code > len(sigma)]
+    """Each (k+1)-circular succession, ``k >= 0``, coded as a k-succession."""
+    w = len(sigma) + 1
+    return [(test, code - w) for test, code in _circular(sigma) if code >= w]
 
 
 def _rotated_side(sigma):
-    """Circular successions of the word rotated right, ``k`` raised by one,
-    less the first candidate: ``(L, L)`` for the last letter ``L``, which the
-    rotation puts in front."""
-    return _circular(sigma[-1:] + sigma[:-1], 1)[1:]
+    """Circular successions of the word rotated right, less the first
+    candidate: ``(L, L)`` for the last letter ``L``, which the rotation puts
+    in front."""
+    return _circular(sigma[-1:] + sigma[:-1])[1:]
 
 
 def _e22_sides(sigma):
@@ -481,8 +481,8 @@ def _e22_sides(sigma):
 
 
 def _e43_sides(sigma):
-    """Raising k by one matches rotating the word right, up to the value k+1
-    of an uncolored last letter; a failure reports the unshifted k."""
+    """The (k+1)-circular successions match the k-circular successions of the
+    word rotated right, up to the value k+1 of an uncolored last letter."""
     return _circular_side(sigma), _rotated_side(sigma)
 
 
@@ -494,12 +494,12 @@ def _sides_differ(sides, sigma):
     return [] if got == expected else [((0, 1), sigma)]
 
 
-def _suite_sides(differ, shift, ell, n, source, budget):
+def _suite_sides(differ, ell, n, source, budget):
     """No element keeps different codes on the two sides of an identity.
     ``differ`` (``partial(_sides_differ, sides)``) decides each ``sigma`` once
     per n, for every ell.  Only a ``sigma`` whose lists differ has its colorings
     read, in index order once they all fit ``budget``, each side asking its own
-    tests; the first whose codes differ is reported at their smallest ``k`` less ``shift``."""
+    tests; the first whose codes differ is reported at their smallest ``k``."""
     unequal = {sigma for key in source(differ, 1, n) for sigma in key}
     if (scan := len(unequal) * ell**n) > budget:
         what = f"scan of {scan} colorings with ell={ell}, n={n}"
@@ -511,7 +511,7 @@ def _suite_sides(differ, shift, ell, n, source, budget):
                 c = (0, *colors)  # colors by value; value 0 is uncolored
                 a, b = ({code for (x, y), code in side if c[x] == c[y]} for side in sides)
                 if a != b:
-                    k = min(a ^ b) // (n + 1) - shift
+                    k = min(a ^ b) // (n + 1)
                     perm = str(ColoredPermutation(ell, sigma, colors))
                     return {"index": rank * ell**n + offset, "perm": perm, "k": k}
     return None
@@ -530,8 +530,8 @@ _SUITES = {
     "l45": (_suite_l45, 0, 0, 0, _OWN),
     "t9": (partial(_suite_family, "increasing"), 0, 0, 0, _OWN),
     "t11": (partial(_suite_family, "isolated"), 0, 0, 0, _OWN),
-    "e22": (partial(_suite_sides, partial(_sides_differ, _e22_sides), 0), 0, 0, 0, _AT_ONE),
-    "e43": (partial(_suite_sides, partial(_sides_differ, _e43_sides), 1), 0, 0, 0, _AT_ONE),
+    "e22": (partial(_suite_sides, partial(_sides_differ, _e22_sides)), 0, 0, 0, _AT_ONE),
+    "e43": (partial(_suite_sides, partial(_sides_differ, _e43_sides)), 0, 0, 0, _AT_ONE),
     # nine identities that reach back two rows; check_recurrences is read per call
     "rec": (lambda ell, max_n, *_: check_recurrences(ell, max_n), 2, 0, 9, None),
 }
@@ -555,11 +555,10 @@ def verify_suite(
     _ints(max_ell=max_ell, max_n=max_n, jobs=jobs, budget=budget)
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    chosen = SUITES if suite == "all" else (suite,)
-    # each suite with a row in range: first <= max_n - shrink
-    plan = {s: _SUITES[s] for s in chosen if _SUITES[s][1] <= max_n - _SUITES[s][2]}
-    per_ell = (table or max_n - shrink - first + 1 for _, first, shrink, table, _ in plan.values())
-    rows = max_ell * sum(per_ell)
+    plan = {s: (run, ns, table, tallies) for s in (SUITES if suite == "all" else (suite,))
+            for run, first, shrink, table, tallies in [_SUITES[s]]
+            if (ns := range(first, max_n + 1 - shrink))}  # each suite with an n in range
+    rows = max_ell * sum(table or ns.stop - ns.start for _, ns, table, _ in plan.values())
     # The whole range is sized before the first check, cheapest first: its
     # rows, which bound max_ell; then its largest tallied group or table, which
     # names the largest n that fits and bounds n; then the sums over the range.
@@ -569,8 +568,8 @@ def verify_suite(
     if rows <= 0:  # no (check, ell, n) in range, however many ells it spans
         return []
     ells = range(1, max_ell + 1)
-    groups = {g for _, first, shrink, table, tallies in plan.values() if not table
-              for ell in ells for n in range(first, max_n + 1 - shrink) for g in tallies(ell, n)}
+    groups = {g for _, ns, table, tallies in plan.values() if not table
+              for ell in ells for n in ns for g in tallies(ell, n)}
     if groups:  # every row reads up to max_n letters, so the last group is the largest
         top_ell, top_n = max(groups)
         _check_budget(top_ell, top_n, budget)
@@ -584,12 +583,12 @@ def verify_suite(
             raise BudgetError(f"the {what} sum to more than the {_TABLE_LIMIT}")
     source = cache(partial(_map_reduce, jobs=jobs, budget=budget))  # one per (kernel, ell, n)
     results: list[CheckResult] = []
-    for name, (run, first, shrink, table, _) in plan.items():
+    for name, (run, ns, table, _) in plan.items():
         for ell in ells:
             if table:
                 results += run(ell, max_n, source, budget)
             else:
-                for n in range(first, max_n + 1 - shrink):
+                for n in ns:
                     params = {"max_ell": max_ell, "max_n": max_n}
                     results.append(CheckResult(name, ell, n, params, run(ell, n, source, budget)))
     return results

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, mul
 from typing import NamedTuple
 
 from .core import _group, _ints, _within
@@ -57,16 +57,15 @@ def table_rows(ell: int, max_n: int, flavor: str) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
 
     def rows():
-        row, top = (), 1  # top = ell^n * n!
+        # leftwards from the diagonal: t[n][m] = c(m)*t[n][m+1] - t[n-1][m], with
+        # c = 1 for g (diagonal ell^n * n!) and c = ell*(m+1) for d (diagonal 1)
+        row, top, g = (), 1, flavor == FLAVOR_G
         for n in range(max_n + 1):
-            if flavor == FLAVOR_G:  # leftwards from g[n][n]: g[n][m+1] - g[n-1][m]
-                row = tuple(accumulate(reversed(row), sub, initial=top))[::-1]
-                top *= ell * (n + 1)
-            else:  # leftwards from d[n][n] = 1: ell*(m+1)*d[n][m+1] - d[n-1][m]
-                new, x = [1] * (n + 1), 1
-                for m in range(n - 1, -1, -1):
-                    x = new[m] = ell * (m + 1) * x - row[m]
-                row = tuple(new)
+            x = top if g else 1
+            new = [x] * (n + 1)
+            for m in range(n - 1, -1, -1):
+                x = new[m] = (x if g else ell * (m + 1) * x) - row[m]
+            row, top = tuple(new), top * ell * (n + 1)
             yield row
 
     return rows()

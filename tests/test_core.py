@@ -450,6 +450,10 @@ class TestText:
             ("  1 2", "expected '(' to open a cycle (at offset 2)"),
             ("(1 2", "unexpected trailing text (at offset 0)"),  # opened, never closed
             ("(1) 2", "unexpected trailing text (at offset 4)"),
+            ("x (1)", "unexpected text before the first cycle (at offset 0)"),
+            (")(1)", "unexpected text before the first cycle (at offset 0)"),
+            ("((1))", "unexpected text before the first cycle (at offset 0)"),
+            ("(1) x (2)", "unexpected text between cycles (at offset 4)"),
         ],
     )
     def test_parse_cycles_names_missing_or_stray_cycle(self, text, message):

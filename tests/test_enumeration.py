@@ -323,14 +323,14 @@ def test_ranges_cut_inside_blocks(ell, n):
             assert decoded == Counter(spec[start:stop]), (name, start, stop)
 
 
-def _sides_reference(sides, shift, ell, n):
+def _sides_reference(sides, ell, n):
     """The counterexample an element-by-element scan gives: the first element
     whose two sides ``sides(sigma)``, each asking its own tests, keep
-    different codes, at their smallest k less ``shift``."""
+    different codes, at their smallest k."""
     for index, p in enumerate(group(ell, n)):
         got, expected = (set(_codes(side, (0,) + p.colors)) for side in sides(p.sigma))
         if got != expected:
-            return {"index": index, "perm": str(p), "k": min(got ^ expected) // (n + 1) - shift}
+            return {"index": index, "perm": str(p), "k": min(got ^ expected) // (n + 1)}
     return None
 
 
@@ -368,8 +368,8 @@ def test_first_failure_across_cut_blocks(ell, n):
             keys = Counter({(): stop - start - len(unequal)}) + Counter((s,) for s in unequal)
             assert counts == keys
         source = partial(enumeration._map_reduce, jobs=1)
-        found = enumeration._suite_sides(differ, 0, ell, n, source, enumeration.DEFAULT_BUDGET)
-        assert found == _sides_reference(sides, 0, ell, n), target
+        found = enumeration._suite_sides(differ, ell, n, source, enumeration.DEFAULT_BUDGET)
+        assert found == _sides_reference(sides, ell, n), target
 
 
 def _force_pool(monkeypatch):
@@ -385,21 +385,51 @@ def _failures(suite):
     return [(r.ell, r.n, r.counterexample) for r in reports[0] if not r.passed]
 
 
+def _lossy(candidates, sigma):
+    """``candidates`` less the last one on 3 4 1 2: a counting kernel that
+    drops a code of one permutation."""
+    return candidates[:-1] if sigma == (3, 4, 1, 2) else candidates
+
+
+def _lossy_circular(sigma):  # module level, so the pool can pickle it
+    return _lossy(enumeration._circular(sigma), sigma)
+
+
+def _lossy_isolated(sigma):
+    return _lossy(enumeration._isolated_kernel(sigma), sigma)
+
+
+def test_lossy_kernel_fails_the_rows_reading_its_tally(monkeypatch):
+    """A counting kernel that drops a candidate of 3 4 1 2 fails exactly the
+    rows whose tallies read the 4-letter groups through it, at one and two
+    workers: the circular kernel t2 and l45 at n = 4 and t3 and c7 at n = 3,
+    which read n + 1 letters; the isolated kernel t11 at n = 4.  The e43
+    sides, which look ``_circular`` up by name, still pass."""
+    monkeypatch.setitem(enumeration._SUCCESSION_KERNELS, "circular", _lossy_circular)
+    monkeypatch.setitem(enumeration._FAMILY_KERNELS, "isolated", _lossy_isolated)
+    serial = verify_suite("all", 2, 4, jobs=1)
+    _force_pool(monkeypatch)
+    assert verify_suite("all", 2, 4, jobs=2) == serial
+    failed = [(r.check, r.ell, r.n) for r in serial if not r.passed]
+    rows = [("t2", 4), ("t3", 3), ("c7", 3), ("l45", 4), ("t11", 4)]
+    assert failed == [(check, ell, n) for check, n in rows for ell in (1, 2)]
+
+
 # The candidate builder behind each statistic the e22 and e43 sides read, by
 # word: e22's skew side is ``_skew_rises``, and both sides of e43 read
-# ``_circular``, the rotated side on the word rotated right with k raised by one.
+# ``_circular``, the rotated side on the word rotated right; e43's other side
+# codes each (k+1)-succession one k lower.
 _STAT_BUILDERS = {"skew_linear_pairs": "_skew_rises", "circular_pairs": "_circular"}
 
 
 def _break_stat(monkeypatch, stat, extra):
     """Make the candidate builder of ``stat`` append, for each ``(test, k, v)``
-    in ``extra(word)``, the candidate of a k-succession of value ``v`` (k
-    raised by the builder's shift, if any)."""
+    in ``extra(word)``, the candidate of a k-succession of value ``v``."""
     real = getattr(enumeration, _STAT_BUILDERS[stat])
 
-    def builder(word, *shift):  # _circular takes a shift, _skew_rises none
-        w, lift = len(word) + 1, shift[0] if shift else 0
-        return real(word, *shift) + [(test, (k + lift) * w + v) for test, k, v in extra(word)]
+    def builder(word):
+        w = len(word) + 1
+        return real(word) + [(test, k * w + v) for test, k, v in extra(word)]
 
     monkeypatch.setattr(enumeration, _STAT_BUILDERS[stat], builder)
 
@@ -464,12 +494,12 @@ def test_counterexample_reports_smallest_failing_k(
     assert _failures(suite) == expected
 
 
-# The side builders of e22 and e43, in order, and the shift of each suite's k.
+# The side builders of e22 and e43, in order.
 _SIDES = {
-    "e22": (("_skew_rises", "_linear_side"), 0),
-    "e43": (("_circular_side", "_rotated_side"), 1),
+    "e22": ("_skew_rises", "_linear_side"),
+    "e43": ("_circular_side", "_rotated_side"),
 }
-_SIDE_SUITE = {name: suite for suite, (names, _) in _SIDES.items() for name in names}
+_SIDE_SUITE = {name: suite for suite, names in _SIDES.items() for name in names}
 _FAULTS = {
     "gain": lambda candidates: candidates + [((0, 2), 12)],  # a 2-succession of value 2
     "lose": lambda candidates: candidates[:-1],
@@ -492,12 +522,12 @@ def test_side_faults_match_reference(monkeypatch, builder, fault):
     monkeypatch.setattr(enumeration, builder, faulty)
     _force_pool(monkeypatch)
     suite = _SIDE_SUITE[builder]
-    names, shift = _SIDES[suite]
+    names = _SIDES[suite]
 
     def sides(sigma):
         return [getattr(enumeration, name)(sigma) for name in names]
 
-    expected = [(ell, n, _sides_reference(sides, shift, ell, n))
+    expected = [(ell, n, _sides_reference(sides, ell, n))
                 for ell in range(1, 4) for n in range(6)]
     failing = [ell for ell, _, found in expected if found]
     assert failing == ([2, 3] if fault == "move" else [1, 2, 3])
@@ -519,12 +549,12 @@ def test_block_check_sides_match_spec(ell, n):
             rotated = set()
             if n:
                 last = p.sigma[-1]
-                rotated = {(k + 1, v) for k, v in circular_pairs(rotate_right(p))}
-                rotated.discard((last, last))
+                rotated = set(circular_pairs(rotate_right(p)))
+                rotated.discard((last - 1, last))
             spec = {
                 "_skew_rises": skew_linear_pairs(p),
                 "_linear_side": linear_pairs(p) | first,
-                "_circular_side": {(k, v) for k, v in circular_pairs(p) if k},
+                "_circular_side": {(k - 1, v) for k, v in circular_pairs(p) if k},
                 "_rotated_side": rotated,
             }
             for name, expected in spec.items():
