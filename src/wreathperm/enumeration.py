@@ -26,8 +26,8 @@ decides each permutation for every ell; only one whose lists differ has its colo
 A budget guard refuses a group, or a scan of those colorings, of more than ``budget``
 elements (``DEFAULT_BUDGET`` by default); ``check_table_size`` refuses a difference
 table above ``TABLE_BIT_LIMIT`` bits or Python's int-to-str digit limit.  ``verify_suite``
-sizes its range cheapest first: at most ``ROW_LIMIT`` (check, ell, n) rows, then the
-largest group its rows tally and its largest table, then the sums over the range.
+sizes its range cheapest first: at most ``ROW_LIMIT`` (check, ell, n) rows, then in each unit
+its rows' costs charge (group elements, then table bits) the largest item, then the items' sum.
 """
 
 from __future__ import annotations
@@ -517,23 +517,31 @@ def _suite_sides(differ, ell, n, source, budget):
     return None
 
 
-# name -> (run, first n, how far below max_n the last n stops, table rows, groups): a run
-# with table rows returns them for every n at one ell, sized in table bits; any other
-# returns the counterexample at one n, sized by groups(ell, n), the groups it tallies.
-_OWN = lambda ell, n: [(ell, n)]
-_AND_NEXT = lambda ell, n: [(ell, n), (ell, n + 1)]
-_AT_ONE = lambda ell, n: [(1, n)]
+def _each_n(check):
+    """A run whose row at each n is ``check``'s counterexample at ``(ell, n)``."""
+    return lambda name, ell, ns, params, *rest: [
+        CheckResult(name, ell, n, dict(params), check(ell, n, *rest)) for n in ns]
+
+
+# name -> (run, first n, how far below max_n the last n stops, cost) over the n-range ns:
+# run(name, ell, ns, params, source, budget) is one ell's rows, and cost(ell, ns) is their
+# count and the (unit, ell, n) items they charge: unit 0 a tallied group's elements, unit 1
+# a built triangle's table bits.
+_OWN = lambda ell, ns: (ns.stop - ns.start, ((0, ell, n) for n in ns))
+_AND_NEXT = lambda ell, ns: (ns.stop - ns.start, ((0, ell, m) for n in ns for m in (n, n + 1)))
+_AT_ONE = lambda ell, ns: _OWN(1, ns)
 _SUITES = {
-    "t2": (_suite_t2, 0, 0, 0, _OWN),
-    "t3": (partial(_suite_three_term, CIRCULAR), 1, 1, 0, _AND_NEXT),
-    "c7": (partial(_suite_three_term, LINEAR), 1, 1, 0, _AND_NEXT),
-    "l45": (_suite_l45, 0, 0, 0, _OWN),
-    "t9": (partial(_suite_family, "increasing"), 0, 0, 0, _OWN),
-    "t11": (partial(_suite_family, "isolated"), 0, 0, 0, _OWN),
-    "e22": (partial(_suite_sides, partial(_sides_differ, _e22_sides)), 0, 0, 0, _AT_ONE),
-    "e43": (partial(_suite_sides, partial(_sides_differ, _e43_sides)), 0, 0, 0, _AT_ONE),
-    # nine identities that reach back two rows; check_recurrences is read per call
-    "rec": (lambda ell, max_n, *_: check_recurrences(ell, max_n), 2, 0, 9, None),
+    "t2": (_each_n(_suite_t2), 0, 0, _OWN),
+    "t3": (_each_n(partial(_suite_three_term, CIRCULAR)), 1, 1, _AND_NEXT),
+    "c7": (_each_n(partial(_suite_three_term, LINEAR)), 1, 1, _AND_NEXT),
+    "l45": (_each_n(_suite_l45), 0, 0, _OWN),
+    "t9": (_each_n(partial(_suite_family, "increasing")), 0, 0, _OWN),
+    "t11": (_each_n(partial(_suite_family, "isolated")), 0, 0, _OWN),
+    "e22": (_each_n(partial(_suite_sides, partial(_sides_differ, _e22_sides))), 0, 0, _AT_ONE),
+    "e43": (_each_n(partial(_suite_sides, partial(_sides_differ, _e43_sides))), 0, 0, _AT_ONE),
+    # nine identities reaching back two rows, one call at max_n; check_recurrences read per call
+    "rec": (lambda name, ell, ns, *_: check_recurrences(ell, ns[-1]), 2, 0,
+            lambda ell, ns: (9, [(1, ell, ns[-1])])),
 }
 SUITES = tuple(_SUITES)
 
@@ -555,40 +563,31 @@ def verify_suite(
     _ints(max_ell=max_ell, max_n=max_n, jobs=jobs, budget=budget)
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    plan = {s: (run, ns, table, tallies) for s in (SUITES if suite == "all" else (suite,))
-            for run, first, shrink, table, tallies in [_SUITES[s]]
+    plan = {s: (run, ns, cost) for s in (SUITES if suite == "all" else (suite,))
+            for run, first, shrink, cost in [_SUITES[s]]
             if (ns := range(first, max_n + 1 - shrink))}  # each suite with an n in range
-    rows = max_ell * sum(table or ns.stop - ns.start for _, ns, table, _ in plan.values())
-    # The whole range is sized before the first check, cheapest first: its
-    # rows, which bound max_ell; then its largest tallied group or table, which
-    # names the largest n that fits and bounds n; then the sums over the range.
+    rows = max_ell * sum(cost(1, ns)[0] for _, ns, cost in plan.values())
+    # The whole range is sized before the first check, cheapest first: its rows, which bound
+    # max_ell; then in each unit its largest item, naming the largest n that fits, then the sum.
     if rows > ROW_LIMIT:
         what = f"(check, ell, n) rows of suite {suite} with ell <= {max_ell}, n <= {max_n}"
         raise BudgetError(f"the {rows} {what} exceed the limit of {ROW_LIMIT}")
-    if rows <= 0:  # no (check, ell, n) in range, however many ells it spans
-        return []
     ells = range(1, max_ell + 1)
-    groups = {g for _, ns, table, tallies in plan.values() if not table
-              for ell in ells for n in ns for g in tallies(ell, n)}
-    if groups:  # every row reads up to max_n letters, so the last group is the largest
-        top_ell, top_n = max(groups)
-        _check_budget(top_ell, top_n, budget)
-        if sum(group_size(*g) for g in groups) > budget:
-            what = f"groups with ell <= {top_ell}, {min(n for _, n in groups)} <= n <= {top_n}"
-            raise BudgetError(f"the {what} sum to more than the budget of {budget} elements")
-    if any(table for *_, table, _ in plan.values()):
-        check_table_size(max_ell, max_n)
-        if sum(_table_bits(ell, max_n) for ell in ells) > TABLE_BIT_LIMIT:
-            what = f"rec tables with ell <= {max_ell}, max_n={max_n}"
-            raise BudgetError(f"the {what} sum to more than the {_TABLE_LIMIT}")
+    items = {item for _, ns, cost in plan.values() for ell in ells for item in cost(ell, ns)[1]}
+    units = (  # (refusal of one item, its size, limit, the limit's text, what the items are)
+        (partial(_check_budget, budget=budget), group_size, budget,
+         f"budget of {budget} elements", "groups with ell <= {0}, {1} <= n <= {2}"),
+        (check_table_size, _table_bits, TABLE_BIT_LIMIT, _TABLE_LIMIT,
+         "rec tables with ell <= {0}, max_n={2}"),
+    )
+    for unit, (refuse, size, limit, text, what) in enumerate(units):
+        if charged := {(ell, n) for u, ell, n in items if u == unit}:
+            top = max(charged)  # every row reads up to max_n letters, so the largest item
+            refuse(*top)
+            if sum(size(*item) for item in charged) > limit:
+                what = what.format(top[0], min(n for _, n in charged), top[1])
+                raise BudgetError(f"the {what} sum to more than the {text}")
     source = cache(partial(_map_reduce, jobs=jobs, budget=budget))  # one per (kernel, ell, n)
-    results: list[CheckResult] = []
-    for name, (run, ns, table, _) in plan.items():
-        for ell in ells:
-            if table:
-                results += run(ell, max_n, source, budget)
-            else:
-                for n in ns:
-                    params = {"max_ell": max_ell, "max_n": max_n}
-                    results.append(CheckResult(name, ell, n, params, run(ell, n, source, budget)))
-    return results
+    params = {"max_ell": max_ell, "max_n": max_n}
+    return [result for name, (run, ns, _) in plan.items() for ell in ells
+            for result in run(name, ell, ns, params, source, budget)]

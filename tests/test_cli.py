@@ -502,6 +502,11 @@ class TestVerify:
             (["--suite", "rec", "--colors-max", "1111", "--n-max", "400"],
              "the rec tables with ell <= 1111, max_n=400 sum to more than the limit"
              " of 8589934592 bits (entries x bit length of ell^max_n * max_n!)"),
+            # 9,997 rows whose largest group is over the budget and whose table is over
+            # the bit limit (which stops at max_n = 1246): the group is named first
+            (["--suite", "all", "--colors-max", "1", "--n-max", "1248"],
+             "the group with ell=1, n=1248 exceeds the budget of 100000000 elements;"
+             " the largest n that fits with ell=1 is 11"),
         ],
     )
     def test_range_refused_as_a_whole(self, capsys, monkeypatch, argv, err):

@@ -399,19 +399,38 @@ def _lossy_isolated(sigma):
     return _lossy(enumeration._isolated_kernel(sigma), sigma)
 
 
-def test_lossy_kernel_fails_the_rows_reading_its_tally(monkeypatch):
+def _lossy_linear(sigma):
+    return _lossy(enumeration._linear(sigma), sigma)
+
+
+def _lossy_increasing(sigma):
+    return _lossy(enumeration._increasing_kernel(sigma), sigma)
+
+
+@pytest.mark.parametrize(
+    "faults,rows",
+    [
+        ({"circular": _lossy_circular, "isolated": _lossy_isolated},
+         [("t2", 4), ("t3", 3), ("c7", 3), ("l45", 4), ("t11", 4)]),
+        ({"linear": _lossy_linear, "increasing": _lossy_increasing}, [("c7", 3), ("t9", 4)]),
+    ],
+    ids=["circular-isolated", "linear-increasing"],
+)
+def test_lossy_kernel_fails_the_rows_reading_its_tally(monkeypatch, faults, rows):
     """A counting kernel that drops a candidate of 3 4 1 2 fails exactly the
     rows whose tallies read the 4-letter groups through it, at one and two
     workers: the circular kernel t2 and l45 at n = 4 and t3 and c7 at n = 3,
-    which read n + 1 letters; the isolated kernel t11 at n = 4.  The e43
-    sides, which look ``_circular`` up by name, still pass."""
-    monkeypatch.setitem(enumeration._SUCCESSION_KERNELS, "circular", _lossy_circular)
-    monkeypatch.setitem(enumeration._FAMILY_KERNELS, "isolated", _lossy_isolated)
+    which read n + 1 letters; the isolated kernel t11 at n = 4; the linear
+    kernel c7 at n = 3; the increasing kernel t9 at n = 4.  The e43 sides,
+    which look ``_circular`` up by name, still pass."""
+    for name, kernel in faults.items():
+        known = name in enumeration._SUCCESSION_KERNELS
+        kernels = enumeration._SUCCESSION_KERNELS if known else enumeration._FAMILY_KERNELS
+        monkeypatch.setitem(kernels, name, kernel)
     serial = verify_suite("all", 2, 4, jobs=1)
     _force_pool(monkeypatch)
     assert verify_suite("all", 2, 4, jobs=2) == serial
     failed = [(r.check, r.ell, r.n) for r in serial if not r.passed]
-    rows = [("t2", 4), ("t3", 3), ("c7", 3), ("l45", 4), ("t11", 4)]
     assert failed == [(check, ell, n) for check, n in rows for ell in (1, 2)]
 
 
@@ -742,6 +761,35 @@ def test_sized_rows_equal_the_results(monkeypatch, suite, max_ell, max_n):
     monkeypatch.setattr(enumeration, "ROW_LIMIT", len(results) - 1)
     with pytest.raises(BudgetError, match=f"^the {len(results)} \\(check, ell, n\\) rows "):
         verify_suite(suite, max_ell, max_n)
+
+
+@pytest.mark.parametrize("suite", enumeration.SUITES)
+@pytest.mark.parametrize("max_ell,max_n", [(2, 4), (3, 2), (1, 0)])
+def test_cost_charges_what_the_suite_runs(monkeypatch, suite, max_ell, max_n):
+    """Unit by unit, a suite's ``cost`` charges the distinct groups its rows
+    tally through ``_map_reduce`` (elements) and the triangles they check
+    through ``check_recurrences`` (table bits), and nothing else."""
+    ran = (set(), set())
+    tally, check = enumeration._map_reduce, enumeration.check_recurrences
+
+    def tallied(kernel, ell, n, **options):
+        ran[0].add((ell, n))
+        return tally(kernel, ell, n, **options)
+
+    def checked(ell, max_n):
+        ran[1].add((ell, max_n))
+        return check(ell, max_n)
+
+    monkeypatch.setattr(enumeration, "_map_reduce", tallied)
+    monkeypatch.setattr(enumeration, "check_recurrences", checked)
+    verify_suite(suite, max_ell, max_n)
+    _, first, shrink, cost = enumeration._SUITES[suite]
+    ns = range(first, max_n + 1 - shrink)
+    charged = (set(), set())
+    for ell in range(1, max_ell + 1) if ns else ():
+        for unit, *item in cost(ell, ns)[1]:
+            charged[unit].add(tuple(item))
+    assert ran == charged
 
 
 @pytest.mark.parametrize("max_ell,max_n,rows", [(2, 4, 90), (3, 2, 87), (2, 1, 24), (1, 0, 6)])
