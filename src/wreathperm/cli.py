@@ -212,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--stat", choices=sorted(_STATS), required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--format", choices=("text", "json"), default="text")
-    c.add_argument("--jobs", type=_jobs, default=1)
-    c.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     c.set_defaults(func=_cmd_count)
 
     b = sub.add_parser("bijection", help="apply a named bijection to one element")
@@ -232,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=("all",) + SUITES, default="all")
     v.add_argument("--colors-max", type=int, required=True)
     v.add_argument("--n-max", type=int, required=True)
-    v.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
-    v.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     v.set_defaults(func=_cmd_verify)
+    for counting in (c, v):  # one width and one budget for both: every CPU, DEFAULT_BUDGET
+        counting.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+        counting.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     return parser
 
 

@@ -20,7 +20,8 @@ candidates it passes, then their expansion, which reads the keys from
 ``source(kernel, ell, n)``: ``_map_reduce`` for a public count.  Within one ``verify_suite``
 call every suite reads one cache of it, so each ``(kernel, ell, n)`` is tallied once per call;
 the cache is dropped when the call returns.  The element-wise identities ``e22`` and ``e43``
-compare two candidate lists fixed by the underlying permutation, so one tally at ell = 1
+compare two candidate lists fixed by the underlying permutation, built from the kernels the
+counts read (``e22`` sets the skew kernel against the linear one), so one tally at ell = 1
 decides each permutation for every ell; only one whose lists differ has its colorings read.
 
 A budget guard refuses a group, or a scan of those colorings, of more than ``budget``
@@ -454,36 +455,21 @@ def _suite_family(family, ell, n, source, budget):
     return first_mismatch(("m", "count", "expected"), [((), 0, counts, d[n])])
 
 
-def _linear_side(sigma):
-    """The first value ``v`` as a ``v``-succession when uncolored, then the
-    linear successions."""
-    w = len(sigma) + 1
-    return [((0, v), v * w + v) for v in sigma[:1]] + _rises(sigma, w)
-
-
-def _circular_side(sigma):
-    """Each (k+1)-circular succession, ``k >= 0``, coded as a k-succession."""
-    w = len(sigma) + 1
-    return [(test, code - w) for test, code in _circular(sigma) if code >= w]
-
-
-def _rotated_side(sigma):
-    """Circular successions of the word rotated right, less the first
-    candidate: ``(L, L)`` for the last letter ``L``, which the rotation puts
-    in front."""
-    return _circular(sigma[-1:] + sigma[:-1])[1:]
-
-
 def _e22_sides(sigma):
     """Skew linear successions equal linear ones, plus the first value ``v``
-    as a ``v``-succession when it is uncolored."""
-    return _skew_rises(sigma), _linear_side(sigma)
+    as a ``v``-succession when it is uncolored: the skew kernel against the linear one."""
+    w = len(sigma) + 1
+    first = [((0, v), v * w + v) for v in sigma[:1]]
+    return _SUCCESSION_KERNELS[SKEW_LINEAR](sigma), first + _SUCCESSION_KERNELS[LINEAR](sigma)
 
 
 def _e43_sides(sigma):
-    """The (k+1)-circular successions match the k-circular successions of the
-    word rotated right, up to the value k+1 of an uncolored last letter."""
-    return _circular_side(sigma), _rotated_side(sigma)
+    """The (k+1)-circular successions, each coded one k lower, match the k-circular
+    successions of the word rotated right, less its first candidate: ``(L, L)`` for the last
+    letter ``L``, which the rotation puts in front and which the first side never keeps."""
+    circular, w = _SUCCESSION_KERNELS[CIRCULAR], len(sigma) + 1
+    return ([(test, code - w) for test, code in circular(sigma) if code >= w],
+            circular(sigma[-1:] + sigma[:-1])[1:])
 
 
 def _sides_differ(sides, sigma):

@@ -208,6 +208,13 @@ class TestCount:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_count_and_verify_share_jobs_and_budget_defaults(self):
+        parse = cli.build_parser().parse_args
+        count = parse(["count", "--colors", "2", "--n", "2", "--stat", "circ", "--k", "0"])
+        verify = parse(["verify", "--colors-max", "1", "--n-max", "2"])
+        for args in (count, verify):
+            assert (args.jobs, args.budget) == (os.cpu_count() or 1, enumeration.DEFAULT_BUDGET)
+
 
 # One in-domain input for every map and direction, with the exact stdout.
 FROZEN_BIJECTIONS = [

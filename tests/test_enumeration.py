@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -385,72 +386,63 @@ def _failures(suite):
     return [(r.ell, r.n, r.counterexample) for r in reports[0] if not r.passed]
 
 
-def _lossy(candidates, sigma):
-    """``candidates`` less the last one on 3 4 1 2: a counting kernel that
-    drops a code of one permutation."""
+def _lossy(name, sigma):
+    """The ``name`` kernel's candidates less the last one on 3 4 1 2: a counting kernel
+    that drops a code of one permutation.  ``partial(_lossy, name)`` is one the pool can
+    pickle, and it reads the kernel as imported, not the registry it replaces."""
+    candidates = _KERNELS[name](sigma)
     return candidates[:-1] if sigma == (3, 4, 1, 2) else candidates
 
 
-def _lossy_circular(sigma):  # module level, so the pool can pickle it
-    return _lossy(enumeration._circular(sigma), sigma)
-
-
-def _lossy_isolated(sigma):
-    return _lossy(enumeration._isolated_kernel(sigma), sigma)
-
-
-def _lossy_linear(sigma):
-    return _lossy(enumeration._linear(sigma), sigma)
-
-
-def _lossy_increasing(sigma):
-    return _lossy(enumeration._increasing_kernel(sigma), sigma)
-
-
 @pytest.mark.parametrize(
-    "faults,rows",
+    "faults",
     [
-        ({"circular": _lossy_circular, "isolated": _lossy_isolated},
-         [("t2", 4), ("t3", 3), ("c7", 3), ("l45", 4), ("t11", 4)]),
-        ({"linear": _lossy_linear, "increasing": _lossy_increasing}, [("c7", 3), ("t9", 4)]),
+        {"circular": [("t2", 4), ("t3", 3), ("c7", 3), ("l45", 4), ("e43", 4)],
+         "isolated": [("t11", 4)]},
+        {"linear": [("c7", 3), ("e22", 4)], "increasing": [("t9", 4)]},
+        {"skewLinear": [("e22", 4)]},
     ],
-    ids=["circular-isolated", "linear-increasing"],
+    ids=["circular-isolated", "linear-increasing", "skew"],
 )
-def test_lossy_kernel_fails_the_rows_reading_its_tally(monkeypatch, faults, rows):
+def test_lossy_kernel_fails_the_rows_reading_its_tally(monkeypatch, faults):
     """A counting kernel that drops a candidate of 3 4 1 2 fails exactly the
-    rows whose tallies read the 4-letter groups through it, at one and two
-    workers: the circular kernel t2 and l45 at n = 4 and t3 and c7 at n = 3,
-    which read n + 1 letters; the isolated kernel t11 at n = 4; the linear
-    kernel c7 at n = 3; the increasing kernel t9 at n = 4.  The e43 sides,
-    which look ``_circular`` up by name, still pass."""
-    for name, kernel in faults.items():
-        known = name in enumeration._SUCCESSION_KERNELS
-        kernels = enumeration._SUCCESSION_KERNELS if known else enumeration._FAMILY_KERNELS
-        monkeypatch.setitem(kernels, name, kernel)
-    serial = verify_suite("all", 2, 4, jobs=1)
-    _force_pool(monkeypatch)
-    assert verify_suite("all", 2, 4, jobs=2) == serial
-    failed = [(r.check, r.ell, r.n) for r in serial if not r.passed]
-    assert failed == [(check, ell, n) for check, n in rows for ell in (1, 2)]
+    rows that read the 4-letter groups through it, and at least one, at one and
+    two workers: the circular kernel t2 and l45 at n = 4, t3 and c7 at n = 3,
+    which read n + 1 letters, and e43 at n = 4; the isolated kernel t11; the
+    linear kernel c7 at n = 3 and e22; the increasing kernel t9; the skew kernel
+    e22.  Each e22 and e43 failure is 3 4 1 2 itself, uncolored, at k = 1."""
+    for name, rows in faults.items():
+        succession = name in enumeration._SUCCESSION_KERNELS
+        registry = enumeration._SUCCESSION_KERNELS if succession else enumeration._FAMILY_KERNELS
+        with monkeypatch.context() as patch:
+            patch.setitem(registry, name, partial(_lossy, name))
+            serial = verify_suite("all", 2, 4, jobs=1)
+            _force_pool(patch)
+            assert verify_suite("all", 2, 4, jobs=2) == serial
+        failed = [(r.check, r.ell, r.n) for r in serial if not r.passed]
+        assert rows and failed == [(check, ell, n) for check, n in rows for ell in (1, 2)]
+        for r in serial:
+            if r.check in ("e22", "e43") and not r.passed:
+                assert r.counterexample == _first_in_block({16}, r.ell, 4, 1)
 
 
-# The candidate builder behind each statistic the e22 and e43 sides read, by
-# word: e22's skew side is ``_skew_rises``, and both sides of e43 read
-# ``_circular``, the rotated side on the word rotated right; e43's other side
+# The registry kernel behind each statistic the e22 and e43 sides read, by
+# word: e22's skew side is the skew kernel, and both sides of e43 read the
+# circular kernel, the second on the word rotated right; e43's first side
 # codes each (k+1)-succession one k lower.
-_STAT_BUILDERS = {"skew_linear_pairs": "_skew_rises", "circular_pairs": "_circular"}
+_STAT_KERNELS = {"skew_linear_pairs": "skewLinear", "circular_pairs": "circular"}
 
 
 def _break_stat(monkeypatch, stat, extra):
-    """Make the candidate builder of ``stat`` append, for each ``(test, k, v)``
+    """Make the registry kernel of ``stat`` append, for each ``(test, k, v)``
     in ``extra(word)``, the candidate of a k-succession of value ``v``."""
-    real = getattr(enumeration, _STAT_BUILDERS[stat])
+    name = _STAT_KERNELS[stat]
 
-    def builder(word):
+    def kernel(word):
         w = len(word) + 1
-        return real(word) + [(test, k * w + v) for test, k, v in extra(word)]
+        return _KERNELS[name](word) + [(test, k * w + v) for test, k, v in extra(word)]
 
-    monkeypatch.setattr(enumeration, _STAT_BUILDERS[stat], builder)
+    monkeypatch.setitem(enumeration._SUCCESSION_KERNELS, name, kernel)
 
 
 def _first_in_block(failing, ell, n, k):
@@ -513,12 +505,16 @@ def test_counterexample_reports_smallest_failing_k(
     assert _failures(suite) == expected
 
 
-# The side builders of e22 and e43, in order.
+# Each side of e22 and e43 of 3 4 1 2, by label: its suite, the registry kernel
+# it reads, and the word it reads it on, the rotated side reading 2 3 4 1.  A
+# fault there reaches the other e43 side of the permutation whose word it is.
 _SIDES = {
-    "e22": ("_skew_rises", "_linear_side"),
-    "e43": ("_circular_side", "_rotated_side"),
+    "_skew_rises": ("e22", "skewLinear", (3, 4, 1, 2)),
+    "_linear_side": ("e22", "linear", (3, 4, 1, 2)),
+    "_circular_side": ("e43", "circular", (3, 4, 1, 2)),
+    "_rotated_side": ("e43", "circular", (2, 3, 4, 1)),
 }
-_SIDE_SUITE = {name: suite for suite, names in _SIDES.items() for name in names}
+_E_SIDES = {"e22": enumeration._e22_sides, "e43": enumeration._e43_sides}
 _FAULTS = {
     "gain": lambda candidates: candidates + [((0, 2), 12)],  # a 2-succession of value 2
     "lose": lambda candidates: candidates[:-1],
@@ -527,26 +523,21 @@ _FAULTS = {
 
 
 @pytest.mark.parametrize("fault", _FAULTS)
-@pytest.mark.parametrize("builder", _SIDE_SUITE)
-def test_side_faults_match_reference(monkeypatch, builder, fault):
-    """A fault in either side of e22 or e43 on one permutation, 3 4 1 2, is
-    reported where an element-by-element scan of each side's own tests finds
-    it, at every ell <= 3 and n <= 5 and at one and two workers.  A moved test
-    still passes on the one-color group, where every test passes."""
-    real = getattr(enumeration, builder)
+@pytest.mark.parametrize("side", _SIDES)
+def test_side_faults_match_reference(monkeypatch, side, fault):
+    """A fault in the registry kernel behind either side of e22 or e43, on the
+    one word that side reads for 3 4 1 2, is reported where an element-by-element
+    scan of each side's own tests finds it, at every ell <= 3 and n <= 5 and at
+    one and two workers.  A moved test still passes on the one-color group,
+    where every test passes."""
+    suite, name, word = _SIDES[side]
 
     def faulty(sigma):
-        return _FAULTS[fault](real(sigma)) if sigma == (3, 4, 1, 2) else real(sigma)
+        return _FAULTS[fault](_KERNELS[name](sigma)) if sigma == word else _KERNELS[name](sigma)
 
-    monkeypatch.setattr(enumeration, builder, faulty)
+    monkeypatch.setitem(enumeration._SUCCESSION_KERNELS, name, faulty)
     _force_pool(monkeypatch)
-    suite = _SIDE_SUITE[builder]
-    names = _SIDES[suite]
-
-    def sides(sigma):
-        return [getattr(enumeration, name)(sigma) for name in names]
-
-    expected = [(ell, n, _sides_reference(sides, ell, n))
+    expected = [(ell, n, _sides_reference(_E_SIDES[suite], ell, n))
                 for ell in range(1, 4) for n in range(6)]
     failing = [ell for ell, _, found in expected if found]
     assert failing == ([2, 3] if fault == "move" else [1, 2, 3])
@@ -560,9 +551,8 @@ def test_side_faults_match_reference(monkeypatch, builder, fault):
 def test_block_check_sides_match_spec(ell, n):
     """Each side of e22 and e43 gives every element, each pair once, the
     pairs that ``statistics.py`` states for that side."""
-    names = ("_skew_rises", "_linear_side", "_circular_side", "_rotated_side")
     for sigma, block in groupby(group(ell, n), attrgetter("sigma")):
-        sides = {name: getattr(enumeration, name)(sigma) for name in names}
+        sides = (*enumeration._e22_sides(sigma), *enumeration._e43_sides(sigma))
         for p in block:
             first = {(v, v) for v in p.sigma[:1] if not p.colors[v - 1]}
             rotated = set()
@@ -570,31 +560,28 @@ def test_block_check_sides_match_spec(ell, n):
                 last = p.sigma[-1]
                 rotated = set(circular_pairs(rotate_right(p)))
                 rotated.discard((last - 1, last))
-            spec = {
-                "_skew_rises": skew_linear_pairs(p),
-                "_linear_side": linear_pairs(p) | first,
-                "_circular_side": {(k - 1, v) for k, v in circular_pairs(p) if k},
-                "_rotated_side": rotated,
-            }
-            for name, expected in spec.items():
-                pairs = [divmod(code, n + 1) for code in _codes(sides[name], (0,) + p.colors)]
-                assert len(set(pairs)) == len(pairs), (name, str(p))
-                assert set(pairs) == expected, (name, str(p))
+            spec = (
+                skew_linear_pairs(p),
+                linear_pairs(p) | first,
+                {(k - 1, v) for k, v in circular_pairs(p) if k},
+                rotated,
+            )
+            for side, expected in zip(sides, spec, strict=True):
+                pairs = [divmod(code, n + 1) for code in _codes(side, (0,) + p.colors)]
+                assert len(set(pairs)) == len(pairs), (expected, str(p))
+                assert set(pairs) == expected, str(p)
 
 
-@pytest.mark.parametrize(
-    "sides", [("_skew_rises", "_linear_side"), ("_circular_side", "_rotated_side")],
-    ids=("e22", "e43"),
-)
-def test_block_check_sides_ask_the_same_tests(sides):
+@pytest.mark.parametrize("suite", _E_SIDES)
+def test_block_check_sides_ask_the_same_tests(suite):
     """Both sides of e22 and of e43 list the same candidates, tests and codes
     in one order: ``(0, s1)`` and the rises for e22, and each ``(0, v)`` for a
     value ``v`` above its position for e43.  So the ell = 1 decision finds no
     permutation to scan."""
-    got, expected = (getattr(enumeration, name) for name in sides)
     for n in range(8):
         for sigma in permutations(range(1, n + 1)):
-            assert got(sigma) == expected(sigma), sigma
+            got, expected = _E_SIDES[suite](sigma)
+            assert got == expected, sigma
 
 
 @pytest.mark.parametrize("suite", ["e22", "e43"])
@@ -613,12 +600,12 @@ def test_sides_charged_at_one_color(monkeypatch, suite):
 
 
 def test_sides_scan_bounded_by_budget(monkeypatch):
-    """A side whose list is reversed differs from the other on every
-    permutation with two candidates, yet keeps the same codes, so no element
+    """A skew kernel whose list is reversed makes e22's sides differ on every
+    permutation with two candidates, yet keep the same codes, so no element
     fails.  The colorings of the permutations to scan are sized before any is
     read: 119 of the 120 on 5 letters, times 2^5, exceed a budget of 2000."""
-    real = enumeration._linear_side
-    monkeypatch.setattr(enumeration, "_linear_side", lambda sigma: real(sigma)[::-1])
+    reversed_skew = lambda sigma: _KERNELS["skewLinear"](sigma)[::-1]
+    monkeypatch.setitem(enumeration._SUCCESSION_KERNELS, "skewLinear", reversed_skew)
     start = time.perf_counter()
     with pytest.raises(BudgetError, match=r"^the scan of 3808 colorings with ell=2, n=5 exceeds"):
         verify_suite("e22", 3, 6, budget=2000)
@@ -698,6 +685,37 @@ def test_table_suite_counterexample(monkeypatch, suite, name, args, cell, expect
     _force_pool(monkeypatch)
     _bump(monkeypatch, enumeration, _EXPANSIONS.get(name, name), args, cell)
     assert _failures(suite) == expected
+
+
+# Each table fault: the coefficient's text in ``tables.table_rows`` and its wrong
+# copy, then the counting suites it fails at every ell and 1 <= n <= 4, and the rec
+# identities it fails at every ell.
+_TABLE_FAULTS = {
+    "g-diagonal": ("top * ell * (n + 1)", "top * ell * (n + 2)", ("t2", "l45"),
+                   ("g_rec_two_prev_rows", "g_rec_prev_row_diag", "g_rec_three_term",
+                    "boundary_values", "g_equals_scaled_d")),
+    "d-factor": ("ell * (m + 1) * x", "ell * (m + 2) * x", ("t9", "t11"),
+                 ("d_rec_two_prev_rows", "d_rec_three_term", "d_rec_column0_parity",
+                  "boundary_values", "g_equals_scaled_d")),
+}
+
+
+@pytest.mark.parametrize("fault", _TABLE_FAULTS)
+def test_table_fault_fails_the_rows_reading_it(monkeypatch, fault):
+    """A copy of ``tables.table_rows`` with one wrong coefficient, g's diagonal
+    step or d's factor, fails exactly the rows whose triangles it builds, and
+    at least one: the counting suites compared with that flavor and the rec
+    identities that read it."""
+    old, new, counting, rec = _TABLE_FAULTS[fault]
+    source = inspect.getsource(tables.table_rows)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(tables))
+    exec(compile(source.replace(old, new), tables.__file__, "exec"), namespace)
+    monkeypatch.setattr(tables, "table_rows", namespace["table_rows"])
+    failed = [(r.check, r.ell, r.n) for r in verify_suite("all", 2, 4) if not r.passed]
+    ells = (1, 2)
+    expected = [(check, ell, n) for check in counting for ell in ells for n in range(1, 5)]
+    assert failed and failed == expected + [(check, ell, None) for ell in ells for check in rec]
 
 
 def test_each_tally_runs_once_per_call(monkeypatch):
