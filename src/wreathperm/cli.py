@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--colors-max", type=int, required=True)
     v.add_argument("--n-max", type=int, required=True)
     v.set_defaults(func=_cmd_verify)
-    for counting in (c, v):  # one width and one budget for both: every CPU, DEFAULT_BUDGET
+    for counting in (c, v):
         counting.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
         counting.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     return parser

@@ -505,14 +505,18 @@ def test_counterexample_reports_smallest_failing_k(
     assert _failures(suite) == expected
 
 
-# Each side of e22 and e43 of 3 4 1 2, by label: its suite, the registry kernel
-# it reads, and the word it reads it on, the rotated side reading 2 3 4 1.  A
-# fault there reaches the other e43 side of the permutation whose word it is.
+# Each side of e22 and e43, labelled by the name its builder had before both
+# identities read the registry, which the case ids keep: its suite, the registry
+# kernel it reads, the permutation whose side it is, the word it reads the kernel
+# on and the first candidate it keeps.  The rotated side is that of 2 4 1 3, which
+# reads 3 2 4 1 less its first candidate: 3 4 1 2's rotation 2 3 4 1 comes first
+# in index order and its own first side keeps every candidate, so a fault there
+# would be reported at 2 3 4 1, not on the rotated side.
 _SIDES = {
-    "_skew_rises": ("e22", "skewLinear", (3, 4, 1, 2)),
-    "_linear_side": ("e22", "linear", (3, 4, 1, 2)),
-    "_circular_side": ("e43", "circular", (3, 4, 1, 2)),
-    "_rotated_side": ("e43", "circular", (2, 3, 4, 1)),
+    "_skew_rises": ("e22", "skewLinear", (3, 4, 1, 2), (3, 4, 1, 2), 0),
+    "_linear_side": ("e22", "linear", (3, 4, 1, 2), (3, 4, 1, 2), 0),
+    "_circular_side": ("e43", "circular", (3, 4, 1, 2), (3, 4, 1, 2), 0),
+    "_rotated_side": ("e43", "circular", (2, 4, 1, 3), (3, 2, 4, 1), 1),
 }
 _E_SIDES = {"e22": enumeration._e22_sides, "e43": enumeration._e43_sides}
 _FAULTS = {
@@ -525,15 +529,18 @@ _FAULTS = {
 @pytest.mark.parametrize("fault", _FAULTS)
 @pytest.mark.parametrize("side", _SIDES)
 def test_side_faults_match_reference(monkeypatch, side, fault):
-    """A fault in the registry kernel behind either side of e22 or e43, on the
-    one word that side reads for 3 4 1 2, is reported where an element-by-element
-    scan of each side's own tests finds it, at every ell <= 3 and n <= 5 and at
-    one and two workers.  A moved test still passes on the one-color group,
-    where every test passes."""
-    suite, name, word = _SIDES[side]
+    """A fault in the candidates that one side of e22 or e43 of one permutation
+    keeps, put in the registry kernel on the word that side reads, is reported
+    at that permutation where an element-by-element scan of each side's own
+    tests finds it, at every ell <= 3 and n <= 5 and at one and two workers.  A
+    moved test still passes on the one-color group, where every test passes."""
+    suite, name, owner, word, start = _SIDES[side]
 
     def faulty(sigma):
-        return _FAULTS[fault](_KERNELS[name](sigma)) if sigma == word else _KERNELS[name](sigma)
+        candidates = _KERNELS[name](sigma)
+        if sigma != word:
+            return candidates
+        return candidates[:start] + _FAULTS[fault](candidates[start:])
 
     monkeypatch.setitem(enumeration._SUCCESSION_KERNELS, name, faulty)
     _force_pool(monkeypatch)
@@ -541,6 +548,8 @@ def test_side_faults_match_reference(monkeypatch, side, fault):
                 for ell in range(1, 4) for n in range(6)]
     failing = [ell for ell, _, found in expected if found]
     assert failing == ([2, 3] if fault == "move" else [1, 2, 3])
+    assert all(element_at(ell, n, found["index"]).sigma == owner
+               for ell, n, found in expected if found)
     for jobs in (1, 2):
         reports = verify_suite(suite, 3, 5, jobs=jobs)
         assert [(r.ell, r.n, r.counterexample) for r in reports] == expected
