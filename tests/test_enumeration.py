@@ -1,10 +1,7 @@
-import inspect
 import math
-import os
 import random
 import re
 import sys
-import time
 from collections import Counter
 from collections.abc import Iterator
 from functools import partial
@@ -16,7 +13,6 @@ import pytest
 from wreathperm import (
     BudgetError,
     CheckResult,
-    ColoredPermutation,
     DifferenceTable,
     bounded_matrix,
     build_table,
@@ -32,14 +28,13 @@ from wreathperm import (
     is_isolated_fixed,
     partition_bounds,
     report_json,
-    rotate_left,
     rotate_right,
     verify_suite,
 )
 from wreathperm import circular_pairs, enumeration, linear_pairs, skew_linear_pairs
 from wreathperm import tables
 
-from conftest import at_k, group
+from conftest import _KERNELS, _codes, _failures, _force_pool, _sides_reference, at_k, group
 
 
 class TestStream:
@@ -236,15 +231,8 @@ def test_kernels_match_spec(ell, n):
         assert family_counts(ell, n, family) == tuple(counts)
 
 
-_KERNELS = {**enumeration._SUCCESSION_KERNELS, **enumeration._FAMILY_KERNELS}
 _PAIRS = {"circular": circular_pairs, "linear": linear_pairs, "skewLinear": skew_linear_pairs}
 _FAMILIES = {"increasing": is_increasing_fixed, "isolated": is_isolated_fixed}
-
-
-def _codes(side, colors):
-    """The codes of the candidates ``(test, code)`` of ``side`` whose test
-    passes, in order: ``colors`` is indexed by value, with value 0 uncolored."""
-    return [code for (a, b), code in side if colors[a] == colors[b]]
 
 
 def _decoded(name, key, n):
@@ -324,17 +312,6 @@ def test_ranges_cut_inside_blocks(ell, n):
             assert decoded == Counter(spec[start:stop]), (name, start, stop)
 
 
-def _sides_reference(sides, ell, n):
-    """The counterexample an element-by-element scan gives: the first element
-    whose two sides ``sides(sigma)``, each asking its own tests, keep
-    different codes, at their smallest k."""
-    for index, p in enumerate(group(ell, n)):
-        got, expected = (set(_codes(side, (0,) + p.colors)) for side in sides(p.sigma))
-        if got != expected:
-            return {"index": index, "perm": str(p), "k": min(got ^ expected) // (n + 1)}
-    return None
-
-
 def _moved_when(target):
     """Two sides that list the circular candidates, the second moving the
     last one's test to ``(0, 1)`` when there are ``target`` of them.  Unless
@@ -373,188 +350,6 @@ def test_first_failure_across_cut_blocks(ell, n):
         assert found == _sides_reference(sides, ell, n), target
 
 
-def _force_pool(monkeypatch):
-    monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-
-
-def _failures(suite):
-    """``(ell, n, counterexample)`` of each failed check of ``suite`` on the
-    1- and 2-color groups on up to 4 letters, the same at one and two workers."""
-    reports = [verify_suite(suite, 2, 4, jobs=jobs) for jobs in (1, 2)]
-    assert reports[0] == reports[1]
-    return [(r.ell, r.n, r.counterexample) for r in reports[0] if not r.passed]
-
-
-def _lossy(name, sigma):
-    """The ``name`` kernel's candidates less the last one on 3 4 1 2: a counting kernel
-    that drops a code of one permutation.  ``partial(_lossy, name)`` is one the pool can
-    pickle, and it reads the kernel as imported, not the registry it replaces."""
-    candidates = _KERNELS[name](sigma)
-    return candidates[:-1] if sigma == (3, 4, 1, 2) else candidates
-
-
-@pytest.mark.parametrize(
-    "faults",
-    [
-        {"circular": [("t2", 4), ("t3", 3), ("c7", 3), ("l45", 4), ("e43", 4)],
-         "isolated": [("t11", 4)]},
-        {"linear": [("c7", 3), ("e22", 4)], "increasing": [("t9", 4)]},
-        {"skewLinear": [("e22", 4)]},
-    ],
-    ids=["circular-isolated", "linear-increasing", "skew"],
-)
-def test_lossy_kernel_fails_the_rows_reading_its_tally(monkeypatch, faults):
-    """A counting kernel that drops a candidate of 3 4 1 2 fails exactly the
-    rows that read the 4-letter groups through it, and at least one, at one and
-    two workers: the circular kernel t2 and l45 at n = 4, t3 and c7 at n = 3,
-    which read n + 1 letters, and e43 at n = 4; the isolated kernel t11; the
-    linear kernel c7 at n = 3 and e22; the increasing kernel t9; the skew kernel
-    e22.  Each e22 and e43 failure is 3 4 1 2 itself, uncolored, at k = 1."""
-    for name, rows in faults.items():
-        succession = name in enumeration._SUCCESSION_KERNELS
-        registry = enumeration._SUCCESSION_KERNELS if succession else enumeration._FAMILY_KERNELS
-        with monkeypatch.context() as patch:
-            patch.setitem(registry, name, partial(_lossy, name))
-            serial = verify_suite("all", 2, 4, jobs=1)
-            _force_pool(patch)
-            assert verify_suite("all", 2, 4, jobs=2) == serial
-        failed = [(r.check, r.ell, r.n) for r in serial if not r.passed]
-        assert rows and failed == [(check, ell, n) for check, n in rows for ell in (1, 2)]
-        for r in serial:
-            if r.check in ("e22", "e43") and not r.passed:
-                assert r.counterexample == _first_in_block({16}, r.ell, 4, 1)
-
-
-# The registry kernel behind each statistic the e22 and e43 sides read, by
-# word: e22's skew side is the skew kernel, and both sides of e43 read the
-# circular kernel, the second on the word rotated right; e43's first side
-# codes each (k+1)-succession one k lower.
-_STAT_KERNELS = {"skew_linear_pairs": "skewLinear", "circular_pairs": "circular"}
-
-
-def _break_stat(monkeypatch, stat, extra):
-    """Make the registry kernel of ``stat`` append, for each ``(test, k, v)``
-    in ``extra(word)``, the candidate of a k-succession of value ``v``."""
-    name = _STAT_KERNELS[stat]
-
-    def kernel(word):
-        w = len(word) + 1
-        return _KERNELS[name](word) + [(test, k * w + v) for test, k, v in extra(word)]
-
-    monkeypatch.setitem(enumeration._SUCCESSION_KERNELS, name, kernel)
-
-
-def _first_in_block(failing, ell, n, k):
-    """The counterexample at offset 0 of the first permutation in ``failing``."""
-    index = min(failing) * ell**n
-    return {"index": index, "perm": str(element_at(ell, n, index)), "k": k}
-
-
-def _rank(word):
-    return list(permutations(sorted(word))).index(word)
-
-
-@pytest.mark.parametrize(
-    "suite,stat,first_k,bad_indices",
-    [
-        ("e22", "skew_linear_pairs", 1, (100, 300)),  # one per partition
-        ("e22", "skew_linear_pairs", 1, (300,)),  # second partition only
-        ("e43", "circular_pairs", 0, (100, 300)),
-        ("e43", "circular_pairs", 0, (300,)),
-    ],
-)
-def test_counterexample_independent_of_jobs(
-    monkeypatch, suite, stat, first_k, bad_indices
-):
-    """A statistic broken at every k from ``first_k`` on the underlying words
-    of chosen elements of the 2-color group on 4 letters is reported at the
-    first failing element whatever the number of workers.  The ell = 1
-    decision is split in two partitions of 12 permutations, 6 and 18 the
-    ranks of the two words."""
-    bad = {element_at(2, 4, i).sigma for i in bad_indices}
-
-    def extra(word):  # value 0: no real candidate has it; (0, 1) passes at offset 0
-        return [((0, 1), k, 0) for k in range(first_k, 5)] if word in bad else []
-
-    _break_stat(monkeypatch, stat, extra)
-    _force_pool(monkeypatch)
-    # e43 also sees a broken list when the rotated word is a bad one
-    failing = bad | {w[1:] + w[:1] for w in bad} if suite == "e43" else bad
-    ranks = {_rank(w) for w in failing}
-    expected = [(ell, 4, _first_in_block(ranks, ell, 4, first_k)) for ell in (1, 2)]
-    assert _failures(suite) == expected
-
-
-@pytest.mark.parametrize(
-    "suite,stat,broken_k,reported_k",
-    [
-        ("e22", "skew_linear_pairs", 2, 2),
-        ("e43", "circular_pairs", 3, 2),  # e43 compares k + 1 of p with k of its rotation
-    ],
-)
-def test_counterexample_reports_smallest_failing_k(
-    monkeypatch, suite, stat, broken_k, reported_k
-):
-    """A statistic broken at one k only is reported at that k, not at the
-    first k the suite compares."""
-    bad = element_at(2, 4, 256).sigma  # 3 4 1 2; its left rotation comes later
-    _break_stat(monkeypatch, stat, lambda word: [((0, 1), broken_k, 0)] if word == bad else [])
-    _force_pool(monkeypatch)
-    expected = [(ell, 4, _first_in_block({16}, ell, 4, reported_k)) for ell in (1, 2)]
-    assert _failures(suite) == expected
-
-
-# Each side of e22 and e43, labelled by the name its builder had before both
-# identities read the registry, which the case ids keep: its suite, the registry
-# kernel it reads, the permutation whose side it is, the word it reads the kernel
-# on and the first candidate it keeps.  The rotated side is that of 2 4 1 3, which
-# reads 3 2 4 1 less its first candidate: 3 4 1 2's rotation 2 3 4 1 comes first
-# in index order and its own first side keeps every candidate, so a fault there
-# would be reported at 2 3 4 1, not on the rotated side.
-_SIDES = {
-    "_skew_rises": ("e22", "skewLinear", (3, 4, 1, 2), (3, 4, 1, 2), 0),
-    "_linear_side": ("e22", "linear", (3, 4, 1, 2), (3, 4, 1, 2), 0),
-    "_circular_side": ("e43", "circular", (3, 4, 1, 2), (3, 4, 1, 2), 0),
-    "_rotated_side": ("e43", "circular", (2, 4, 1, 3), (3, 2, 4, 1), 1),
-}
-_E_SIDES = {"e22": enumeration._e22_sides, "e43": enumeration._e43_sides}
-_FAULTS = {
-    "gain": lambda candidates: candidates + [((0, 2), 12)],  # a 2-succession of value 2
-    "lose": lambda candidates: candidates[:-1],
-    "move": lambda candidates: [((1, 2), candidates[0][1])] + candidates[1:],
-}
-
-
-@pytest.mark.parametrize("fault", _FAULTS)
-@pytest.mark.parametrize("side", _SIDES)
-def test_side_faults_match_reference(monkeypatch, side, fault):
-    """A fault in the candidates that one side of e22 or e43 of one permutation
-    keeps, put in the registry kernel on the word that side reads, is reported
-    at that permutation where an element-by-element scan of each side's own
-    tests finds it, at every ell <= 3 and n <= 5 and at one and two workers.  A
-    moved test still passes on the one-color group, where every test passes."""
-    suite, name, owner, word, start = _SIDES[side]
-
-    def faulty(sigma):
-        candidates = _KERNELS[name](sigma)
-        if sigma != word:
-            return candidates
-        return candidates[:start] + _FAULTS[fault](candidates[start:])
-
-    monkeypatch.setitem(enumeration._SUCCESSION_KERNELS, name, faulty)
-    _force_pool(monkeypatch)
-    expected = [(ell, n, _sides_reference(_E_SIDES[suite], ell, n))
-                for ell in range(1, 4) for n in range(6)]
-    failing = [ell for ell, _, found in expected if found]
-    assert failing == ([2, 3] if fault == "move" else [1, 2, 3])
-    assert all(element_at(ell, n, found["index"]).sigma == owner
-               for ell, n, found in expected if found)
-    for jobs in (1, 2):
-        reports = verify_suite(suite, 3, 5, jobs=jobs)
-        assert [(r.ell, r.n, r.counterexample) for r in reports] == expected
-
-
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("n", range(6))
 def test_block_check_sides_match_spec(ell, n):
@@ -579,6 +374,9 @@ def test_block_check_sides_match_spec(ell, n):
                 pairs = [divmod(code, n + 1) for code in _codes(side, (0,) + p.colors)]
                 assert len(set(pairs)) == len(pairs), (expected, str(p))
                 assert set(pairs) == expected, str(p)
+
+
+_E_SIDES = {"e22": enumeration._e22_sides, "e43": enumeration._e43_sides}
 
 
 @pytest.mark.parametrize("suite", _E_SIDES)
@@ -607,18 +405,6 @@ def test_sides_charged_at_one_color(monkeypatch, suite):
     results = verify_suite(suite, 10, 9)
     assert len(results) == 100 and all(r.passed for r in results)
 
-
-def test_sides_scan_bounded_by_budget(monkeypatch):
-    """A skew kernel whose list is reversed makes e22's sides differ on every
-    permutation with two candidates, yet keep the same codes, so no element
-    fails.  The colorings of the permutations to scan are sized before any is
-    read: 119 of the 120 on 5 letters, times 2^5, exceed a budget of 2000."""
-    reversed_skew = lambda sigma: _KERNELS["skewLinear"](sigma)[::-1]
-    monkeypatch.setitem(enumeration._SUCCESSION_KERNELS, "skewLinear", reversed_skew)
-    start = time.perf_counter()
-    with pytest.raises(BudgetError, match=r"^the scan of 3808 colorings with ell=2, n=5 exceeds"):
-        verify_suite("e22", 3, 6, budget=2000)
-    assert time.perf_counter() - start < 1
 
 
 def _bumped(value, cell):
@@ -693,38 +479,7 @@ def test_table_suite_counterexample(monkeypatch, suite, name, args, cell, expect
     keys are expanded, the point its public function and the suites share."""
     _force_pool(monkeypatch)
     _bump(monkeypatch, enumeration, _EXPANSIONS.get(name, name), args, cell)
-    assert _failures(suite) == expected
-
-
-# Each table fault: the coefficient's text in ``tables.table_rows`` and its wrong
-# copy, then the counting suites it fails at every ell and 1 <= n <= 4, and the rec
-# identities it fails at every ell.
-_TABLE_FAULTS = {
-    "g-diagonal": ("top * ell * (n + 1)", "top * ell * (n + 2)", ("t2", "l45"),
-                   ("g_rec_two_prev_rows", "g_rec_prev_row_diag", "g_rec_three_term",
-                    "boundary_values", "g_equals_scaled_d")),
-    "d-factor": ("ell * (m + 1) * x", "ell * (m + 2) * x", ("t9", "t11"),
-                 ("d_rec_two_prev_rows", "d_rec_three_term", "d_rec_column0_parity",
-                  "boundary_values", "g_equals_scaled_d")),
-}
-
-
-@pytest.mark.parametrize("fault", _TABLE_FAULTS)
-def test_table_fault_fails_the_rows_reading_it(monkeypatch, fault):
-    """A copy of ``tables.table_rows`` with one wrong coefficient, g's diagonal
-    step or d's factor, fails exactly the rows whose triangles it builds, and
-    at least one: the counting suites compared with that flavor and the rec
-    identities that read it."""
-    old, new, counting, rec = _TABLE_FAULTS[fault]
-    source = inspect.getsource(tables.table_rows)
-    assert source.count(old) == 1, old
-    namespace = dict(vars(tables))
-    exec(compile(source.replace(old, new), tables.__file__, "exec"), namespace)
-    monkeypatch.setattr(tables, "table_rows", namespace["table_rows"])
-    failed = [(r.check, r.ell, r.n) for r in verify_suite("all", 2, 4) if not r.passed]
-    ells = (1, 2)
-    expected = [(check, ell, n) for check in counting for ell in ells for n in range(1, 5)]
-    assert failed and failed == expected + [(check, ell, None) for ell in ells for check in rec]
+    assert _failures(suite) == [(suite, *row) for row in expected]
 
 
 def test_each_tally_runs_once_per_call(monkeypatch):
@@ -826,14 +581,6 @@ def test_all_rows_per_range(max_ell, max_n, rows):
     assert len(verify_suite("all", max_ell, max_n)) == rows
 
 
-def _rec_failures():
-    """``(check, ell, counterexample)`` of each failed identity of the ``rec``
-    suite up to 4 letters and 2 colors, the same at one and two workers."""
-    reports = [verify_suite("rec", 2, 4, jobs=jobs) for jobs in (1, 2)]
-    assert reports[0] == reports[1]
-    return [(r.check, r.ell, r.counterexample) for r in reports[0] if not r.passed]
-
-
 def _ce(n, m, lhs, rhs):
     return {"n": n, "m": m, "lhs": str(lhs), "rhs": str(rhs)}
 
@@ -880,7 +627,7 @@ def test_recurrence_counterexample(monkeypatch, args, cell, expected):
     each at its first disagreeing index; ``boundary_values`` also names the
     table."""
     calls = _bump(monkeypatch, tables, "table_rows", args, cell)
-    assert _rec_failures() == expected
+    assert _failures("rec") == [(check, ell, None, found) for check, ell, found in expected]
     assert calls == [args, args]  # once per report, at one and two workers
 
 
