@@ -29,6 +29,7 @@ from .enumeration import (
     DEFAULT_BUDGET,
     SUITES,
     BudgetError,
+    _usable_cpus,
     check_table_size,
     distribution,
     verify_suite,
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n-max", type=int, required=True)
     v.set_defaults(func=_cmd_verify)
     for counting in (c, v):
-        counting.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+        counting.add_argument("--jobs", type=_jobs, default=_usable_cpus())
         counting.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     return parser
 

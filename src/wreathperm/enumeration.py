@@ -18,11 +18,12 @@ the cost stays linear in the group size, divided by the machine word.
 Each count is a tally of keys, an element's key being the codes of the ``(test, code)``
 candidates it passes, then their expansion, which reads the keys from
 ``source(kernel, ell, n)``: ``_map_reduce`` for a public count.  Within one ``verify_suite``
-call every suite reads one cache of it, so each ``(kernel, ell, n)`` is tallied once per call;
-the cache is dropped when the call returns.  The element-wise identities ``e22`` and ``e43``
-compare two candidate lists fixed by the underlying permutation, built from the kernels the
-counts read (``e22`` sets the skew kernel against the linear one), so one tally at ell = 1
-decides each permutation for every ell; only one whose lists differ has its colorings read.
+call every suite reads one cache of it, so each ``(kernel, ell, n)`` is tallied once per call,
+and every pooled tally reuses one process pool; the cache and the pool go when the call
+returns.  The element-wise identities ``e22`` and ``e43`` compare two candidate lists fixed by
+the underlying permutation, built from the kernels the counts read (``e22`` sets the skew
+kernel against the linear one), so one tally at ell = 1 decides each permutation for every
+ell; only one whose lists differ has its colorings read.
 
 A budget guard refuses a group, or a scan of those colorings, of more than ``budget``
 elements (``DEFAULT_BUDGET`` by default); ``check_table_size`` refuses a difference
@@ -37,8 +38,9 @@ import math
 import os
 import sys
 from collections import Counter
+from contextlib import ExitStack
 from functools import cache, partial
-from itertools import accumulate, combinations, islice, permutations, product
+from itertools import accumulate, combinations, islice, permutations, product, repeat
 from operator import add, sub
 from typing import Iterator
 
@@ -298,33 +300,32 @@ def _tally(kernel, ell, n, start, stop) -> Counter:
     return counts
 
 
-def _pool_size(jobs: int, cpus: int) -> int:
-    """Workers for one map-reduce: no more than requested or than CPUs, and at least 1."""
-    return max(1, min(jobs, cpus))
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (taskset, a cpuset), else the host's."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_task(args):
-    """Tally ``(kernel, ell, n, start, stop)``: one contiguous index range."""
-    return _tally(*args)
+def _pool(stack, workers):
+    """A process pool of ``workers`` that shuts down when ``stack`` closes.  Imported here,
+    so a process that never starts a pool never loads concurrent.futures or multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return stack.enter_context(ProcessPoolExecutor(max_workers=workers))
 
 
-def _map_reduce(kernel, ell: int, n: int, jobs: int, budget: int = DEFAULT_BUDGET):
-    """Partition the whole group, tally ``kernel`` over each part (in a process
-    pool when it pays) and merge the parts into keys that count every element."""
+def _map_reduce(kernel, ell: int, n: int, jobs: int, budget: int = DEFAULT_BUDGET, pool=None):
+    """Partition the whole group, tally ``kernel`` over each part and merge the parts into
+    keys that count every element.  From ``_PARALLEL_THRESHOLD`` blocks, up to ``jobs`` workers
+    each tally one part in ``pool(workers)``, a process pool: by default one this call starts."""
     size = _check_budget(ell, n, budget)
     _ints(jobs=jobs)
-    workers = _pool_size(jobs, os.cpu_count() or 1)
-    if workers == 1 or math.factorial(n) < _PARALLEL_THRESHOLD:
-        parts = [_run_task((kernel, ell, n, 0, size))]
-    else:
-        tasks = [(kernel, ell, n, *bounds) for bounds in partition_bounds(size, workers)]
-        # Imported here, so a process that never starts a pool never loads
-        # concurrent.futures or multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_task, tasks))
-    keys = sum(parts, Counter())
+    pays = math.factorial(n) >= _PARALLEL_THRESHOLD
+    workers = max(1, min(jobs, _usable_cpus())) if pays else 1
+    starts, stops = zip(*partition_bounds(size, workers))
+    with ExitStack() as stack:
+        tally = map if workers == 1 else (pool or partial(_pool, stack))(workers).map
+        keys = sum(tally(_tally, repeat(kernel), repeat(ell), repeat(n), starts, stops), Counter())
     if keys.total() != size:
         raise ValueError("distribution does not cover the whole group")
     return keys
@@ -573,7 +574,9 @@ def verify_suite(
             if sum(size(*item) for item in charged) > limit:
                 what = what.format(top[0], min(n for _, n in charged), top[1])
                 raise BudgetError(f"the {what} sum to more than the {text}")
-    source = cache(partial(_map_reduce, jobs=jobs, budget=budget))  # one per (kernel, ell, n)
     params = {"max_ell": max_ell, "max_n": max_n}
-    return [result for name, (run, ns, _) in plan.items() for ell in ells
-            for result in run(name, ell, ns, params, source, budget)]
+    with ExitStack() as stack:  # one tally per (kernel, ell, n), and one pool at most:
+        pool = cache(partial(_pool, stack))  # the first pooled tally starts it, the return stops it
+        source = cache(partial(_map_reduce, jobs=jobs, budget=budget, pool=pool))
+        return [result for name, (run, ns, _) in plan.items() for ell in ells
+                for result in run(name, ell, ns, params, source, budget)]

@@ -1,5 +1,4 @@
 import functools
-import os
 import sys
 import tracemalloc
 
@@ -56,8 +55,9 @@ def _sides_reference(sides, ell, n):
 
 
 def _force_pool(monkeypatch):
+    """Pool every tally, in up to two workers, as on a host with two usable CPUs."""
     monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
 
 
 def _failures(suite):

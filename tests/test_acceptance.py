@@ -8,7 +8,6 @@ times for the criterion body.
 import itertools
 import json
 import math
-import os
 import time
 from contextlib import contextmanager
 
@@ -321,7 +320,7 @@ def test_criterion_9_deterministic_reports(capsys, monkeypatch):
         assert payload and all(entry["status"] == "pass" for entry in payload)
         # counts merged from the worker pool are exact
         monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
         pooled = distribution_matrix(3, 5, CIRCULAR, jobs=2)
         serial = distribution_matrix(3, 5, CIRCULAR, jobs=1)
         assert pooled == serial

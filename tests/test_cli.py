@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -23,7 +24,7 @@ from wreathperm import (
     enumeration,
 )
 
-from conftest import row_bytes, traced_peak
+from conftest import _KERNELS, row_bytes, traced_peak
 
 
 def run_cli(capsys, *argv):
@@ -213,7 +214,30 @@ class TestCount:
         count = parse(["count", "--colors", "2", "--n", "2", "--stat", "circ", "--k", "0"])
         verify = parse(["verify", "--colors-max", "1", "--n-max", "2"])
         for args in (count, verify):
-            assert (args.jobs, args.budget) == (os.cpu_count() or 1, enumeration.DEFAULT_BUDGET)
+            defaults = (enumeration._usable_cpus(), enumeration.DEFAULT_BUDGET)
+            assert (args.jobs, args.budget) == defaults
+
+    @pytest.mark.parametrize("affinity,cpus,usable", [
+        ({0}, 64, 1),  # taskset -c 0 on a 64-CPU host
+        ({0, 5, 9}, 64, 3),
+        (None, 64, 64),  # no affinity call: every CPU of the host
+        (None, None, 1),  # nor a CPU count
+    ])
+    def test_jobs_default_counts_usable_cpus(self, monkeypatch, affinity, cpus, usable):
+        """``--jobs`` defaults to the CPUs this process may run on, and a pooled tally starts no
+        more workers than that, at any ``jobs``."""
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        args = cli.build_parser().parse_args(["verify", "--colors-max", "1", "--n-max", "2"])
+        assert args.jobs == usable
+        monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
+        pools, in_turn = [], SimpleNamespace(map=map)  # a pool that tallies its parts here
+        pool = lambda size: pools.append(size) or in_turn
+        enumeration._map_reduce(_KERNELS["linear"], 2, 4, 100, pool=pool)
+        assert pools == [usable][: usable > 1]
 
 
 # One in-domain input for every map and direction, with the exact stdout.
@@ -632,10 +656,14 @@ def test_refusal_exit_codes(capsys, monkeypatch, error, code):
 
 
 def test_no_pool_module_without_a_pool():
-    """Importing the CLI and printing a table loads no process-pool module."""
+    """Importing the CLI, printing a table, and a count and a verify run at two jobs below 8
+    letters (8! blocks), where no tally pools, load no process-pool module."""
     code = (
         "import sys, wreathperm.cli as cli\n"
         "cli.main(['table', '--flavor', 'g', '--colors', '2', '--max-n', '5'])\n"
+        "cli.main(['count', '--colors', '2', '--n', '7', '--stat', 'lin', '--k', '1',"
+        " '--jobs', '2'])\n"
+        "cli.main(['verify', '--colors-max', '1', '--n-max', '6', '--jobs', '2'])\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
     )

@@ -1,12 +1,15 @@
 import math
+import multiprocessing
 import random
 import re
 import sys
 from collections import Counter
 from collections.abc import Iterator
+from concurrent.futures import process
 from functools import partial
 from itertools import groupby, permutations, product
 from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 
@@ -193,9 +196,18 @@ class TestStream:
         "jobs,cpus,workers",
         [(1, 8, 1), (3, 2, 2), (8, 16, 8), (100_000, 2, 2), (0, 4, 1)],
     )
-    def test_pool_size(self, jobs, cpus, workers):
-        """Never more workers than requested or than CPUs, and at least 1."""
-        assert enumeration._pool_size(jobs, cpus) == workers
+    def test_pool_size(self, monkeypatch, jobs, cpus, workers):
+        """A pooled tally runs one ``_tally`` part per worker: never more workers than
+        requested or than usable CPUs, and at least 1.  One worker starts no pool."""
+        monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 0)
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: cpus)
+        parts, pools, tally = [], [], enumeration._tally
+        monkeypatch.setattr(enumeration, "_tally", lambda *args: parts.append(args) or tally(*args))
+        in_turn = SimpleNamespace(map=map)  # a pool that tallies its parts here, one by one
+        pool, kernel = lambda size: pools.append(size) or in_turn, _KERNELS["circular"]
+        keys = enumeration._map_reduce(kernel, 2, 4, jobs, pool=pool)
+        assert len(parts) == workers and pools == [workers][: workers > 1]
+        assert keys == tally(kernel, 2, 4, 0, group_size(2, 4))
 
 
 def _spec_histograms(ell, n):
@@ -300,12 +312,12 @@ def test_ranges_cut_inside_blocks(ell, n):
         for parts in (1, 3, 7, 11):
             merged = Counter()
             for start, stop in partition_bounds(size, parts):
-                counts = enumeration._run_task((kernel, ell, n, start, stop))
+                counts = enumeration._tally(kernel, ell, n, start, stop)
                 assert sum(counts.values()) == stop - start
                 merged += counts
             assert merged == enumeration._tally(kernel, ell, n, 0, size), (name, parts)
         for start, stop in _cut_ranges(ell, n, random.Random(ell * 10 + n), 8):
-            counts = enumeration._run_task((kernel, ell, n, start, stop))
+            counts = enumeration._tally(kernel, ell, n, start, stop)
             decoded = Counter()
             for key, count in counts.items():
                 decoded[_decoded(name, key, n)] += count
@@ -341,7 +353,7 @@ def test_first_failure_across_cut_blocks(ell, n):
         differ = partial(enumeration._sides_differ, sides)
         differs = {s for s in sigmas if sides(s)[0] != sides(s)[1]}
         for start, stop in _cut_ranges(1, n, rng, 20):
-            counts = enumeration._run_task((differ, 1, n, start, stop))
+            counts = enumeration._tally(differ, 1, n, start, stop)
             unequal = [s for s in sigmas[start:stop] if s in differs]
             keys = Counter({(): stop - start - len(unequal)}) + Counter((s,) for s in unequal)
             assert counts == keys
@@ -504,6 +516,20 @@ def test_each_tally_runs_once_per_call(monkeypatch):
         assert len(tallies) == len(set(tallies)) == max_ell * (5 + 3 + 5 + 5) + 2 * 5
         decided = [(ell, n) for kernel, ell, n in tallies if kernel not in _KERNELS.values()]
         assert sorted(decided) == sorted([(1, n) for n in range(5)] * 2)
+
+
+def test_one_pool_per_call(monkeypatch):
+    """A ``verify_suite`` call whose every tally pools starts one process pool: its first pooled
+    tally starts it and the others reuse it.  No worker outlives the call, and the report is
+    the one a single worker gives."""
+    _force_pool(monkeypatch)
+    started, start = [], process.ProcessPoolExecutor.__init__
+    monkeypatch.setattr(process.ProcessPoolExecutor, "__init__",
+                        lambda pool, **options: started.append(options) or start(pool, **options))
+    pooled = verify_suite("all", 2, 4, jobs=2)
+    assert started == [{"max_workers": 2}]
+    assert multiprocessing.active_children() == []
+    assert pooled == verify_suite("all", 2, 4, jobs=1)
 
 
 @pytest.mark.parametrize("fault", [None, ("_succession_matrix", (2, 3, "circular"), (1, 1))])

@@ -91,8 +91,7 @@ _UNCAUGHT = (("increasing", "test"),)
 @pytest.mark.parametrize("target,fault", _MATRIX)
 def test_fault_matrix(monkeypatch, target, fault):
     """Each fault fails exactly its rows, and one at least unless it is uncaught, alike at one
-    and two workers.  The pool runs for each kernel's moved test, which reaches the e22 and e43
-    scan from a pooled decision, and for the g fault."""
+    worker and at two in a pool."""
     rows, found = _MATRIX[target, fault]
     if target in _KERNELS:
         _install(monkeypatch, target, {(3, 4, 1, 2)}, 0, partial(_fault, fault))
@@ -102,8 +101,7 @@ def test_fault_matrix(monkeypatch, target, fault):
         namespace, wrong = dict(vars(tables)), source.replace(fault, fault.replace("+ 1", "+ 2"))
         exec(compile(wrong, tables.__file__, "exec"), namespace)
         monkeypatch.setattr(tables, "table_rows", namespace["table_rows"])
-    if fault == "test" or target == "g":
-        _force_pool(monkeypatch)
+    _force_pool(monkeypatch)
     failed = _failures("all")
     ells = (2,) if fault == "test" else (1, 2)  # every test passes at ell = 1
     named = [word.partition("@") for word in rows.split()]
@@ -127,7 +125,7 @@ _SIDES = {
 }
 
 
-@pytest.mark.parametrize("fault", ["drop", "add", "test"])  # code too costs about 1 s more
+@pytest.mark.parametrize("fault", ["drop", "add", "code", "test"])
 @pytest.mark.parametrize("side", _SIDES)
 def test_side_faults_match_reference(monkeypatch, side, fault):
     """A fault in the candidates that one side of e22 or e43 of one permutation keeps, put in
